@@ -9,7 +9,7 @@ arg-min scan break toward the lowest index so runs are reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,40 +74,41 @@ def build_grid(n_subcarriers: int, chunk_size: int) -> ChunkGrid:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A chunk-to-user map: owners[m] is the user holding chunk m."""
+    """A chunk-to-user map: owners[m] is the user holding chunk m.
+
+    ``subcarrier_owners[n]`` is the user holding subcarrier n.  It is
+    derived from ``owners`` and the grid once, at construction, and
+    takes no part in equality, hashing or repr.
+    """
 
     grid: ChunkGrid
     owners: tuple[int, ...]
     n_users: int
+    subcarrier_owners: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(self.owners) == self.grid.n_chunks
-        assert all(0 <= k < self.n_users for k in self.owners)
+        if len(self.owners) != self.grid.n_chunks:
+            raise ConfigError(
+                f"{len(self.owners)} owners given for {self.grid.n_chunks} chunks"
+            )
+        if min(self.owners) < 0 or max(self.owners) >= self.n_users:
+            raise ConfigError(f"chunk owners must lie in [0, {self.n_users - 1}]")
+        per_subcarrier = np.repeat(self.owners, self.grid.chunk_sizes())
+        per_subcarrier.flags.writeable = False
+        object.__setattr__(self, "subcarrier_owners", per_subcarrier)
 
     def chunks_of(self, user: int) -> np.ndarray:
         return np.flatnonzero(np.asarray(self.owners) == user)
 
     def subcarriers_of(self, user: int) -> np.ndarray:
-        parts = [
-            np.arange(self.grid.starts[m], self.grid.stops[m])
-            for m in self.chunks_of(user)
-        ]
-        if not parts:
-            return np.empty(0, dtype=int)
-        return np.concatenate(parts)
+        return np.flatnonzero(self.subcarrier_owners == user)
 
     def subcarrier_counts(self) -> np.ndarray:
-        sizes = self.grid.chunk_sizes()
-        counts = np.zeros(self.n_users, dtype=int)
-        for m, k in enumerate(self.owners):
-            counts[k] += sizes[m]
-        return counts
+        return np.bincount(self.subcarrier_owners, minlength=self.n_users)
 
     def indicator(self) -> np.ndarray:
         """(K, M) 0/1 matrix; each column sums to one."""
-        ind = np.zeros((self.n_users, self.grid.n_chunks), dtype=int)
-        ind[np.asarray(self.owners), np.arange(self.grid.n_chunks)] = 1
-        return ind
+        return (np.arange(self.n_users)[:, None] == np.asarray(self.owners)).astype(int)
 
     def to_record(self) -> str:
         """Plain-text record, one line per user: 'user <k>: <sorted 1-based chunks>'."""
@@ -120,11 +121,13 @@ class Assignment:
 
 @dataclass
 class ComparisonCount:
-    """Comparison tallies for the selection scans of an assignment run.
+    """Comparison tallies for the selection scans of a greedy assignment run.
 
     Every arg-max / arg-min over s candidates is counted under two
     conventions: ``scanned`` adds s (one comparison per candidate
     examined) and ``strict`` adds s - 1 (comparisons beyond the first).
+    The tallies depend only on (K, M) and the phase-one order, so the
+    schemes compute them in closed form.
     """
 
     phase1_argmax_scanned: int = 0
@@ -135,12 +138,6 @@ class ComparisonCount:
     phase2_argmax_strict: int = 0
     phase2_argmin_scanned: int = 0
     phase2_argmin_strict: int = 0
-
-    def tally(self, phase: int, kind: str, size: int) -> None:
-        scanned = f"phase{phase}_arg{kind}_scanned"
-        strict = f"phase{phase}_arg{kind}_strict"
-        setattr(self, scanned, getattr(self, scanned) + size)
-        setattr(self, strict, getattr(self, strict) + max(size - 1, 0))
 
     @property
     def total_scanned(self) -> int:
@@ -215,17 +212,92 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pick(values: np.ndarray, candidates: np.ndarray, largest: bool) -> int:
-    """Lowest-index extremum of values[candidates]; candidates must be sorted."""
-    sub = values[candidates]
-    pos = int(np.argmax(sub)) if largest else int(np.argmin(sub))
-    return int(candidates[pos])
+def _comparison_count(
+    n_users: int, n_chunks: int, least_favoured_first: bool
+) -> ComparisonCount:
+    """Comparison counts of a greedy run; they depend on (K, M) only.
+
+    With j users still pending in phase 1 (j = K, ..., 1), M - K + j
+    chunks remain.  Least-favoured-first scans them once per pending
+    user and then the j pending users for the winner; the serial order
+    scans them once.  Phase 2 runs T = M - K steps; with r chunks left
+    (r = T, ..., 1) it scans all K users, then the r chunks.
+    """
+    k, t = n_users, n_chunks - n_users
+    tri_k = k * (k + 1) // 2  # sum of j, j = 1..K
+    tri_t = t * (t + 1) // 2  # sum of r, r = 1..T
+    if least_favoured_first:
+        phase1_max = t * tri_k + k * (k + 1) * (2 * k + 1) // 6  # sum of j * (T + j)
+        phase1_max_strict = phase1_max - tri_k
+        phase1_min, phase1_min_strict = tri_k, tri_k - k
+    else:
+        phase1_max = k * t + tri_k  # sum of T + j
+        phase1_max_strict = phase1_max - k
+        phase1_min = phase1_min_strict = 0
+    return ComparisonCount(
+        phase1_argmax_scanned=phase1_max,
+        phase1_argmax_strict=phase1_max_strict,
+        phase1_argmin_scanned=phase1_min,
+        phase1_argmin_strict=phase1_min_strict,
+        phase2_argmax_scanned=tri_t,
+        phase2_argmax_strict=tri_t - t,
+        phase2_argmin_scanned=t * k,
+        phase2_argmin_strict=t * (k - 1),
+    )
 
 
-def _check_partition(owners, n_users, n_chunks):
-    # Debug assertion: each chunk owned exactly once and indices in range.
-    assert len(owners) == n_chunks
-    assert all(0 <= k < n_users for k in owners)
+def _greedy_sa(
+    scores: np.ndarray,
+    rates: np.ndarray,
+    weights: np.ndarray,
+    grid: ChunkGrid,
+    least_favoured_first: bool,
+) -> tuple[Assignment, ComparisonCount]:
+    """Two-phase greedy assignment shared by the proposed and Shen schemes.
+
+    Chunks are ranked by ``scores`` while users accumulate raw
+    ``rates``.  Phase 1 hands every user one chunk, either
+    least-favoured user first or in user index order; phase 2 gives the
+    user with the smallest accumulated weighted rate its best remaining
+    chunk until none remain.  Taken chunks are masked to -inf, so an
+    arg-max over a row sees only the remaining chunks; that needs a
+    finite table, and finite rates give finite normalised rates.
+    """
+    weights = np.asarray(weights, dtype=float)
+    n_users, n_chunks = rates.shape
+    if n_chunks < n_users:
+        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
+    if np.any(weights <= 0):
+        raise ConfigError("rate weights must be positive")
+    if not np.all(np.isfinite(rates)):
+        raise ConfigError("rate table must be finite")
+    scores = np.array(scores, dtype=float)  # private copy: taken chunks get masked
+    owners = np.empty(n_chunks, dtype=int)
+    acc = np.zeros(n_users)
+
+    def take(k: int, m: int) -> None:
+        owners[m] = k
+        acc[k] += rates[k, m]
+        scores[:, m] = -np.inf
+
+    if least_favoured_first:
+        # Every pending user registers its best chunk; the one whose
+        # registered score over its weight is smallest takes it.
+        pending = np.arange(n_users)
+        while pending.size:
+            best = scores[pending].argmax(axis=1)
+            i = int((scores[pending, best] / weights[pending]).argmin())
+            take(int(pending[i]), int(best[i]))
+            pending = np.delete(pending, i)
+    else:
+        for k in range(n_users):
+            take(k, int(scores[k].argmax()))
+    for _ in range(n_chunks - n_users):
+        k = int((acc / weights).argmin())
+        take(k, int(scores[k].argmax()))
+
+    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+    return assignment, _comparison_count(n_users, n_chunks, least_favoured_first)
 
 
 def proposed_sa(
@@ -246,50 +318,7 @@ def proposed_sa(
     selection scans.
     """
     rates = np.asarray(rate_table, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n_users, n_chunks = rates.shape
-    if n_chunks < n_users:
-        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
-    if np.any(weights <= 0):
-        raise ConfigError("rate weights must be positive")
-    norm = normalized_rates(rates)
-
-    counter = ComparisonCount()
-    owners = np.full(n_chunks, -1, dtype=int)
-    acc = np.zeros(n_users)
-    remaining = list(range(n_chunks))
-    pending = list(range(n_users))
-
-    # Phase 1: one chunk per user, least-favoured user first.
-    while pending:
-        cand = np.array(remaining)
-        best_chunk = {}
-        for k in pending:
-            best_chunk[k] = _pick(norm[k], cand, largest=True)
-            counter.tally(1, "max", len(cand))
-        ratios = np.array([norm[k, best_chunk[k]] / weights[k] for k in pending])
-        winner = pending[int(np.argmin(ratios))]
-        counter.tally(1, "min", len(pending))
-        m = best_chunk[winner]
-        owners[m] = winner
-        acc[winner] += rates[winner, m]
-        remaining.remove(m)
-        pending.remove(winner)
-
-    # Phase 2: lowest weighted accumulated rate picks next.
-    users = np.arange(n_users)
-    while remaining:
-        k = _pick(acc / weights, users, largest=False)
-        counter.tally(2, "min", n_users)
-        cand = np.array(remaining)
-        m = _pick(norm[k], cand, largest=True)
-        counter.tally(2, "max", len(cand))
-        owners[m] = k
-        acc[k] += rates[k, m]
-        remaining.remove(m)
-
-    _check_partition(owners, n_users, n_chunks)
-    return Assignment(grid=grid, owners=tuple(int(o) for o in owners), n_users=n_users), counter
+    return _greedy_sa(normalized_rates(rates), rates, weights, grid, least_favoured_first=True)
 
 
 def shen_sa(
@@ -307,39 +336,7 @@ def shen_sa(
     chunk-average rate.
     """
     rates = np.asarray(rate_table, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    n_users, n_chunks = rates.shape
-    if n_chunks < n_users:
-        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
-    if np.any(weights <= 0):
-        raise ConfigError("rate weights must be positive")
-
-    counter = ComparisonCount()
-    owners = np.full(n_chunks, -1, dtype=int)
-    acc = np.zeros(n_users)
-    remaining = list(range(n_chunks))
-
-    for k in range(n_users):
-        cand = np.array(remaining)
-        m = _pick(rates[k], cand, largest=True)
-        counter.tally(1, "max", len(cand))
-        owners[m] = k
-        acc[k] += rates[k, m]
-        remaining.remove(m)
-
-    users = np.arange(n_users)
-    while remaining:
-        k = _pick(acc / weights, users, largest=False)
-        counter.tally(2, "min", n_users)
-        cand = np.array(remaining)
-        m = _pick(rates[k], cand, largest=True)
-        counter.tally(2, "max", len(cand))
-        owners[m] = k
-        acc[k] += rates[k, m]
-        remaining.remove(m)
-
-    _check_partition(owners, n_users, n_chunks)
-    return Assignment(grid=grid, owners=tuple(int(o) for o in owners), n_users=n_users), counter
+    return _greedy_sa(rates, rates, weights, grid, least_favoured_first=False)
 
 
 def static_sa(n_users: int, grid: ChunkGrid) -> Assignment:

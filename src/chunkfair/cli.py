@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .errors import ChunkfairError, ConfigError
@@ -105,7 +106,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ChunkfairError, OSError) as exc:
+    except (ChunkfairError, OSError, BrokenProcessPool) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional
 
 import numpy as np
@@ -176,11 +175,7 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
-    """One (sweep point, scheme pair, trial) outcome.
-
-    ``wall_time_s`` is informational only and never serialised, so CSVs
-    stay byte-identical across reruns of the same seed.
-    """
+    """One (sweep point, scheme pair, trial) outcome."""
 
     scenario: str
     sa: str
@@ -197,7 +192,6 @@ class ResultRow:
     min_edge_rate: Optional[float] = None
     edge_deviation: Optional[float] = None
     error: str = ""
-    wall_time_s: float = field(default=0.0, compare=False)
 
     def sort_key(self):
         return (
@@ -322,7 +316,6 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
             table = assign.chunk_rates(gains, grid, total_power / n)
             for sa_name in config.sa_schemes:
                 for pa_name in config.pa_schemes:
-                    start = time.perf_counter()
                     row = ResultRow(
                         scenario=config.scenario,
                         sa=sa_name,
@@ -339,7 +332,6 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
                         _fill_metrics(row, rates, weights)
                     except ChunkfairError as exc:
                         row.error = f"{type(exc).__name__}: {exc}"
-                    row.wall_time_s = time.perf_counter() - start
                     rows.append(row)
     return rows
 
@@ -387,7 +379,6 @@ def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
             config.scenario_params(chunk_size), config.seed, trial
         )
         for sa_name in config.sa_schemes:
-            start = time.perf_counter()
             row = ResultRow(
                 scenario=config.scenario,
                 sa=sa_name,
@@ -412,7 +403,6 @@ def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
                         row.edge_deviation = None
             except ChunkfairError as exc:
                 row.error = f"{type(exc).__name__}: {exc}"
-            row.wall_time_s = time.perf_counter() - start
             rows.append(row)
     return rows
 

@@ -340,39 +340,39 @@ def sinr_edge(scenario: CellScenario, user: int, subcarrier: int) -> float:
 def _group_tables(
     scenario: CellScenario,
     edge_interferers: np.ndarray | None = None,
-) -> tuple[np.ndarray, ChunkGrid, np.ndarray, ChunkGrid]:
-    """(centre rate table, centre grid, edge rate table, edge grid).
+) -> tuple[tuple[str, np.ndarray, np.ndarray | None, ChunkGrid | None], ...]:
+    """(name, users, rate table, grid) of the centre group, then the edge group.
 
     The centre band always sees all 18 interferers; the edge band sees
     the six co-band cells under FFR, or whatever ``edge_interferers``
-    says (the no-FFR baseline passes all 18).
+    says (the no-FFR baseline passes all 18).  A group without users or
+    without a whole chunk in its band gets no table and no grid.
     """
     plan = scenario.plan
-    n = scenario.params.n_subcarriers
-    centre_users = scenario.centre_users
-    edge_users = scenario.edge_users
     if edge_interferers is None:
         edge_interferers = plan.co_band_cells
-    centre_table = centre_grid = edge_table = edge_grid = None
-    if centre_users.size and plan.m_cc:
-        centre_grid = build_grid(plan.n_cc, plan.chunk_size)
-        sinr = _sinr_block(scenario, centre_users, plan.centre_band, _ALL_INTERFERERS)
-        centre_table = chunk_rates(scenario.lam * sinr, centre_grid, 1.0, n_total=n)
-    if edge_users.size and plan.m_ce:
-        own_band = plan.edge_bands[plan.cell_edge_slot[0]]
-        edge_grid = build_grid(plan.n_ce, plan.chunk_size)
-        sinr = _sinr_block(scenario, edge_users, own_band, edge_interferers)
-        edge_table = chunk_rates(scenario.lam * sinr, edge_grid, 1.0, n_total=n)
-    return centre_table, centre_grid, edge_table, edge_grid
+    edge_band = plan.edge_bands[plan.cell_edge_slot[0]]
+    groups = (
+        ("centre", scenario.centre_users, plan.centre_band, plan.m_cc, _ALL_INTERFERERS),
+        ("edge", scenario.edge_users, edge_band, plan.m_ce, edge_interferers),
+    )
+    out = []
+    for name, users, band, n_chunks, interferers in groups:
+        table = grid = None
+        if users.size and n_chunks:
+            grid = build_grid(band.size, plan.chunk_size)
+            sinr = _sinr_block(scenario, users, band, interferers)
+            table = chunk_rates(
+                scenario.lam * sinr, grid, 1.0, n_total=scenario.params.n_subcarriers
+            )
+        out.append((name, users, table, grid))
+    return tuple(out)
 
 
 def effective_chunk_rate(scenario: CellScenario, user: int, chunk: int) -> float:
     """Gap-scaled rate of one chunk in the user's own group band."""
-    centre_table, centre_grid, edge_table, edge_grid = _group_tables(scenario)
-    if scenario.is_centre[user]:
-        table, grid, members = centre_table, centre_grid, scenario.centre_users
-    else:
-        table, grid, members = edge_table, edge_grid, scenario.edge_users
+    centre, edge = _group_tables(scenario)
+    _, members, table, grid = centre if scenario.is_centre[user] else edge
     if table is None or not 0 <= chunk < grid.n_chunks:
         raise ConfigError(f"chunk {chunk} is outside user {user}'s band")
     row = int(np.flatnonzero(members == user)[0])
@@ -399,37 +399,24 @@ def multicell_sa(
     1's edge band, and the two problems are solved independently with
     the chosen scheme under uniform power.
     """
-    centre_table, centre_grid, edge_table, edge_grid = _group_tables(
-        scenario, edge_interferers
-    )
     weights = scenario.weights
     rates = np.zeros(scenario.params.n_users)
-    centre_assignment = edge_assignment = None
-
-    centre_users = scenario.centre_users
-    if centre_users.size:
-        if centre_table is None or centre_grid.n_chunks < centre_users.size:
-            raise InfeasibleError(
-                f"{centre_users.size} centre users need at least as many centre chunks"
-            )
-        centre_assignment = run_sa(sa_scheme, centre_table, weights[centre_users], centre_grid)
-        for row, user in enumerate(centre_users):
-            rates[user] = centre_table[row, centre_assignment.chunks_of(row)].sum()
-
-    edge_users = scenario.edge_users
-    if edge_users.size:
-        if edge_table is None or edge_grid.n_chunks < edge_users.size:
-            raise InfeasibleError(
-                f"{edge_users.size} edge users need at least as many edge chunks"
-            )
-        edge_assignment = run_sa(sa_scheme, edge_table, weights[edge_users], edge_grid)
-        for row, user in enumerate(edge_users):
-            rates[user] = edge_table[row, edge_assignment.chunks_of(row)].sum()
-
+    assignments = []
+    for name, users, table, grid in _group_tables(scenario, edge_interferers):
+        assignment = None
+        if users.size:
+            if table is None or grid.n_chunks < users.size:
+                raise InfeasibleError(
+                    f"{users.size} {name} users need at least as many {name} chunks"
+                )
+            assignment = run_sa(sa_scheme, table, weights[users], grid)
+            for row, user in enumerate(users):
+                rates[user] = table[row, assignment.chunks_of(row)].sum()
+        assignments.append(assignment)
     return MulticellAllocation(
         rates=rates,
-        centre_assignment=centre_assignment,
-        edge_assignment=edge_assignment,
+        centre_assignment=assignments[0],
+        edge_assignment=assignments[1],
     )
 
 

@@ -335,8 +335,7 @@ def uniform_pa(assignment: Assignment, total_power: float) -> PowerAllocation:
     n = assignment.grid.n_subcarriers
     per_sc = total_power / n
     powers = np.zeros((assignment.n_users, n))
-    for k in range(assignment.n_users):
-        powers[k, assignment.subcarriers_of(k)] = per_sc
+    powers[assignment.subcarrier_owners, np.arange(n)] = per_sc
     budgets = assignment.subcarrier_counts() * per_sc
     _check_allocation(powers, total_power)
     return PowerAllocation(

@@ -90,3 +90,92 @@ def proportional_budget_system(coeff_list, weights, total_power):
             + (ck.e - ck.n_active) / weights[k]
         )
     return a, b
+
+
+def _pick_direct(values, candidates, largest):
+    """Lowest-index extremum of values over the sorted candidate list."""
+    best = candidates[0]
+    for c in candidates[1:]:
+        if (values[c] > values[best]) if largest else (values[c] < values[best]):
+            best = c
+    return best
+
+
+def _tally(counts, key, size):
+    counts[key + "_scanned"] += size
+    counts[key + "_strict"] += max(size - 1, 0)
+
+
+def _greedy_counts():
+    return {
+        f"phase{p}_arg{kind}_{conv}": 0
+        for p in (1, 2)
+        for kind in ("max", "min")
+        for conv in ("scanned", "strict")
+    }
+
+
+def _phase_two_direct(scores, rates, weights, owners, acc, remaining, counts):
+    users = list(range(len(weights)))
+    while remaining:
+        k = _pick_direct([acc[u] / weights[u] for u in users], users, largest=False)
+        _tally(counts, "phase2_argmin", len(users))
+        m = _pick_direct(scores[k], remaining, largest=True)
+        _tally(counts, "phase2_argmax", len(remaining))
+        owners[m] = k
+        acc[k] += rates[k, m]
+        remaining.remove(m)
+
+
+def proposed_sa_direct(rate_table, weights):
+    """Normalised-rate two-phase assignment by explicit scans.
+
+    Returns (owners, counts): the chunk owner tuple and a dict holding
+    every comparison tally, each scan over s candidates adding s to its
+    ``_scanned`` and s - 1 to its ``_strict`` entry.
+    """
+    rates = np.asarray(rate_table, dtype=float)
+    n_users, n_chunks = rates.shape
+    norm = np.ones_like(rates)
+    for m in range(n_chunks):
+        mean = sum(rates[k, m] for k in range(n_users)) / n_users
+        if mean > 0:
+            norm[:, m] = rates[:, m] / mean
+    counts = _greedy_counts()
+    owners = [-1] * n_chunks
+    acc = [0.0] * n_users
+    remaining = list(range(n_chunks))
+    pending = list(range(n_users))
+    while pending:
+        best = {}
+        for k in pending:
+            best[k] = _pick_direct(norm[k], remaining, largest=True)
+            _tally(counts, "phase1_argmax", len(remaining))
+        ratios = [norm[k, best[k]] / weights[k] for k in pending]
+        winner = pending[_pick_direct(ratios, list(range(len(pending))), largest=False)]
+        _tally(counts, "phase1_argmin", len(pending))
+        m = best[winner]
+        owners[m] = winner
+        acc[winner] += rates[winner, m]
+        remaining.remove(m)
+        pending.remove(winner)
+    _phase_two_direct(norm, rates, weights, owners, acc, remaining, counts)
+    return tuple(owners), counts
+
+
+def shen_sa_direct(rate_table, weights):
+    """Serial-order raw-rate assignment by explicit scans; returns (owners, counts)."""
+    rates = np.asarray(rate_table, dtype=float)
+    n_users, n_chunks = rates.shape
+    counts = _greedy_counts()
+    owners = [-1] * n_chunks
+    acc = [0.0] * n_users
+    remaining = list(range(n_chunks))
+    for k in range(n_users):
+        m = _pick_direct(rates[k], remaining, largest=True)
+        _tally(counts, "phase1_argmax", len(remaining))
+        owners[m] = k
+        acc[k] += rates[k, m]
+        remaining.remove(m)
+    _phase_two_direct(rates, rates, weights, owners, acc, remaining, counts)
+    return tuple(owners), counts

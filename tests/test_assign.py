@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkfair import (
+    Assignment,
     ConfigError,
     InfeasibleError,
     OracleSizeError,
@@ -20,6 +23,8 @@ from chunkfair import (
     uniform_pa,
     user_rates,
 )
+
+from oracles import proposed_sa_direct, shen_sa_direct
 
 
 def random_gains(n_users, n, seed, taps=4):
@@ -222,6 +227,15 @@ def test_shen_sa_infeasible():
         shen_sa(np.ones((3, 2)), np.ones(3), build_grid(2, 1))
 
 
+def test_greedy_schemes_reject_non_finite_tables():
+    # masking taken chunks to -inf would let a -inf rate alias a taken chunk
+    table = np.array([[1.0, -np.inf, -np.inf], [5.0, 5.0, 5.0]])
+    for scheme in (proposed_sa, shen_sa):
+        for bad in (table, np.where(table < 0, np.nan, table)):
+            with pytest.raises(ConfigError):
+                scheme(bad, np.ones(2), build_grid(3, 1))
+
+
 # ---------------------------------------------------------------- static SA
 
 def test_static_sa_round_robin():
@@ -239,6 +253,29 @@ def test_static_sa_channel_independent_and_infeasible():
     assert static_sa(2, build_grid(6, 2)).owners == static_sa(2, build_grid(6, 2)).owners
     with pytest.raises(InfeasibleError):
         static_sa(4, build_grid(3, 1))
+
+
+# ---------------------------------------------------------------- greedy kernel
+
+def test_greedy_schemes_match_direct_references():
+    # K = 1 and K = M every fourth table each; every other table is an
+    # integer table with integer weights, so ties are everywhere.
+    rng = np.random.default_rng(20240)
+    for case in range(400):
+        n_users = 1 if case % 4 == 1 else int(rng.integers(1, 9))
+        n_chunks = n_users if case % 4 == 0 else int(rng.integers(n_users, 50))
+        if case % 2:
+            table = rng.integers(0, 3, size=(n_users, n_chunks)).astype(float)
+            weights = rng.integers(1, 3, size=n_users).astype(float)
+        else:
+            table = rng.random((n_users, n_chunks))
+            weights = rng.random(n_users) + 0.1
+        grid = build_grid(n_chunks, 1)
+        for scheme, reference in ((proposed_sa, proposed_sa_direct), (shen_sa, shen_sa_direct)):
+            a, counts = scheme(table, weights, grid)
+            owners, ref_counts = reference(table, weights)
+            assert a.owners == owners, (case, scheme.__name__)
+            assert dataclasses.asdict(counts) == ref_counts, (case, scheme.__name__)
 
 
 # ---------------------------------------------------------------- counters
@@ -340,6 +377,26 @@ def test_oracle_cap_enforced():
 
 
 # ---------------------------------------------------------------- records
+
+def test_assignment_rejects_malformed_owners():
+    grid = build_grid(4, 2)
+    for owners in ((0,), (0, 1, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ConfigError):
+            Assignment(grid=grid, owners=owners, n_users=2)
+
+
+def test_assignment_subcarrier_owners_follow_grid():
+    grid = build_grid(5, 2)  # chunk sizes 2 and 3
+    a = Assignment(grid=grid, owners=(1, 0), n_users=3)
+    assert a.subcarrier_owners.tolist() == [1, 1, 0, 0, 0]
+    assert a.subcarriers_of(0).tolist() == [2, 3, 4]
+    assert a.subcarriers_of(2).size == 0
+    assert a.subcarrier_counts().tolist() == [3, 2, 0]
+    assert a.indicator().tolist() == [[0, 1], [1, 0], [0, 0]]
+    same = Assignment(grid=grid, owners=(1, 0), n_users=3)
+    assert a == same and hash(a) == hash(same)
+    assert "subcarrier_owners" not in repr(a)
+
 
 def test_assignment_record_golden():
     a = static_sa(2, build_grid(4, 1))
