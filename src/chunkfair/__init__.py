@@ -35,6 +35,7 @@ from .channel import (
     substream,
 )
 from .errors import (
+    AllocationError,
     ChunkfairError,
     ConfigError,
     InfeasibleError,

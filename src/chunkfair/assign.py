@@ -44,16 +44,20 @@ class ChunkGrid:
     chunk_size: int
     starts: tuple[int, ...]
     stops: tuple[int, ...]
+    _sizes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sizes = np.array(self.stops) - np.array(self.starts)
+        sizes.flags.writeable = False
+        object.__setattr__(self, "_sizes", sizes)
 
     @property
     def n_chunks(self) -> int:
         return len(self.starts)
 
-    def chunk_slice(self, m: int) -> slice:
-        return slice(self.starts[m], self.stops[m])
-
     def chunk_sizes(self) -> np.ndarray:
-        return np.array(self.stops) - np.array(self.starts)
+        """Subcarriers per chunk, (M,); read-only, built once at construction."""
+        return self._sizes
 
 
 def build_grid(n_subcarriers: int, chunk_size: int) -> ChunkGrid:
@@ -191,9 +195,13 @@ def chunk_rates(
         )
     n_norm = grid.n_subcarriers if n_total is None else int(n_total)
     per_sc = np.log2(1.0 + power_per_subcarrier * gains)
-    table = np.empty((gains.shape[0], grid.n_chunks))
-    for m in range(grid.n_chunks):
-        table[:, m] = per_sc[:, grid.chunk_slice(m)].sum(axis=1)
+    # Chunks 0..M-2 are full; the last one absorbs the N mod L leftovers.
+    # Both sums run along the contiguous last axis, so each chunk is
+    # summed in the same order as its slice alone would be.
+    k, l, m = gains.shape[0], grid.chunk_size, grid.n_chunks
+    table = np.empty((k, m))
+    table[:, :-1] = per_sc[:, : (m - 1) * l].reshape(k, m - 1, l).sum(axis=2)
+    table[:, -1] = per_sc[:, (m - 1) * l :].sum(axis=1)
     return table / n_norm
 
 

@@ -109,23 +109,25 @@ def frequency_response(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
 
     Parameters
     ----------
-    taps : complex array
-        Channel impulse response, length <= n_subcarriers.
+    taps : complex array, (..., L)
+        Channel impulse responses along the last axis, L <= n_subcarriers.
+        Leading axes index independent channels and are transformed in
+        one call; each row comes out bit-identical to a call on that row.
     n_subcarriers : int
         FFT size N; the response is evaluated at n = 0..N-1.
 
     Returns
     -------
     np.ndarray
-        Complex response, length N.  The FFT output equals a direct
+        Complex response, shape (..., N).  The FFT output equals a direct
         evaluation of the sum at every n (to within rounding).
     """
     taps = np.asarray(taps, dtype=np.complex128)
     if taps.size == 0:
         raise ConfigError("taps must contain at least one entry")
-    if taps.size > n_subcarriers:
+    if taps.shape[-1] > n_subcarriers:
         raise ConfigError(
-            f"tap count {taps.size} exceeds subcarrier count {n_subcarriers}"
+            f"tap count {taps.shape[-1]} exceeds subcarrier count {n_subcarriers}"
         )
     return np.fft.fft(taps, n=n_subcarriers)
 

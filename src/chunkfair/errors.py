@@ -29,5 +29,9 @@ class OracleConvergenceError(ChunkfairError, RuntimeError):
     """A numerical oracle failed to converge within its iteration budget."""
 
 
+class AllocationError(ChunkfairError, RuntimeError):
+    """A power allocation broke an invariant: negative power or a total not conserved."""
+
+
 class UndefinedMetricError(ChunkfairError, ValueError):
     """Metric undefined for the given input (zero sum rate, single user, ...)."""

@@ -371,13 +371,17 @@ def _fill_metrics(row: ResultRow, rates: np.ndarray, weights: np.ndarray) -> Non
 
 
 def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    """All rows of one multi-cell trial across chunk sizes and SA schemes."""
+    """All rows of one multi-cell trial across chunk sizes and SA schemes.
+
+    The network is drawn once; every chunk size sees the same draw.
+    """
     weights = np.asarray(config.rate_weights, dtype=float)
+    drawn = multicell.build_scenario(
+        config.scenario_params(config.chunk_sizes[0]), config.seed, trial
+    )
     rows = []
     for chunk_size in config.chunk_sizes:
-        scenario = multicell.build_scenario(
-            config.scenario_params(chunk_size), config.seed, trial
-        )
+        scenario = drawn.with_chunk_size(chunk_size)
         for sa_name in config.sa_schemes:
             row = ResultRow(
                 scenario=config.scenario,

@@ -18,7 +18,7 @@ the BER-dependent gap factor before the log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def band_partition(
     n = int(n_subcarriers)
     n_cc = math.ceil(n * (tau_km / radius_km) ** 2)
     n_ce = (n - n_cc) // reuse_factor
-    plan = FfrPlan(
+    return FfrPlan(
         n_subcarriers=n,
         chunk_size=int(chunk_size),
         reuse_factor=reuse_factor,
@@ -162,8 +162,6 @@ def band_partition(
         cell_edge_slot=layout.reuse3_color.copy(),
         co_band_cells=np.flatnonzero(layout.reuse3_color == layout.reuse3_color[0])[1:],
     )
-    assert plan.n_cc + 3 * plan.n_ce <= n
-    return plan
 
 
 def ber_gap(target_ber: float) -> float:
@@ -216,7 +214,13 @@ class ScenarioParams:
 
 @dataclass(frozen=True)
 class CellScenario:
-    """One seeded drop: placements, channels to every base station, and the plan."""
+    """One seeded drop: placements, channels to every base station, and the plan.
+
+    The group rate tables are computed on first use and kept per edge
+    interferer set, so ``gain_sq`` must not change after the first
+    ``multicell_sa``, ``reuse1_baseline`` or ``effective_chunk_rate``
+    call on the scenario.
+    """
 
     params: ScenarioParams
     layout: HexLayout
@@ -227,6 +231,17 @@ class CellScenario:
     lam: float
     master_seed: int
     trial: int
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def with_chunk_size(self, chunk_size: int) -> CellScenario:
+        """The same drop under another chunk size.
+
+        Placement and channels do not depend on the chunk size, so the
+        result shares ``distance_km``, ``is_centre`` and ``gain_sq`` with
+        this scenario; only the params and the band plan change.
+        """
+        params = replace(self.params, chunk_size=chunk_size)
+        return replace(self, params=params, plan=_plan(params, self.layout))
 
     @property
     def centre_users(self) -> np.ndarray:
@@ -253,14 +268,8 @@ class CellScenario:
         return att
 
 
-def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
-    """Draw one multi-cell scenario from documented substreams.
-
-    Placement uses (STREAM_PLACEMENT, trial); the channel from base
-    station i to user k uses (STREAM_CHANNEL, trial, k, i).
-    """
-    layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
-    plan = band_partition(
+def _plan(params: ScenarioParams, layout: HexLayout) -> FfrPlan:
+    return band_partition(
         params.n_subcarriers,
         params.chunk_size,
         params.tau_km,
@@ -268,16 +277,30 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
         layout,
         params.reuse_factor,
     )
+
+
+def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
+    """Draw one multi-cell scenario from documented substreams.
+
+    Placement uses (STREAM_PLACEMENT, trial); the channel from base
+    station i to user k uses (STREAM_CHANNEL, trial, k, i).  A user's 19
+    tap vectors are drawn in cell order and transformed in one batched
+    FFT.
+    """
+    layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
+    plan = _plan(params, layout)
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
     is_centre = distances <= params.tau_km
     gain_sq = np.empty((params.n_users, N_CELLS, params.n_subcarriers))
     for k in range(params.n_users):
         profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
-        for cell in range(N_CELLS):
-            taps = generate_taps(profile, substream(master_seed, STREAM_CHANNEL, trial, k, cell))
-            h = frequency_response(taps, params.n_subcarriers)
-            gain_sq[k, cell] = h.real**2 + h.imag**2
+        taps = np.stack([
+            generate_taps(profile, substream(master_seed, STREAM_CHANNEL, trial, k, cell))
+            for cell in range(N_CELLS)
+        ])
+        h = frequency_response(taps, params.n_subcarriers)
+        gain_sq[k] = h.real**2 + h.imag**2
     return CellScenario(
         params=params,
         layout=layout,
@@ -346,11 +369,16 @@ def _group_tables(
     The centre band always sees all 18 interferers; the edge band sees
     the six co-band cells under FFR, or whatever ``edge_interferers``
     says (the no-FFR baseline passes all 18).  A group without users or
-    without a whole chunk in its band gets no table and no grid.
+    without a whole chunk in its band gets no table and no grid.  The
+    result is computed once per scenario and edge interferer set; the
+    tables are read-only.
     """
     plan = scenario.plan
     if edge_interferers is None:
         edge_interferers = plan.co_band_cells
+    key = tuple(int(i) for i in edge_interferers)
+    if key in scenario._tables:
+        return scenario._tables[key]
     edge_band = plan.edge_bands[plan.cell_edge_slot[0]]
     groups = (
         ("centre", scenario.centre_users, plan.centre_band, plan.m_cc, _ALL_INTERFERERS),
@@ -365,8 +393,10 @@ def _group_tables(
             table = chunk_rates(
                 scenario.lam * sinr, grid, 1.0, n_total=scenario.params.n_subcarriers
             )
+            table.flags.writeable = False
         out.append((name, users, table, grid))
-    return tuple(out)
+    scenario._tables[key] = tuple(out)
+    return scenario._tables[key]
 
 
 def effective_chunk_rate(scenario: CellScenario, user: int, chunk: int) -> float:

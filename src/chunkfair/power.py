@@ -17,6 +17,7 @@ import numpy as np
 
 from .assign import Assignment
 from .errors import (
+    AllocationError,
     ConfigError,
     InfeasibleError,
     OracleConvergenceError,
@@ -203,7 +204,9 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     If any budget is negative, budgets are sorted ascending (ties by
     user index) and the group grows from the smallest until its partial
     sum is non-negative; every group member then receives the group
-    average.  Returns (budgets, group_mask); the total is preserved.
+    average.  Rounding can leave every sorted partial sum negative while
+    the total is not; the group is then every user, sharing the total.
+    Returns (budgets, group_mask); the total is preserved.
     """
     budgets = np.asarray(budgets, dtype=float).copy()
     mask = np.zeros(budgets.size, dtype=bool)
@@ -215,6 +218,9 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     partial = budgets[order[0]]
     count = 1
     while partial < 0:
+        if count == budgets.size:
+            partial = budgets.sum()
+            break
         partial += budgets[order[count]]
         count += 1
     group = order[:count]
@@ -362,9 +368,12 @@ def exact_pa_oracle(
     weighted-rate level t gives
     P_k(t) = v_k + (n_k / g_min,k) * (2**(w_k t / n_k) / W_k - 1),
     and the level is bisected until the budgets sum to the total power
-    within ``rel_tol``.  Whenever the solution would drive a user's
-    budget below its v_k, that user's weakest subcarrier is dropped and
-    the level re-solved, iterating to a fixpoint.
+    within ``rel_tol``.  If the bracket shrinks to two adjacent floats
+    first, no level meets ``rel_tol``; the bracket end whose budgets sum
+    closer to the total power is taken instead.  Whenever the solution
+    would drive a user's budget below its v_k, that user's weakest
+    subcarrier is dropped and the level re-solved, iterating to a
+    fixpoint.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -395,9 +404,15 @@ def exact_pa_oracle(
             raise OracleConvergenceError("failed to bracket the rate level")
         t_lo = 0.0
         budgets = budget_at(t_hi)
-        t = t_hi
         for _ in range(max_bisections):
             t = 0.5 * (t_lo + t_hi)
+            if not t_lo < t < t_hi:
+                # The bracket holds two adjacent floats and cannot move.
+                budgets = min(
+                    (budget_at(t_lo), budget_at(t_hi)),
+                    key=lambda b: abs(b.sum() - total_power),
+                )
+                break
             budgets = budget_at(t)
             resid = budgets.sum() - total_power
             if abs(resid) <= rel_tol * total_power:
@@ -447,6 +462,10 @@ def user_rates(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
 
 
 def _check_allocation(powers: np.ndarray, total_power: float) -> None:
-    # Debug assertions: conservation to 1e-9 relative, no negative power.
-    assert powers.min() >= 0.0
-    assert abs(powers.sum() - total_power) <= 1e-9 * total_power
+    """Raise AllocationError on a negative (or NaN) power or a total off by > 1e-9 relative."""
+    if not powers.min() >= 0.0:
+        raise AllocationError(f"negative or NaN power {powers.min():g} in allocation")
+    if not abs(powers.sum() - total_power) <= 1e-9 * total_power:
+        raise AllocationError(
+            f"allocated power {powers.sum():.12g} does not conserve total {total_power:.12g}"
+        )

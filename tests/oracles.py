@@ -179,3 +179,12 @@ def shen_sa_direct(rate_table, weights):
         remaining.remove(m)
     _phase_two_direct(rates, rates, weights, owners, acc, remaining, counts)
     return tuple(owners), counts
+
+
+def chunk_rates_direct(gains, grid, power_per_subcarrier, n_total=None):
+    """Per-chunk rates by one slice sum per chunk over the grid's start/stop pairs."""
+    per_sc = np.log2(1.0 + power_per_subcarrier * np.atleast_2d(gains))
+    table = np.empty((per_sc.shape[0], len(grid.starts)))
+    for m, (start, stop) in enumerate(zip(grid.starts, grid.stops)):
+        table[:, m] = per_sc[:, start:stop].sum(axis=1)
+    return table / (grid.n_subcarriers if n_total is None else n_total)

@@ -24,7 +24,7 @@ from chunkfair import (
     user_rates,
 )
 
-from oracles import proposed_sa_direct, shen_sa_direct
+from oracles import chunk_rates_direct, proposed_sa_direct, shen_sa_direct
 
 
 def random_gains(n_users, n, seed, taps=4):
@@ -59,6 +59,17 @@ def test_grid_single_chunk():
     assert g.chunk_sizes()[0] == 8
 
 
+def test_grid_chunk_sizes_built_once_and_read_only():
+    g = build_grid(10, 3)
+    assert g.chunk_sizes() is g.chunk_sizes()
+    assert g.chunk_sizes().tolist() == [3, 3, 4]
+    with pytest.raises(ValueError):
+        g.chunk_sizes()[0] = 1
+    same = build_grid(10, 3)
+    assert g == same and hash(g) == hash(same)
+    assert "sizes" not in repr(g)
+
+
 def test_grid_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         build_grid(8, 0)
@@ -90,6 +101,18 @@ def test_chunk_rates_hand_value():
     grid = build_grid(4, 2)
     table = chunk_rates(np.array([[1.0, 1.0, 3.0, 3.0]]), grid, 1.0)
     assert np.allclose(table, [[0.5, 1.0]])
+
+
+def test_chunk_rates_match_per_chunk_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n, l in ((128, 1), (128, 3), (128, 12), (100, 7), (37, 5), (9, 9), (17, 16), (512, 5)):
+        grid = build_grid(n, l)
+        gains = rng.exponential(size=(4, n))
+        for power, n_total in ((1.0, None), (0.37, 1024)):
+            table = chunk_rates(gains, grid, power, n_total=n_total)
+            assert np.array_equal(table, chunk_rates_direct(gains, grid, power, n_total))
+        assert np.array_equal(chunk_rates(gains[0], grid, 2.0),
+                              chunk_rates_direct(gains[0], grid, 2.0))
 
 
 def test_chunk_rates_zero_cases():

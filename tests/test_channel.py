@@ -60,6 +60,17 @@ def test_fft_matches_direct_sum():
     assert err < 1e-10
 
 
+def test_stacked_response_matches_row_by_row_bit_for_bit():
+    for n, taps in ((512, 32), (128, 4), (16, 16), (12, 1)):
+        stacked = np.stack([
+            generate_taps(UserProfile(taps), substream(5, 0, 0, 0, cell)) for cell in range(19)
+        ])
+        batched = frequency_response(stacked, n)
+        assert batched.shape == (19, n)
+        for row, response in zip(stacked, batched):
+            assert np.array_equal(response, frequency_response(row, n))
+
+
 def test_same_seed_identical_draws():
     a = generate_taps(UserProfile(6), substream(42, 0, 7, 3, 0))
     b = generate_taps(UserProfile(6), substream(42, 0, 7, 3, 0))
@@ -121,5 +132,9 @@ def test_gain_requires_positive_noise():
 def test_too_many_taps_rejected():
     with pytest.raises(ConfigError):
         frequency_response(np.ones(9, dtype=complex), 8)
+    with pytest.raises(ConfigError):
+        frequency_response(np.ones((3, 9), dtype=complex), 8)
+    # the length limit applies per row, not to the stacked size
+    assert frequency_response(np.ones((19, 8), dtype=complex), 8).shape == (19, 8)
     with pytest.raises(ConfigError):
         frequency_response(np.array([], dtype=complex), 8)

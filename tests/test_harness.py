@@ -145,6 +145,34 @@ def test_multicell_run_emits_edge_metrics():
     assert "min_edge_rate" in metrics_seen
 
 
+def test_multicell_run_draws_each_trial_once(monkeypatch):
+    from chunkfair import multicell
+
+    draws = []
+    build = multicell.build_scenario
+
+    def counting_build(params, master_seed, trial):
+        draws.append(trial)
+        return build(params, master_seed, trial)
+
+    monkeypatch.setattr(multicell, "build_scenario", counting_build)
+    config = ExperimentConfig.from_dict({
+        "scenario": "multi-cell-no-FFR",
+        "n_subcarriers": 128,
+        "n_users": 4,
+        "tap_counts": [4, 8, 4, 8],
+        "rate_weights": [1.0, 1.0, 1.0, 1.0],
+        "trials": 2,
+        "seed": 3,
+        "sa_schemes": ["proposed", "shen"],
+        "pa_schemes": ["uniform"],
+        "chunk_sizes": [1, 3, 4],
+    })
+    rows, _ = run_experiment(config)
+    assert draws == [0, 1]
+    assert len(rows) == 12
+
+
 def test_infeasible_scenarios_become_error_rows():
     config = ExperimentConfig.from_dict({
         "scenario": "multi-cell",

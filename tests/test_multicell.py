@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from chunkfair import (
     substream,
 )
 from chunkfair.assign import build_grid, chunk_rates
+from chunkfair.multicell import _group_tables
 
 
 def small_params(**kw):
@@ -361,3 +363,45 @@ def test_scenario_determinism():
     b = build_scenario(small_params(), 77, 9)
     assert np.array_equal(a.gain_sq, b.gain_sq)
     assert np.array_equal(a.distance_km, b.distance_km)
+
+
+# ---------------------------------------------------------------- one draw, many chunk sizes
+
+def _rates_or_error(fn, scenario):
+    try:
+        return fn(scenario)
+    except InfeasibleError as exc:
+        return str(exc)
+
+
+def test_chunk_size_views_equal_fresh_draws():
+    base = small_params(n_subcarriers=128, chunk_size=1)
+    drawn = build_scenario(base, 43, 6)
+    for chunk_size in (1, 2, 3, 5, 7, 8, 12):
+        view = drawn.with_chunk_size(chunk_size)
+        fresh = build_scenario(dataclasses.replace(base, chunk_size=chunk_size), 43, 6)
+        assert view.params == fresh.params
+        assert view.gain_sq is drawn.gain_sq
+        assert np.array_equal(view.gain_sq, fresh.gain_sq)
+        assert np.array_equal(view.distance_km, fresh.distance_km)
+        assert np.array_equal(view.is_centre, fresh.is_centre)
+        for name in ("n_cc", "n_ce", "m_cc", "m_ce", "chunk_size"):
+            assert getattr(view.plan, name) == getattr(fresh.plan, name)
+        for scheme in ("proposed", "shen", "static"):
+            for fn in (lambda sc: multicell_sa(sc, scheme).rates,
+                       lambda sc: reuse1_baseline(sc, scheme)):
+                got, want = _rates_or_error(fn, view), _rates_or_error(fn, fresh)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+def test_group_tables_built_once_per_interferer_set():
+    sc = build_scenario(small_params(), 47, 1)
+    ffr = _group_tables(sc)
+    assert _group_tables(sc) is ffr
+    no_ffr = _group_tables(sc, np.arange(1, 19))
+    assert no_ffr is not ffr and _group_tables(sc, np.arange(1, 19)) is no_ffr
+    for _, _, table, _ in ffr:
+        if table is not None:
+            assert not table.flags.writeable
+    assert sc.with_chunk_size(8)._tables == {}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chunkfair import (
+    AllocationError,
     InfeasibleError,
     UserProfile,
     ZeroGainError,
@@ -24,6 +25,7 @@ from chunkfair import (
     waterfill_coefficients,
 )
 from chunkfair.metrics import deviation
+from chunkfair.power import _check_allocation
 
 from oracles import gauss_solve, proportional_budget_system, rates_direct
 
@@ -183,6 +185,17 @@ def test_repair_partial_group():
     assert np.allclose(budgets, [5.0, 0.5, 0.5, 4.0])
     assert mask.tolist() == [False, True, True, False]
     assert abs(budgets.sum() - 10.0) < 1e-12
+
+
+def test_repair_when_rounding_keeps_every_sorted_sum_negative():
+    # the total rounds to 1.1e-16 >= 0, yet each sorted partial sum stays below zero
+    raw = np.array([-0.6651946734866135, 0.3515100700930197, 0.9034701816518086,
+                    0.09401229776087457, -0.7434992493538084, -0.9217253762584194,
+                    0.9814267495931386])
+    fixed, mask = repair_negative_budgets(raw)
+    assert mask.all()
+    assert fixed.min() >= 0.0
+    assert np.all(fixed == raw.sum() / raw.size)
 
 
 def test_repair_preserves_total_and_nonnegativity():
@@ -351,3 +364,30 @@ def test_exact_oracle_fairness_survives_pruning():
         dev = deviation(rates, weights)
         assert dev < 1e-6
         assert alloc.powers.min() >= 0.0
+
+
+def test_exact_oracle_takes_closer_end_of_a_collapsed_bracket():
+    # Oracle-small workload input (seed 4000022, trial 5, 0 dB): the bisection
+    # bracket shrinks to two adjacent floats with the residual still above
+    # rel_tol * total_power, which used to raise OracleConvergenceError.
+    n, weights, total_power = 12, np.array([1.0, 2.0]), 12.0
+    gains = np.vstack([
+        realize_channel(UserProfile(taps), n, 1.0, substream(4000022, 0, 5, k, 0)).gains
+        for k, taps in enumerate((2, 4))
+    ])
+    grid = build_grid(n, 2)
+    assignment, _ = proposed_sa(chunk_rates(gains, grid, 1.0), weights, grid)
+    alloc = exact_pa_oracle(assignment, gains, weights, total_power)
+    assert abs(alloc.budgets.sum() - total_power) <= 1e-9 * total_power
+    assert abs(alloc.powers.sum() - total_power) <= 1e-9 * total_power
+    assert deviation(user_rates(alloc.powers, gains), weights) < 1e-6
+
+
+def test_check_allocation_raises_instead_of_asserting():
+    _check_allocation(np.array([[1.0, 2.0], [0.0, 1.0]]), 4.0)
+    with pytest.raises(AllocationError, match="negative"):
+        _check_allocation(np.array([[2.5, -0.5], [1.0, 1.0]]), 4.0)
+    with pytest.raises(AllocationError):
+        _check_allocation(np.array([[np.nan, 2.0], [1.0, 1.0]]), 4.0)
+    with pytest.raises(AllocationError, match="conserve"):
+        _check_allocation(np.array([[1.0, 1.0], [1.0, 0.5]]), 4.0)
