@@ -11,14 +11,22 @@ point.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import assign, metrics, multicell, power
-from .channel import STREAM_CHANNEL, UserProfile, realize_channel, substream
+from .channel import (
+    STREAM_CHANNEL,
+    NoiseModel,
+    UserProfile,
+    frequency_response,
+    realize_channel,
+    substream,
+)
 from .errors import ChunkfairError, ConfigError, UndefinedMetricError
 
 __all__ = [
@@ -37,6 +45,20 @@ __all__ = [
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
 PA_SCHEMES = ("proposed", "uniform", "exact-oracle")
 SCENARIOS = ("single-cell", "multi-cell", "multi-cell-no-FFR")
+
+# What a JSON value of each field type must be: (one value, a list of them).
+_JSON_KINDS = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+
+
+def _is_json_kind(value, kind) -> bool:
+    """Whether a JSON value has the field type: booleans are never numbers."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass(frozen=True)
@@ -67,7 +89,6 @@ class ExperimentConfig:
     cell_radius_km: float = 1.0
     intercell_distance_km: float = 2.0
     centre_radius_fraction: float = 0.5
-    reuse_factor: int = 3
     target_ber: float = 1e-6
     bs_power_dbm: float = 43.0
     noise_density_dbm_hz: float = -174.0
@@ -80,10 +101,25 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        for key in ("tap_counts", "rate_weights", "chunk_sizes", "snr_db",
-                    "sa_schemes", "pa_schemes"):
-            if key in data and isinstance(data[key], list):
-                data[key] = tuple(data[key])
+        hints = get_type_hints(cls)
+        problems = []
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value, kind = data[f.name], hints[f.name]
+            if get_origin(kind) is tuple:
+                kind = get_args(kind)[0]
+                if isinstance(value, (list, tuple)) and all(_is_json_kind(v, kind) for v in value):
+                    data[f.name] = tuple(value)
+                    continue
+                expected = "a list of " + _JSON_KINDS[kind][1]
+            elif _is_json_kind(value, kind):
+                continue
+            else:
+                expected = _JSON_KINDS[kind][0]
+            problems.append(f"{f.name} must be {expected}, got {value!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
         try:
             config = cls(**data)
         except TypeError as exc:
@@ -101,6 +137,14 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
     def validate(self) -> None:
+        """Check the config as a whole, then build what a run builds.
+
+        The rules about single inputs (weights, tap counts, chunk sizes,
+        noise power, geometry, target BER) live in the constructors the
+        run uses; building them here raises their ``ConfigError``, so a
+        config that validates also runs.
+        """
+        single_cell = self.scenario == "single-cell"
         problems = []
         if self.scenario not in SCENARIOS:
             problems.append(f"scenario must be one of {SCENARIOS}")
@@ -114,10 +158,6 @@ class ExperimentConfig:
             problems.append("tap_counts must list one entry per user")
         if len(self.rate_weights) != self.n_users:
             problems.append("rate_weights must list one entry per user")
-        if any(w <= 0 for w in self.rate_weights):
-            problems.append("rate_weights must be positive")
-        if any(t < 1 for t in self.tap_counts):
-            problems.append("tap_counts must be >= 1")
         if not self.chunk_sizes:
             problems.append("chunk_sizes must not be empty")
         bad_sa = set(self.sa_schemes) - set(SA_SCHEMES)
@@ -126,51 +166,53 @@ class ExperimentConfig:
             problems.append(f"unknown SA schemes {sorted(bad_sa)}")
         if bad_pa:
             problems.append(f"unknown PA schemes {sorted(bad_pa)}")
-        if self.scenario == "single-cell":
-            if not self.snr_db:
-                problems.append("single-cell runs need at least one snr_db point")
-            if self.noise_power <= 0:
-                problems.append("noise_power must be positive")
-            for l in self.chunk_sizes:
-                if not 1 <= l <= self.n_subcarriers:
-                    problems.append(f"chunk size {l} out of range")
-                elif self.n_subcarriers // l < self.n_users:
-                    problems.append(f"chunk size {l} leaves fewer chunks than users")
-                elif "exhaustive-oracle" in self.sa_schemes:
-                    m = self.n_subcarriers // l
-                    if self.n_users**m > self.oracle_cap:
-                        problems.append(
-                            f"exhaustive oracle needs {self.n_users}**{m} candidates, "
-                            f"cap is {self.oracle_cap}"
-                        )
-        else:
-            if "exhaustive-oracle" in self.sa_schemes:
-                problems.append("exhaustive oracle is only available single-cell")
-            if tuple(self.pa_schemes) != ("uniform",):
-                problems.append("multi-cell runs use uniform power only")
-            if not 0 <= self.centre_radius_fraction <= 1:
-                problems.append("centre_radius_fraction must lie in [0, 1]")
-            if not 0 < self.target_ber < 0.2:
-                problems.append("target_ber must lie in (0, 0.2)")
+        if single_cell and not self.snr_db:
+            problems.append("single-cell runs need at least one snr_db point")
+        if not single_cell and "exhaustive-oracle" in self.sa_schemes:
+            problems.append("exhaustive oracle is only available single-cell")
+        if not single_cell and tuple(self.pa_schemes) != ("uniform",):
+            problems.append("multi-cell runs use uniform power only")
         if problems:
             raise ConfigError("; ".join(problems))
 
+        for tap_count, weight in zip(self.tap_counts, self.rate_weights):
+            profile = UserProfile(tap_count=tap_count, rate_weight=weight)
+            # The run transforms each user's taps at N subcarriers.
+            frequency_response(np.zeros(profile.tap_count), self.n_subcarriers)
+        if not single_cell:
+            layout = multicell.build_layout(self.cell_radius_km, self.intercell_distance_km)
+            multicell.ber_gap(self.target_ber)
+            for chunk_size in self.chunk_sizes:
+                self.scenario_params(chunk_size).band_plan(layout)
+            return
+        for snr_db in self.snr_db:
+            try:
+                NoiseModel(self.noise_power, self.total_power(snr_db))
+            except OverflowError:
+                raise ConfigError(f"snr_db {snr_db} overflows the transmit power") from None
+        for chunk_size in self.chunk_sizes:
+            m = assign.build_grid(self.n_subcarriers, chunk_size).n_chunks
+            if m < self.n_users:
+                problems.append(f"chunk size {chunk_size} leaves fewer chunks than users")
+            elif "exhaustive-oracle" in self.sa_schemes and self.n_users**m > self.oracle_cap:
+                problems.append(
+                    f"exhaustive oracle needs {self.n_users}**{m} candidates, "
+                    f"cap is {self.oracle_cap}"
+                )
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def total_power(self, snr_db: float) -> float:
+        """Single-cell transmit power at one sweep point."""
+        return self.n_subcarriers * self.noise_power * 10.0 ** (snr_db / 10.0)
+
     def scenario_params(self, chunk_size: int) -> multicell.ScenarioParams:
-        return multicell.ScenarioParams(
-            n_subcarriers=self.n_subcarriers,
-            chunk_size=chunk_size,
-            n_users=self.n_users,
-            tap_counts=tuple(self.tap_counts),
-            rate_weights=tuple(self.rate_weights),
-            cell_radius_km=self.cell_radius_km,
-            intercell_distance_km=self.intercell_distance_km,
-            centre_radius_fraction=self.centre_radius_fraction,
-            reuse_factor=self.reuse_factor,
-            target_ber=self.target_ber,
-            bs_power_dbm=self.bs_power_dbm,
-            noise_density_dbm_hz=self.noise_density_dbm_hz,
-            subcarrier_spacing_hz=self.subcarrier_spacing_hz,
-        )
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(multicell.ScenarioParams)
+            if f.name != "chunk_size"
+        }
+        return multicell.ScenarioParams(chunk_size=chunk_size, **shared)
 
 
 @dataclass
@@ -203,37 +245,6 @@ class ResultRow:
         )
 
 
-ROW_COLUMNS = (
-    "scenario",
-    "sa",
-    "pa",
-    "chunk_size",
-    "snr_db",
-    "trial",
-    "seed",
-    "rates",
-    "min_rate",
-    "min_weighted_rate",
-    "sum_rate",
-    "deviation",
-    "min_edge_rate",
-    "edge_deviation",
-    "error",
-)
-
-SUMMARY_COLUMNS = (
-    "scenario",
-    "sa",
-    "pa",
-    "chunk_size",
-    "snr_db",
-    "metric",
-    "n_trials",
-    "mean",
-    "ci95_halfwidth",
-)
-
-
 @dataclass
 class SummaryRow:
     scenario: str
@@ -247,55 +258,37 @@ class SummaryRow:
     ci95_halfwidth: float
 
 
+ROW_COLUMNS = tuple(f.name for f in fields(ResultRow))
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, str):
         return value
+    if isinstance(value, tuple):
+        return ";".join(_fmt(v) for v in value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
 
 
-def _row_record(row: ResultRow) -> str:
-    cells = []
-    for name in ROW_COLUMNS:
-        value = getattr(row, name)
-        if name == "rates":
-            cells.append(";".join(_fmt(r) for r in value))
-        else:
-            cells.append(_fmt(value))
-    return ",".join(cells)
+def _write_csv(rows, columns: tuple[str, ...], path) -> None:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(getattr(r, name)) for name in columns) for r in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_csv(rows: Iterable[ResultRow], path) -> None:
     """Write the deterministic row CSV: header plus one line per row."""
-    lines = [",".join(ROW_COLUMNS)]
-    lines.extend(_row_record(r) for r in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(rows, ROW_COLUMNS, path)
 
 
 def emit_summary_csv(rows: Iterable[SummaryRow], path) -> None:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    r.sa,
-                    r.pa,
-                    _fmt(r.chunk_size),
-                    _fmt(r.snr_db),
-                    r.metric,
-                    _fmt(r.n_trials),
-                    _fmt(r.mean),
-                    _fmt(r.ci95_halfwidth),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the summary CSV: header plus one line per (group, metric)."""
+    _write_csv(rows, SUMMARY_COLUMNS, path)
 
 
 def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
@@ -312,7 +305,7 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     for chunk_size in config.chunk_sizes:
         grid = assign.build_grid(n, chunk_size)
         for snr_db in config.snr_db:
-            total_power = n * config.noise_power * 10.0 ** (snr_db / 10.0)
+            total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
             for sa_name in config.sa_schemes:
                 for pa_name in config.pa_schemes:
@@ -417,11 +410,6 @@ def _trial_rows(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     return _multi_cell_trial(config, trial)
 
 
-def _worker(payload) -> list[ResultRow]:
-    config_dict, trial = payload
-    return _trial_rows(ExperimentConfig.from_dict(config_dict), trial)
-
-
 def run_experiment(
     config: ExperimentConfig,
     threads: int = 1,
@@ -436,9 +424,9 @@ def run_experiment(
     if threads <= 1:
         per_trial = [_trial_rows(config, t) for t in range(config.trials)]
     else:
-        payloads = [(asdict(config), t) for t in range(config.trials)]
+        run_trial = functools.partial(_trial_rows, config)
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(_worker, payloads))
+            per_trial = list(pool.map(run_trial, range(config.trials)))
     rows = [row for trial_rows in per_trial for row in trial_rows]
     rows.sort(key=ResultRow.sort_key)
     return rows, summarize(rows)
@@ -457,6 +445,33 @@ _SUMMARY_METRICS = (
 _ORACLE_NORMALIZED = ("min_rate", "min_weighted_rate", "sum_rate")
 
 
+def _metric_values(key: tuple, groups: dict[tuple, list[ResultRow]]):
+    """(metric, values) pairs of one group: the plain metrics, then ratios vs the oracle.
+
+    A heuristic's ratio for a trial compares it with the oracle row of
+    the same power scheme, sweep point and trial; failed rows, missing
+    values and non-positive references are skipped.
+    """
+    members = groups[key]
+    for name in _SUMMARY_METRICS:
+        yield name, [
+            getattr(r, name) for r in members if not r.error and getattr(r, name) is not None
+        ]
+    scenario, sa, pa, chunk_size, snr_db = key
+    oracle_rows = groups.get((scenario, "exhaustive-oracle", pa, chunk_size, snr_db))
+    if sa == "exhaustive-oracle" or oracle_rows is None:
+        return
+    reference = {r.trial: r for r in oracle_rows if not r.error and r.sum_rate is not None}
+    paired = [(r, reference[r.trial]) for r in members if not r.error and r.trial in reference]
+    for name in _ORACLE_NORMALIZED:
+        pairs = [(getattr(r, name), getattr(ref, name)) for r, ref in paired]
+        yield name + "_vs_oracle", [
+            metrics.normalize_vs_oracle(value, ref_value)
+            for value, ref_value in pairs
+            if value is not None and ref_value is not None and ref_value > 0
+        ]
+
+
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     """Means and confidence half-widths per (scenario, scheme, sweep point).
 
@@ -465,65 +480,14 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
     the same power scheme and sweep point (metrics suffixed
     ``_vs_oracle``).
     """
+    # Keyed by the first five SummaryRow fields, in their order.
     groups: dict[tuple, list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.scenario, row.sa, row.pa, row.chunk_size, row.snr_db), []).append(row)
     out = []
     for key in sorted(groups, key=lambda k: (k[3], k[4] if k[4] is not None else 0.0, k[1], k[2])):
-        scenario, sa, pa, chunk_size, snr_db = key
-        for metric_name in _SUMMARY_METRICS:
-            values = [
-                getattr(r, metric_name)
-                for r in groups[key]
-                if not r.error and getattr(r, metric_name) is not None
-            ]
-            if not values:
-                continue
-            mean, half = metrics.mean_ci(values)
-            out.append(
-                SummaryRow(
-                    scenario=scenario,
-                    sa=sa,
-                    pa=pa,
-                    chunk_size=chunk_size,
-                    snr_db=snr_db,
-                    metric=metric_name,
-                    n_trials=len(values),
-                    mean=mean,
-                    ci95_halfwidth=half,
-                )
-            )
-        oracle_key = (scenario, "exhaustive-oracle", pa, chunk_size, snr_db)
-        if sa != "exhaustive-oracle" and oracle_key in groups:
-            reference = {
-                r.trial: r for r in groups[oracle_key]
-                if not r.error and r.sum_rate is not None
-            }
-            for metric_name in _ORACLE_NORMALIZED:
-                ratios = []
-                for r in groups[key]:
-                    ref = reference.get(r.trial)
-                    if r.error or ref is None:
-                        continue
-                    value = getattr(r, metric_name)
-                    ref_value = getattr(ref, metric_name)
-                    if value is None or ref_value is None or ref_value <= 0:
-                        continue
-                    ratios.append(metrics.normalize_vs_oracle(value, ref_value))
-                if not ratios:
-                    continue
-                mean, half = metrics.mean_ci(ratios)
-                out.append(
-                    SummaryRow(
-                        scenario=scenario,
-                        sa=sa,
-                        pa=pa,
-                        chunk_size=chunk_size,
-                        snr_db=snr_db,
-                        metric=metric_name + "_vs_oracle",
-                        n_trials=len(ratios),
-                        mean=mean,
-                        ci95_halfwidth=half,
-                    )
-                )
+        for metric_name, values in _metric_values(key, groups):
+            if values:
+                mean, half = metrics.mean_ci(values)
+                out.append(SummaryRow(*key, metric_name, len(values), mean, half))
     return out

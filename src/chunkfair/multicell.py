@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 N_CELLS = 19
+# The FFR plan's edge bands are coloured by reuse 3; no other plan exists.
+REUSE_FACTOR = 3
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,6 @@ class FfrPlan:
 
     n_subcarriers: int
     chunk_size: int
-    reuse_factor: int
     n_cc: int
     n_ce: int
     m_cc: int
@@ -133,31 +134,30 @@ def band_partition(
     tau_km: float,
     radius_km: float,
     layout: HexLayout,
-    reuse_factor: int = 3,
 ) -> FfrPlan:
     """Split N subcarriers into the centre band and reuse-3 edge bands.
 
     The centre band holds ceil(N * (tau/R)^2) subcarriers, matching the
-    coverage-area split; each edge band holds floor((N - N_cc) / FRF).
+    coverage-area split; each edge band holds floor((N - N_cc) / 3).
+    Raises ConfigError unless 1 <= L <= N and 0 <= tau <= R.
     """
-    if reuse_factor != 3:
-        raise ConfigError("only a reuse factor of 3 has a cell-band plan")
+    n, l = int(n_subcarriers), int(chunk_size)
+    if not 1 <= l <= n:
+        raise ConfigError(f"chunk_size must be in [1, {n}], got {l}")
     if not 0 <= tau_km <= radius_km:
         raise ConfigError(f"tau must lie in [0, {radius_km}], got {tau_km}")
-    n = int(n_subcarriers)
     n_cc = math.ceil(n * (tau_km / radius_km) ** 2)
-    n_ce = (n - n_cc) // reuse_factor
+    n_ce = (n - n_cc) // REUSE_FACTOR
     return FfrPlan(
         n_subcarriers=n,
-        chunk_size=int(chunk_size),
-        reuse_factor=reuse_factor,
+        chunk_size=l,
         n_cc=n_cc,
         n_ce=n_ce,
-        m_cc=n_cc // chunk_size,
-        m_ce=n_ce // chunk_size,
+        m_cc=n_cc // l,
+        m_ce=n_ce // l,
         centre_band=np.arange(n_cc),
         edge_bands=tuple(
-            np.arange(n_cc + b * n_ce, n_cc + (b + 1) * n_ce) for b in range(3)
+            np.arange(n_cc + b * n_ce, n_cc + (b + 1) * n_ce) for b in range(REUSE_FACTOR)
         ),
         cell_edge_slot=layout.reuse3_color.copy(),
         co_band_cells=np.flatnonzero(layout.reuse3_color == layout.reuse3_color[0])[1:],
@@ -187,7 +187,6 @@ class ScenarioParams:
     cell_radius_km: float = 1.0
     intercell_distance_km: float = 2.0
     centre_radius_fraction: float = 0.5
-    reuse_factor: int = 3
     target_ber: float = 1e-6
     bs_power_dbm: float = 43.0
     noise_density_dbm_hz: float = -174.0
@@ -210,6 +209,12 @@ class ScenarioParams:
     @property
     def tau_km(self) -> float:
         return self.centre_radius_fraction * self.cell_radius_km
+
+    def band_plan(self, layout: HexLayout) -> FfrPlan:
+        """The FFR band plan of these params on the given layout."""
+        return band_partition(
+            self.n_subcarriers, self.chunk_size, self.tau_km, self.cell_radius_km, layout
+        )
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ class CellScenario:
         this scenario; only the params and the band plan change.
         """
         params = replace(self.params, chunk_size=chunk_size)
-        return replace(self, params=params, plan=_plan(params, self.layout))
+        return replace(self, params=params, plan=params.band_plan(self.layout))
 
     @property
     def centre_users(self) -> np.ndarray:
@@ -268,17 +273,6 @@ class CellScenario:
         return att
 
 
-def _plan(params: ScenarioParams, layout: HexLayout) -> FfrPlan:
-    return band_partition(
-        params.n_subcarriers,
-        params.chunk_size,
-        params.tau_km,
-        params.cell_radius_km,
-        layout,
-        params.reuse_factor,
-    )
-
-
 def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
     """Draw one multi-cell scenario from documented substreams.
 
@@ -288,7 +282,7 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
     FFT.
     """
     layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
-    plan = _plan(params, layout)
+    plan = params.band_plan(layout)
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
     is_centre = distances <= params.tau_km

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -7,9 +8,24 @@ import pytest
 
 from chunkfair import ConfigError, ExperimentConfig, cli, run_experiment
 from chunkfair.cli import GOLDEN_CONFIG, main
-from chunkfair.harness import ROW_COLUMNS, emit_csv
+from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rows.csv"
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+# Small multi-cell run with edge users at every chunk size.
+MULTI_CELL = {
+    "scenario": "multi-cell",
+    "n_subcarriers": 128,
+    "n_users": 4,
+    "tap_counts": [4, 8, 4, 8],
+    "rate_weights": [1.0, 1.0, 2.0, 2.0],
+    "trials": 3,
+    "seed": 11,
+    "sa_schemes": ["proposed", "static"],
+    "pa_schemes": ["uniform"],
+    "chunk_sizes": [2, 4],
+}
 
 
 def tiny_config(**kw):
@@ -194,10 +210,10 @@ def test_infeasible_scenarios_become_error_rows():
 
 
 def test_threaded_run_matches_serial():
-    config = tiny_config(trials=4)
-    serial, _ = run_experiment(config, threads=1)
-    parallel, _ = run_experiment(config, threads=2)
-    assert [r.rates for r in serial] == [r.rates for r in parallel]
+    for config in (tiny_config(trials=4), ExperimentConfig.from_dict(MULTI_CELL)):
+        serial, _ = run_experiment(config, threads=1)
+        parallel, _ = run_experiment(config, threads=2)
+        assert serial == parallel
 
 
 # ------------------------------------------------------------- csv
@@ -228,6 +244,32 @@ def test_golden_fixture_matches(tmp_path):
     emit_csv(rows, path)
     assert GOLDEN_PATH.exists(), "golden fixture missing; run: chunkfair golden --write"
     assert path.read_bytes() == GOLDEN_PATH.read_bytes()
+
+
+@pytest.mark.parametrize("config, digest", [
+    pytest.param(
+        lambda: tiny_config(
+            n_subcarriers=8,
+            chunk_sizes=[2],
+            snr_db=[0.0, 5.0],
+            sa_schemes=["proposed", "shen", "exhaustive-oracle"],
+            pa_schemes=["uniform", "proposed"],
+            trials=4,
+        ),
+        "896fc77b647c5db5de739b8a82266bb9556f1b343ad543339e88e444b3b553f2",
+        id="single-cell-with-oracle",
+    ),
+    pytest.param(
+        lambda: ExperimentConfig.from_dict(MULTI_CELL),
+        "a87d38bca36096dd59b3e82a3674bd000b6fbcb139a431bfd52af6130eff31af",
+        id="multi-cell",
+    ),
+])
+def test_summary_csv_bytes_are_pinned(tmp_path, config, digest):
+    _, summary = run_experiment(config())
+    path = tmp_path / "summary.csv"
+    emit_summary_csv(summary, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_summarize_groups_and_cis():
@@ -282,6 +324,75 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     assert out.exists()
     assert out.with_suffix(".summary.csv").exists()
+
+
+SINGLE_CELL = {
+    "scenario": "single-cell",
+    "n_subcarriers": 16,
+    "n_users": 2,
+    "tap_counts": [2, 4],
+    "rate_weights": [1.0, 2.0],
+    "trials": 1,
+    "seed": 5,
+    "chunk_sizes": [4],
+    "snr_db": [0.0],
+}
+SMALL_MULTI_CELL = {
+    "scenario": "multi-cell",
+    "n_subcarriers": 64,
+    "n_users": 2,
+    "tap_counts": [4, 8],
+    "rate_weights": [1.0, 1.0],
+    "trials": 1,
+    "seed": 5,
+    "chunk_sizes": [4],
+}
+
+
+def _probe_id(value):
+    if isinstance(value, dict) and "scenario" in value:
+        return value["scenario"]
+    return ",".join(f"{k}={v!r}" for k, v in value.items())
+
+
+@pytest.mark.parametrize("base, change", [
+    (SMALL_MULTI_CELL, {"chunk_sizes": [0]}),
+    (SMALL_MULTI_CELL, {"chunk_sizes": [-2]}),
+    (SMALL_MULTI_CELL, {"chunk_sizes": [1000]}),
+    (SMALL_MULTI_CELL, {"chunk_sizes": [2.5]}),
+    (SINGLE_CELL, {"chunk_sizes": [2.5]}),
+    (SMALL_MULTI_CELL, {"cell_radius_km": 0}),
+    (SMALL_MULTI_CELL, {"intercell_distance_km": -1}),
+    (SINGLE_CELL, {"tap_counts": [2, 40]}),
+    (SMALL_MULTI_CELL, {"tap_counts": [4, 100]}),
+    (SINGLE_CELL, {"n_subcarriers": 0}),
+    (SMALL_MULTI_CELL, {"n_subcarriers": 0}),
+    (SMALL_MULTI_CELL, {"reuse_factor": 2}),
+    (SINGLE_CELL, {"trials": "3"}),
+    (SINGLE_CELL, {"seed": True}),
+    (SINGLE_CELL, {"rate_weights": [1.0, 0.0]}),
+    (SINGLE_CELL, {"noise_power": 0}),
+    (SINGLE_CELL, {"snr_db": [0.0, 4000.0]}),
+    (SMALL_MULTI_CELL, {"centre_radius_fraction": 1.5}),
+    (SMALL_MULTI_CELL, {"target_ber": 0.5}),
+], ids=_probe_id)
+def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(base | change), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    for args in (["validate"], ["run", "--out", str(out)]):
+        assert main([*args, "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_validate(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "config OK\n"
 
 
 def test_cli_config_error_exit_code(tmp_path):

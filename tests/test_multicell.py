@@ -128,7 +128,7 @@ def test_band_partition_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         band_partition(512, 4, 1.5, 1.0, layout)
     with pytest.raises(ConfigError):
-        band_partition(512, 4, 0.5, 1.0, layout, reuse_factor=2)
+        band_partition(512, 0, 0.5, 1.0, layout)
 
 
 # ---------------------------------------------------------------- gap factor
