@@ -431,7 +431,6 @@ def exhaustive_sa_oracle(
         key = (-total_rate, dev, owners)
         if best is None or key < best[0]:
             best = (key, cand, rates)
-    assert best is not None
     (_, cand, rates) = best
     return OracleResult(
         assignment=cand,

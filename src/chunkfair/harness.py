@@ -160,6 +160,11 @@ class ExperimentConfig:
             problems.append("rate_weights must list one entry per user")
         if not self.chunk_sizes:
             problems.append("chunk_sizes must not be empty")
+        for name in ("snr_db", "chunk_sizes", "sa_schemes", "pa_schemes"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                problems.append(f"{name} repeats {repeated}")
         bad_sa = set(self.sa_schemes) - set(SA_SCHEMES)
         bad_pa = set(self.pa_schemes) - set(PA_SCHEMES)
         if bad_sa:
@@ -292,7 +297,13 @@ def emit_summary_csv(rows: Iterable[SummaryRow], path) -> None:
 
 
 def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    """All rows of one single-cell trial across chunk sizes and SNR points."""
+    """All rows of one single-cell trial across chunk sizes and SNR points.
+
+    Each greedy or static SA runs once per sweep point and its
+    assignment serves every PA scheme; an SA that raises writes the same
+    error row for each of them.  The exhaustive oracle searches per PA
+    scheme, since its result depends on the PA.
+    """
     weights = np.asarray(config.rate_weights, dtype=float)
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
@@ -308,6 +319,12 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
             total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
             for sa_name in config.sa_schemes:
+                assignment, sa_error = None, ""
+                if sa_name != "exhaustive-oracle":
+                    try:
+                        assignment = assign.run_sa(sa_name, table, weights, grid)
+                    except ChunkfairError as exc:
+                        sa_error = _error_text(exc)
                 for pa_name in config.pa_schemes:
                     row = ResultRow(
                         scenario=config.scenario,
@@ -317,16 +334,22 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
                         snr_db=snr_db,
                         trial=trial,
                         seed=config.seed,
+                        error=sa_error,
                     )
-                    try:
-                        rates = _evaluate_single_cell(
-                            config, sa_name, pa_name, table, grid, gains, weights, total_power
-                        )
-                        _fill_metrics(row, rates, weights)
-                    except ChunkfairError as exc:
-                        row.error = f"{type(exc).__name__}: {exc}"
+                    if not sa_error:
+                        try:
+                            rates = _evaluate_single_cell(
+                                config, assignment, pa_name, grid, gains, weights, total_power
+                            )
+                            _fill_metrics(row, rates, weights)
+                        except ChunkfairError as exc:
+                            row.error = _error_text(exc)
                     rows.append(row)
     return rows
+
+
+def _error_text(exc: ChunkfairError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _apply_pa(pa_name, assignment, gains, weights, total_power):
@@ -339,15 +362,15 @@ def _apply_pa(pa_name, assignment, gains, weights, total_power):
     raise ConfigError(f"unknown PA scheme {pa_name!r}")
 
 
-def _evaluate_single_cell(config, sa_name, pa_name, table, grid, gains, weights, total_power):
-    if sa_name == "exhaustive-oracle":
+def _evaluate_single_cell(config, assignment, pa_name, grid, gains, weights, total_power):
+    """User rates under one PA scheme; no assignment means the exhaustive oracle's."""
+    if assignment is None:
         def pa_solver(candidate):
             alloc = _apply_pa(pa_name, candidate, gains, weights, total_power)
             return power.user_rates(alloc.powers, gains)
 
         result = assign.exhaustive_sa_oracle(weights, grid, pa_solver, cap=config.oracle_cap)
         return result.rates
-    assignment = assign.run_sa(sa_name, table, weights, grid)
     alloc = _apply_pa(pa_name, assignment, gains, weights, total_power)
     return power.user_rates(alloc.powers, gains)
 
@@ -399,7 +422,7 @@ def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
                     except UndefinedMetricError:
                         row.edge_deviation = None
             except ChunkfairError as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
+                row.error = _error_text(exc)
             rows.append(row)
     return rows
 

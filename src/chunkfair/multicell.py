@@ -221,10 +221,11 @@ class ScenarioParams:
 class CellScenario:
     """One seeded drop: placements, channels to every base station, and the plan.
 
-    The group rate tables are computed on first use and kept per edge
-    interferer set, so ``gain_sq`` must not change after the first
-    ``multicell_sa``, ``reuse1_baseline`` or ``effective_chunk_rate``
-    call on the scenario.
+    The gap-scaled SINR of each group's band and the group rate tables
+    are computed on first use and kept per edge interferer set, so
+    ``gain_sq`` must not change after the first ``multicell_sa``,
+    ``reuse1_baseline`` or ``effective_chunk_rate`` call on the
+    scenario or on any of its ``with_chunk_size`` views.
     """
 
     params: ScenarioParams
@@ -233,17 +234,22 @@ class CellScenario:
     distance_km: np.ndarray   # (K,) user distance from cell 0's base station
     is_centre: np.ndarray     # (K,) bool group tag
     gain_sq: np.ndarray       # (K, 19, N) squared channel magnitudes
+    desired_attenuation: np.ndarray     # (K,) path-loss factor of each user's own link
+    interferer_attenuation: np.ndarray  # (19,) path-loss factor per base station, 0 for cell 1's
     lam: float
     master_seed: int
     trial: int
+    # Gap-scaled SINR per (group, interferer set); shared by every chunk-size view.
+    _sinr: dict = field(default_factory=dict, repr=False, compare=False)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def with_chunk_size(self, chunk_size: int) -> CellScenario:
         """The same drop under another chunk size.
 
-        Placement and channels do not depend on the chunk size, so the
-        result shares ``distance_km``, ``is_centre`` and ``gain_sq`` with
-        this scenario; only the params and the band plan change.
+        Placement, channels and bands do not depend on the chunk size, so
+        the result shares the draw and its gap-scaled SINR blocks with
+        this scenario; only the params, the band plan's chunk counts and
+        the rate tables change.
         """
         params = replace(self.params, chunk_size=chunk_size)
         return replace(self, params=params, plan=params.band_plan(self.layout))
@@ -260,18 +266,6 @@ class CellScenario:
     def weights(self) -> np.ndarray:
         return np.asarray(self.params.rate_weights, dtype=float)
 
-    def desired_attenuation(self) -> np.ndarray:
-        return np.array(
-            [10.0 ** (-0.1 * path_loss_db(d)) for d in self.distance_km]
-        )
-
-    def interferer_attenuation(self) -> np.ndarray:
-        att = np.zeros(N_CELLS)
-        att[1:] = [
-            10.0 ** (-0.1 * path_loss_db(d)) for d in self.layout.bs_distance_km[1:]
-        ]
-        return att
-
 
 def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
     """Draw one multi-cell scenario from documented substreams.
@@ -287,6 +281,8 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
     distances = place_users(params.n_users, params.cell_radius_km, rng)
     is_centre = distances <= params.tau_km
     gain_sq = np.empty((params.n_users, N_CELLS, params.n_subcarriers))
+    interferer_att = np.zeros(N_CELLS)
+    interferer_att[1:] = [10.0 ** (-0.1 * path_loss_db(d)) for d in layout.bs_distance_km[1:]]
     for k in range(params.n_users):
         profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
         taps = np.stack([
@@ -302,6 +298,8 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
         distance_km=distances,
         is_centre=is_centre,
         gain_sq=gain_sq,
+        desired_attenuation=np.array([10.0 ** (-0.1 * path_loss_db(d)) for d in distances]),
+        interferer_attenuation=interferer_att,
         lam=ber_gap(params.target_ber),
         master_seed=master_seed,
         trial=trial,
@@ -317,8 +315,8 @@ def _sinr_block(
     """SINR for the given users x subcarriers under the given interferer set."""
     params = scenario.params
     per_sc = params.total_power_watts / params.n_subcarriers
-    desired_att = scenario.desired_attenuation()[users]
-    att = scenario.interferer_attenuation()[interferers]
+    desired_att = scenario.desired_attenuation[users]
+    att = scenario.interferer_attenuation[interferers]
     desired = desired_att[:, None] * scenario.gain_sq[np.ix_(users, [0], subcarriers)][:, 0, :] * per_sc
     interference = np.einsum(
         "i,kin->kn", att, scenario.gain_sq[np.ix_(users, interferers, subcarriers)]
@@ -364,8 +362,8 @@ def _group_tables(
     the six co-band cells under FFR, or whatever ``edge_interferers``
     says (the no-FFR baseline passes all 18).  A group without users or
     without a whole chunk in its band gets no table and no grid.  The
-    result is computed once per scenario and edge interferer set; the
-    tables are read-only.
+    result is computed once per scenario and edge interferer set, and
+    each gap-scaled SINR block once per draw; both are read-only.
     """
     plan = scenario.plan
     if edge_interferers is None:
@@ -383,9 +381,13 @@ def _group_tables(
         table = grid = None
         if users.size and n_chunks:
             grid = build_grid(band.size, plan.chunk_size)
-            sinr = _sinr_block(scenario, users, band, interferers)
+            sinr_key = (name, tuple(int(i) for i in interferers))
+            if sinr_key not in scenario._sinr:
+                scaled = scenario.lam * _sinr_block(scenario, users, band, interferers)
+                scaled.flags.writeable = False
+                scenario._sinr[sinr_key] = scaled
             table = chunk_rates(
-                scenario.lam * sinr, grid, 1.0, n_total=scenario.params.n_subcarriers
+                scenario._sinr[sinr_key], grid, 1.0, n_total=scenario.params.n_subcarriers
             )
             table.flags.writeable = False
         out.append((name, users, table, grid))

@@ -11,6 +11,7 @@ weighted-rate level) are provided for comparison and verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,6 +353,35 @@ def uniform_pa(assignment: Assignment, total_power: float) -> PowerAllocation:
     )
 
 
+def _level_budgets(fit: list[tuple], t: float) -> list[float]:
+    """Per-user budgets P_k(t) at rate level t, in plain floats.
+
+    ``fit`` holds one (v, n / g_min, weight, n, log2_w) tuple per user.
+    Each budget is the float numpy gives for the same formula on float64
+    scalars, so the operation order must stay as written (folding
+    ``weight / n`` changes the rounding); a power that overflows is inf,
+    as in numpy, where Python's ``**`` raises.
+    """
+    budgets = []
+    for v, scale, weight, n, log2_w in fit:
+        try:
+            growth = 2.0 ** (weight * t / n - log2_w)
+        except OverflowError:
+            growth = math.inf
+        budgets.append(v + scale * (growth - 1.0))
+    return budgets
+
+
+def _total(budgets: list[float]) -> float:
+    """``ndarray.sum()`` of the budgets: numpy sums fewer than 8 terms in order."""
+    if len(budgets) >= 8:
+        return float(np.sum(budgets))
+    total = 0.0
+    for b in budgets:
+        total += b
+    return total
+
+
 def exact_pa_oracle(
     assignment: Assignment,
     gains: np.ndarray,
@@ -372,49 +402,48 @@ def exact_pa_oracle(
     first, no level meets ``rel_tol``; the bracket end whose budgets sum
     closer to the total power is taken instead.  Whenever the solution
     would drive a user's budget below its v_k, that user's weakest
-    subcarrier is dropped and the level re-solved, iterating to a
-    fixpoint.
+    subcarrier is dropped, its coefficients are refitted and the level
+    re-solved, iterating to a fixpoint.
+
+    Each step evaluates the budgets as plain floats and sums them in
+    ``ndarray.sum()``'s order; the budget array is built once, at the
+    level the bisection settles on.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     ordered = _ordered_user_gains(assignment, gains)
+    coeffs = [waterfill_coefficients(og) for og in ordered]
     n_users = assignment.n_users
     pruned = np.zeros(n_users, dtype=int)
     max_prunes = sum(og.size for og in ordered)
 
     for _ in range(max_prunes + 1):
-        coeffs = [waterfill_coefficients(og) for og in ordered]
-
-        def budget_at(t: float) -> np.ndarray:
-            return np.array(
-                [
-                    c.v
-                    + (c.n_active / c.g_min)
-                    * (2.0 ** (weights[k] * t / c.n_active - c.log2_w) - 1.0)
-                    for k, c in enumerate(coeffs)
-                ]
-            )
-
+        fit = [
+            (c.v, c.n_active / c.g_min, float(weights[k]), c.n_active, c.log2_w)
+            for k, c in enumerate(coeffs)
+        ]
         t_hi = 1.0
         for _ in range(max_doublings):
-            if budget_at(t_hi).sum() > total_power:
+            total = _total(_level_budgets(fit, t_hi))
+            if total > total_power:
                 break
             t_hi *= 2.0
         else:
             raise OracleConvergenceError("failed to bracket the rate level")
         t_lo = 0.0
-        budgets = budget_at(t_hi)
+        level = t_hi
         for _ in range(max_bisections):
             t = 0.5 * (t_lo + t_hi)
             if not t_lo < t < t_hi:
                 # The bracket holds two adjacent floats and cannot move.
-                budgets = min(
-                    (budget_at(t_lo), budget_at(t_hi)),
-                    key=lambda b: abs(b.sum() - total_power),
+                level = min(
+                    (t_lo, t_hi),
+                    key=lambda s: abs(_total(_level_budgets(fit, s)) - total_power),
                 )
                 break
-            budgets = budget_at(t)
-            resid = budgets.sum() - total_power
+            level = t
+            total = _total(_level_budgets(fit, t))
+            resid = total - total_power
             if abs(resid) <= rel_tol * total_power:
                 break
             if resid > 0:
@@ -423,9 +452,10 @@ def exact_pa_oracle(
                 t_lo = t
         else:
             raise OracleConvergenceError(
-                f"bisection residual {budgets.sum() - total_power:g} "
+                f"bisection residual {total - total_power:g} "
                 f"did not reach {rel_tol * total_power:g}"
             )
+        budgets = np.array(_level_budgets(fit, level))
 
         violations = [
             k
@@ -449,6 +479,7 @@ def exact_pa_oracle(
         for k in violations:
             og = ordered[k]
             ordered[k] = OrderedGains(values=og.values[1:], subcarriers=og.subcarriers[1:])
+            coeffs[k] = waterfill_coefficients(ordered[k])
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")
 

@@ -2,13 +2,27 @@
 
 Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
-cannot hide in its own checker.
+cannot hide in its own checker.  The exception is
+``exact_pa_oracle_direct``, an earlier form of the exact oracle kept to
+pin its rewrite bit for bit; it shares the package's helpers.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from chunkfair.assign import Assignment
+from chunkfair.errors import OracleConvergenceError
+from chunkfair.power import (
+    OrderedGains,
+    PowerAllocation,
+    _check_allocation,
+    _ordered_user_gains,
+    _scatter,
+    prune_and_waterfill,
+    waterfill_coefficients,
+)
 
 
 def dft_direct(taps, n_subcarriers):
@@ -188,3 +202,108 @@ def chunk_rates_direct(gains, grid, power_per_subcarrier, n_total=None):
     for m, (start, stop) in enumerate(zip(grid.starts, grid.stops)):
         table[:, m] = per_sc[:, start:stop].sum(axis=1)
     return table / (grid.n_subcarriers if n_total is None else n_total)
+
+
+def exact_pa_oracle_direct(
+    assignment: Assignment,
+    gains: np.ndarray,
+    weights: np.ndarray,
+    total_power: float,
+    rel_tol: float = 1e-12,
+    max_doublings: int = 200,
+    max_bisections: int = 200,
+) -> PowerAllocation:
+    """The exact oracle as it was before its plain-float bisection.
+
+    Kept verbatim: each bracket and bisection step builds the budget
+    array and sums it with numpy, and every fixpoint pass refits every
+    user.  ``power.exact_pa_oracle`` must match it bit for bit.
+
+    Water-filling inside each user makes its rate a closed-form,
+    strictly increasing function of its budget; inverting it at a common
+    weighted-rate level t gives
+    P_k(t) = v_k + (n_k / g_min,k) * (2**(w_k t / n_k) / W_k - 1),
+    and the level is bisected until the budgets sum to the total power
+    within ``rel_tol``.  If the bracket shrinks to two adjacent floats
+    first, no level meets ``rel_tol``; the bracket end whose budgets sum
+    closer to the total power is taken instead.  Whenever the solution
+    would drive a user's budget below its v_k, that user's weakest
+    subcarrier is dropped and the level re-solved, iterating to a
+    fixpoint.
+    """
+    gains = np.asarray(gains, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    ordered = _ordered_user_gains(assignment, gains)
+    n_users = assignment.n_users
+    pruned = np.zeros(n_users, dtype=int)
+    max_prunes = sum(og.size for og in ordered)
+
+    for _ in range(max_prunes + 1):
+        coeffs = [waterfill_coefficients(og) for og in ordered]
+
+        def budget_at(t: float) -> np.ndarray:
+            return np.array(
+                [
+                    c.v
+                    + (c.n_active / c.g_min)
+                    * (2.0 ** (weights[k] * t / c.n_active - c.log2_w) - 1.0)
+                    for k, c in enumerate(coeffs)
+                ]
+            )
+
+        t_hi = 1.0
+        for _ in range(max_doublings):
+            if budget_at(t_hi).sum() > total_power:
+                break
+            t_hi *= 2.0
+        else:
+            raise OracleConvergenceError("failed to bracket the rate level")
+        t_lo = 0.0
+        budgets = budget_at(t_hi)
+        for _ in range(max_bisections):
+            t = 0.5 * (t_lo + t_hi)
+            if not t_lo < t < t_hi:
+                # The bracket holds two adjacent floats and cannot move.
+                budgets = min(
+                    (budget_at(t_lo), budget_at(t_hi)),
+                    key=lambda b: abs(b.sum() - total_power),
+                )
+                break
+            budgets = budget_at(t)
+            resid = budgets.sum() - total_power
+            if abs(resid) <= rel_tol * total_power:
+                break
+            if resid > 0:
+                t_hi = t
+            else:
+                t_lo = t
+        else:
+            raise OracleConvergenceError(
+                f"bisection residual {budgets.sum() - total_power:g} "
+                f"did not reach {rel_tol * total_power:g}"
+            )
+
+        violations = [
+            k
+            for k, c in enumerate(coeffs)
+            if budgets[k] < c.v - 1e-12 * max(c.v, total_power) and ordered[k].size > 1
+        ]
+        if not violations:
+            per_user = []
+            for k, og in enumerate(ordered):
+                p, extra = prune_and_waterfill(max(budgets[k], coeffs[k].v), og)
+                pruned[k] += extra
+                per_user.append((og, p))
+            powers = _scatter(assignment, per_user, n_users)
+            _check_allocation(powers, total_power)
+            return PowerAllocation(
+                budgets=budgets,
+                powers=powers,
+                repaired=np.zeros(n_users, dtype=bool),
+                pruned=pruned,
+            )
+        for k in violations:
+            og = ordered[k]
+            ordered[k] = OrderedGains(values=og.values[1:], subcarriers=og.subcarriers[1:])
+            pruned[k] += 1
+    raise OracleConvergenceError("prune fixpoint did not terminate")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chunkfair import ConfigError, ExperimentConfig, cli, run_experiment
+from chunkfair import ConfigError, ExperimentConfig, InfeasibleError, cli, run_experiment
 from chunkfair.cli import GOLDEN_CONFIG, main
 from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
 
@@ -187,6 +187,53 @@ def test_multicell_run_draws_each_trial_once(monkeypatch):
     rows, _ = run_experiment(config)
     assert draws == [0, 1]
     assert len(rows) == 12
+
+
+def _counting_run_sa(monkeypatch, fail=()):
+    """Record each run_sa call's scheme; schemes in ``fail`` raise InfeasibleError."""
+    from chunkfair import assign
+
+    calls = []
+    run_sa = assign.run_sa
+
+    def counting(name, table, weights, grid):
+        calls.append(name)
+        if name in fail:
+            raise InfeasibleError(f"{name} has no assignment")
+        return run_sa(name, table, weights, grid)
+
+    monkeypatch.setattr(assign, "run_sa", counting)
+    return calls
+
+
+def test_single_cell_assigns_once_per_sweep_point(monkeypatch):
+    calls = _counting_run_sa(monkeypatch)
+    config = tiny_config(
+        trials=2,
+        n_subcarriers=8,
+        chunk_sizes=[2, 4],
+        snr_db=[-5.0, 5.0],
+        sa_schemes=["proposed", "shen", "exhaustive-oracle"],
+        pa_schemes=["proposed", "uniform", "exact-oracle"],
+    )
+    rows, _ = run_experiment(config)
+    # 2 trials x 2 chunk sizes x 2 SNR points, once per greedy scheme.
+    assert sorted(calls) == ["proposed"] * 8 + ["shen"] * 8
+    assert len(rows) == 8 * 3 * 3 and not any(r.error for r in rows)
+
+
+def test_failed_assignment_writes_one_error_row_per_pa_scheme(monkeypatch):
+    calls = _counting_run_sa(monkeypatch, fail=("shen",))
+    config = tiny_config(sa_schemes=["proposed", "shen"], pa_schemes=["proposed", "uniform"])
+    rows, _ = run_experiment(config)
+    assert calls.count("shen") == 2
+    failed = [r for r in rows if r.sa == "shen"]
+    assert [(r.trial, r.pa) for r in failed] == [
+        (0, "proposed"), (0, "uniform"), (1, "proposed"), (1, "uniform")
+    ]
+    assert all(r.error == "InfeasibleError: shen has no assignment" for r in failed)
+    assert all(r.rates == () and r.min_rate is None for r in failed)
+    assert not any(r.error for r in rows if r.sa == "proposed")
 
 
 def test_infeasible_scenarios_become_error_rows():
@@ -375,6 +422,12 @@ def _probe_id(value):
     (SINGLE_CELL, {"snr_db": [0.0, 4000.0]}),
     (SMALL_MULTI_CELL, {"centre_radius_fraction": 1.5}),
     (SMALL_MULTI_CELL, {"target_ber": 0.5}),
+    (SINGLE_CELL, {"chunk_sizes": [4, 4]}),
+    (SMALL_MULTI_CELL, {"chunk_sizes": [4, 2, 4]}),
+    (SINGLE_CELL, {"snr_db": [0.0, 5.0, 0]}),
+    (SINGLE_CELL, {"sa_schemes": ["proposed", "proposed"]}),
+    (SMALL_MULTI_CELL, {"sa_schemes": ["static", "shen", "static"]}),
+    (SINGLE_CELL, {"pa_schemes": ["uniform", "proposed", "uniform"]}),
 ], ids=_probe_id)
 def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
     config_path = tmp_path / "c.json"

@@ -395,6 +395,30 @@ def test_chunk_size_views_equal_fresh_draws():
                 assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
 
 
+def test_chunk_size_views_share_sinr_blocks(monkeypatch):
+    from chunkfair import multicell
+
+    blocks = []
+    sinr_block = multicell._sinr_block
+
+    def counting(scenario, users, subcarriers, interferers):
+        blocks.append((users.size, subcarriers.size, interferers.size))
+        return sinr_block(scenario, users, subcarriers, interferers)
+
+    monkeypatch.setattr(multicell, "_sinr_block", counting)
+    drawn = build_scenario(small_params(n_subcarriers=256, chunk_size=1, n_users=6,
+                                        tap_counts=(4,) * 6, rate_weights=(1.0,) * 6), 5, 4)
+    assert drawn.centre_users.size and drawn.edge_users.size
+    for chunk_size in (1, 2, 4, 8):
+        view = drawn.with_chunk_size(chunk_size)
+        multicell_sa(view)
+        reuse1_baseline(view)
+    # Centre band, FFR edge band and no-FFR edge band, each once per draw.
+    centre, edge = drawn.centre_users.size, drawn.edge_users.size
+    n_cc, n_ce = drawn.plan.n_cc, drawn.plan.n_ce
+    assert sorted(blocks) == sorted([(centre, n_cc, 18), (edge, n_ce, 6), (edge, n_ce, 18)])
+
+
 def test_group_tables_built_once_per_interferer_set():
     sc = build_scenario(small_params(), 47, 1)
     ffr = _group_tables(sc)

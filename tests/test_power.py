@@ -25,9 +25,9 @@ from chunkfair import (
     waterfill_coefficients,
 )
 from chunkfair.metrics import deviation
-from chunkfair.power import _check_allocation
+from chunkfair.power import _check_allocation, _total
 
-from oracles import gauss_solve, proportional_budget_system, rates_direct
+from oracles import exact_pa_oracle_direct, gauss_solve, proportional_budget_system, rates_direct
 
 
 def og(values):
@@ -370,6 +370,14 @@ def test_exact_oracle_takes_closer_end_of_a_collapsed_bracket():
     # Oracle-small workload input (seed 4000022, trial 5, 0 dB): the bisection
     # bracket shrinks to two adjacent floats with the residual still above
     # rel_tol * total_power, which used to raise OracleConvergenceError.
+    assignment, gains, weights, total_power = _collapsed_bracket_instance()
+    alloc = exact_pa_oracle(assignment, gains, weights, total_power)
+    assert abs(alloc.budgets.sum() - total_power) <= 1e-9 * total_power
+    assert abs(alloc.powers.sum() - total_power) <= 1e-9 * total_power
+    assert deviation(user_rates(alloc.powers, gains), weights) < 1e-6
+
+
+def _collapsed_bracket_instance():
     n, weights, total_power = 12, np.array([1.0, 2.0]), 12.0
     gains = np.vstack([
         realize_channel(UserProfile(taps), n, 1.0, substream(4000022, 0, 5, k, 0)).gains
@@ -377,10 +385,42 @@ def test_exact_oracle_takes_closer_end_of_a_collapsed_bracket():
     ])
     grid = build_grid(n, 2)
     assignment, _ = proposed_sa(chunk_rates(gains, grid, 1.0), weights, grid)
-    alloc = exact_pa_oracle(assignment, gains, weights, total_power)
-    assert abs(alloc.budgets.sum() - total_power) <= 1e-9 * total_power
-    assert abs(alloc.powers.sum() - total_power) <= 1e-9 * total_power
-    assert deviation(user_rates(alloc.powers, gains), weights) < 1e-6
+    return assignment, gains, weights, total_power
+
+
+def _exact_oracle_instances():
+    """Seeded instances for K in {1, 2, 3, 7, 8, 9, 16}, at full and at pruning power."""
+    for n_users in (1, 2, 3, 7, 8, 9, 16):
+        for seed in range(4):
+            weights = 1.0 + np.random.default_rng(seed).integers(0, 4, n_users)
+            for total_power in (64.0, 0.64):
+                yield random_instance(100 * n_users + seed, n_users=n_users, taps=4 + seed,
+                                      weights=weights, total_power=total_power)
+    yield _collapsed_bracket_instance()
+    # A weight ratio this large overflows 2**x at the first bracket level.
+    yield random_instance(3, n_users=2, weights=(1.0, 1e5))
+
+
+def test_exact_oracle_matches_direct_form_bit_for_bit():
+    pruning = 0
+    for assignment, gains, weights, total_power in _exact_oracle_instances():
+        got = exact_pa_oracle(assignment, gains, weights, total_power)
+        with np.errstate(over="ignore"):
+            want = exact_pa_oracle_direct(assignment, gains, weights, total_power)
+        for name in ("budgets", "powers", "pruned"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+        pruning += bool(want.pruned.any())
+    assert pruning >= 20
+
+
+def test_budget_total_sums_in_ndarray_order():
+    # numpy sums 8 or more terms pairwise, so an in-order sum differs there.
+    rng = np.random.default_rng(11)
+    for n_users in range(1, 17):
+        for _ in range(200):
+            budgets = list(rng.standard_normal(n_users) * 10.0 ** rng.integers(-6, 6, n_users))
+            assert _total(budgets) == np.array(budgets).sum()
 
 
 def test_check_allocation_raises_instead_of_asserting():
