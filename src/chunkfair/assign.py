@@ -267,44 +267,74 @@ def _greedy_sa(
     ``rates``.  Phase 1 hands every user one chunk, either
     least-favoured user first or in user index order; phase 2 gives the
     user with the smallest accumulated weighted rate its best remaining
-    chunk until none remain.  Taken chunks are masked to -inf, so an
-    arg-max over a row sees only the remaining chunks; that needs a
-    finite table, and finite rates give finite normalised rates.
+    chunk until none remain.
+
+    The loops run on plain Python lists.  Each user's chunks are sorted
+    once by descending score (a stable sort, so ties keep the lowest
+    index first, as an arg-max does) and a per-user pointer skips the
+    chunks already taken.  The weighted rates ``acc[k] / w[k]`` are kept
+    in a list, and only the taker's entry is recomputed after a take;
+    ``ratio.index(min(ratio))`` is the first minimum, as an arg-min is.
+    Every float operation matches the array form: sequential adds into
+    ``acc``, then one division.  Neither input array is modified.
     """
     weights = np.asarray(weights, dtype=float)
     n_users, n_chunks = rates.shape
     if n_chunks < n_users:
         raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
-    if np.any(weights <= 0):
-        raise ConfigError("rate weights must be positive")
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise ConfigError("rate weights must be positive and finite")
     if not np.all(np.isfinite(rates)):
         raise ConfigError("rate table must be finite")
-    scores = np.array(scores, dtype=float)  # private copy: taken chunks get masked
-    owners = np.empty(n_chunks, dtype=int)
-    acc = np.zeros(n_users)
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(-scores, axis=1, kind="stable").tolist()
+    rate_rows = rates.tolist()
+    w = weights.tolist()
+    pointer = [0] * n_users
+    taken = [False] * n_chunks
+    owners = [0] * n_chunks
+    acc = [0.0] * n_users
+
+    def best(k: int) -> int:
+        """User k's best remaining chunk; advances its pointer past taken ones."""
+        row, p = order[k], pointer[k]
+        while taken[row[p]]:
+            p += 1
+        pointer[k] = p
+        return row[p]
 
     def take(k: int, m: int) -> None:
         owners[m] = k
-        acc[k] += rates[k, m]
-        scores[:, m] = -np.inf
+        taken[m] = True
+        acc[k] += rate_rows[k][m]
 
     if least_favoured_first:
         # Every pending user registers its best chunk; the one whose
         # registered score over its weight is smallest takes it.
-        pending = np.arange(n_users)
-        while pending.size:
-            best = scores[pending].argmax(axis=1)
-            i = int((scores[pending, best] / weights[pending]).argmin())
-            take(int(pending[i]), int(best[i]))
-            pending = np.delete(pending, i)
+        pending = list(range(n_users))
+        while pending:
+            picks = [best(k) for k in pending]
+            values = [scores.item(k, m) / w[k] for k, m in zip(pending, picks)]
+            i = values.index(min(values))
+            take(pending.pop(i), picks[i])
     else:
         for k in range(n_users):
-            take(k, int(scores[k].argmax()))
+            take(k, best(k))
+    ratio = [a / wk for a, wk in zip(acc, w)]
     for _ in range(n_chunks - n_users):
-        k = int((acc / weights).argmin())
-        take(k, int(scores[k].argmax()))
+        # best() and take() inlined: this loop runs M - K times.
+        k = ratio.index(min(ratio))
+        row, p = order[k], pointer[k]
+        while taken[row[p]]:
+            p += 1
+        m = row[p]
+        pointer[k] = p + 1
+        owners[m] = k
+        taken[m] = True
+        acc[k] += rate_rows[k][m]
+        ratio[k] = acc[k] / w[k]
 
-    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+    assignment = Assignment(grid=grid, owners=tuple(owners), n_users=n_users)
     return assignment, _comparison_count(n_users, n_chunks, least_favoured_first)
 
 

@@ -18,6 +18,7 @@ stable across runs, platforms, and trial execution order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class UserProfile:
     def __post_init__(self):
         if self.tap_count < 1:
             raise ConfigError(f"tap_count must be >= 1, got {self.tap_count}")
-        if not self.rate_weight > 0:
-            raise ConfigError(f"rate_weight must be > 0, got {self.rate_weight}")
+        if not 0 < self.rate_weight < math.inf:
+            raise ConfigError(f"rate_weight must be finite and > 0, got {self.rate_weight}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +89,10 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     entropy = (int(master_seed),) + tuple(int(p) for p in path)
     if any(e < 0 for e in entropy):
         raise ConfigError(f"substream path entries must be non-negative, got {entropy}")
+    if max(entropy) < 2**32:
+        # Each entry is one uint32 word of the pool either way; numpy
+        # coerces an array of them much faster than a tuple of ints.
+        entropy = np.array(entropy, dtype=np.uint32)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 

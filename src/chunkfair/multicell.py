@@ -436,8 +436,9 @@ def multicell_sa(
                     f"{users.size} {name} users need at least as many {name} chunks"
                 )
             assignment = run_sa(sa_scheme, table, weights[users], grid)
+            owners = np.asarray(assignment.owners)
             for row, user in enumerate(users):
-                rates[user] = table[row, assignment.chunks_of(row)].sum()
+                rates[user] = table[row, owners == row].sum()
         assignments.append(assignment)
     return MulticellAllocation(
         rates=rates,

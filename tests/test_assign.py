@@ -23,6 +23,7 @@ from chunkfair import (
     uniform_pa,
     user_rates,
 )
+from chunkfair.assign import _greedy_sa
 
 from oracles import chunk_rates_direct, proposed_sa_direct, shen_sa_direct
 
@@ -251,12 +252,20 @@ def test_shen_sa_infeasible():
 
 
 def test_greedy_schemes_reject_non_finite_tables():
-    # masking taken chunks to -inf would let a -inf rate alias a taken chunk
+    # the kernel's sorted chunk orders and first-minimum picks need finite rates
     table = np.array([[1.0, -np.inf, -np.inf], [5.0, 5.0, 5.0]])
     for scheme in (proposed_sa, shen_sa):
         for bad in (table, np.where(table < 0, np.nan, table)):
             with pytest.raises(ConfigError):
                 scheme(bad, np.ones(2), build_grid(3, 1))
+
+
+def test_greedy_schemes_reject_non_finite_weights():
+    table = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    for scheme in (proposed_sa, shen_sa):
+        for bad in (np.inf, np.nan, 0.0):
+            with pytest.raises(ConfigError):
+                scheme(table, np.array([1.0, bad]), build_grid(3, 1))
 
 
 # ---------------------------------------------------------------- static SA
@@ -299,6 +308,44 @@ def test_greedy_schemes_match_direct_references():
             owners, ref_counts = reference(table, weights)
             assert a.owners == owners, (case, scheme.__name__)
             assert dataclasses.asdict(counts) == ref_counts, (case, scheme.__name__)
+
+
+def _tie_heavy_tables(n_users, n_chunks, rng):
+    """Two (table, weights) pairs full of the ties the greedy scans must break.
+
+    The first is continuous, but every fifth chunk is all-zero (neutral
+    normalised rates), every seventh has one rate shared by all users,
+    and users 0 and 1 have identical rows and weights, so their weighted
+    rates tie exactly.  The second is an integer table with integer
+    weights.
+    """
+    table = rng.exponential(size=(n_users, n_chunks))
+    table[:, ::5] = 0.0
+    table[:, 3::7] = rng.exponential(size=n_chunks)[3::7]
+    table[1] = table[0]
+    weights = np.tile([1.0, 1.0, 2.0, 0.5], n_users // 4)
+    integer_table = rng.integers(0, 3, size=(n_users, n_chunks)).astype(float)
+    integer_weights = rng.integers(1, 3, size=n_users).astype(float)
+    return (table, weights), (integer_table, integer_weights)
+
+
+@pytest.mark.parametrize("n_users", [4, 8, 16])
+@pytest.mark.parametrize("n_chunks", [128, 512, 1024])
+def test_greedy_schemes_match_direct_references_at_workload_sizes(n_users, n_chunks):
+    rng = np.random.default_rng(1000 * n_users + n_chunks)
+    grid = build_grid(n_chunks, 1)
+    for case, (table, weights) in enumerate(_tie_heavy_tables(n_users, n_chunks, rng)):
+        kept = table.copy()
+        for scheme, reference in ((proposed_sa, proposed_sa_direct), (shen_sa, shen_sa_direct)):
+            a, counts = scheme(table, weights, grid)
+            owners, ref_counts = reference(table, weights)
+            assert a.owners == owners, (case, scheme.__name__)
+            assert dataclasses.asdict(counts) == ref_counts, (case, scheme.__name__)
+            assert np.array_equal(table, kept)
+        scores = normalized_rates(table)
+        kept_scores = scores.copy()
+        _greedy_sa(scores, table, weights, grid, least_favoured_first=True)
+        assert np.array_equal(scores, kept_scores) and np.array_equal(table, kept)
 
 
 # ---------------------------------------------------------------- counters

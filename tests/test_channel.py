@@ -84,6 +84,21 @@ def test_substreams_differ_across_path():
         assert not np.array_equal(base, other)
 
 
+@pytest.mark.parametrize("seed, path", [
+    (0, (0, 0, 0, 0)),
+    (42, (0, 7, 0, 3)),
+    (2**32 - 1, (1, 0)),
+    (2**32 + 5, (0, 7, 3, 0)),
+    (2**64 + 1, (1, 0)),
+])
+def test_substream_matches_the_int_tuple_seed_sequence(seed, path):
+    rng = substream(seed, *path)
+    reference = np.random.SeedSequence(entropy=(seed, *path))
+    assert np.array_equal(rng.bit_generator.seed_seq.pool, reference.pool)
+    expected = np.random.default_rng(reference).standard_normal(8)
+    assert np.array_equal(rng.standard_normal(8), expected)
+
+
 def test_unit_energy_monte_carlo():
     rng = substream(2024, 0, 0, 0, 0)
     draws = 100_000

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import runpy
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -319,6 +320,28 @@ def test_summary_csv_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# The benchmark's workloads and the SHA-256 digests of their row and
+# summary CSVs at each workload's default seed; run_path reads the file
+# without importing it as a module or caching its bytecode.
+PERFBENCH_WORKLOADS = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+)["WORKLOADS"]
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_WORKLOADS))
+def test_benchmark_workload_csv_bytes_are_pinned(tmp_path, name):
+    workload = PERFBENCH_WORKLOADS[name]
+    config = ExperimentConfig.from_dict(dict(workload.config, seed=workload.default_seed))
+    rows, summary = run_experiment(config)
+    emit_csv(rows, tmp_path / "rows.csv")
+    emit_summary_csv(summary, tmp_path / "rows.summary.csv")
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("rows.csv", "rows.summary.csv")
+    )
+    assert digests == workload.digests
+
+
 def test_summarize_groups_and_cis():
     config = tiny_config(trials=5)
     rows, summary = run_experiment(config)
@@ -428,6 +451,7 @@ def _probe_id(value):
     (SINGLE_CELL, {"sa_schemes": ["proposed", "proposed"]}),
     (SMALL_MULTI_CELL, {"sa_schemes": ["static", "shen", "static"]}),
     (SINGLE_CELL, {"pa_schemes": ["uniform", "proposed", "uniform"]}),
+    (SINGLE_CELL, {"rate_weights": [1.0, float("inf")]}),
 ], ids=_probe_id)
 def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
     config_path = tmp_path / "c.json"
