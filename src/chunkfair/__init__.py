@@ -55,13 +55,10 @@ from .multicell import (
     ber_gap,
     build_layout,
     build_scenario,
-    effective_chunk_rate,
     multicell_sa,
     path_loss_db,
     place_users,
     reuse1_baseline,
-    sinr_centre,
-    sinr_edge,
 )
 from .power import (
     OrderedGains,

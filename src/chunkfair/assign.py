@@ -34,26 +34,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChunkGrid:
-    """Partition of N subcarriers into M = N // L chunks.
+    """Partition of N subcarriers into M = N // L chunks, for 1 <= L <= N.
 
-    Chunks 0..M-2 hold exactly L subcarriers; the last chunk absorbs the
-    N mod L leftover subcarriers.
+    Chunk m starts at subcarrier m * L and holds L subcarriers; the last
+    chunk also absorbs the N mod L leftovers.
     """
 
     n_subcarriers: int
     chunk_size: int
-    starts: tuple[int, ...]
-    stops: tuple[int, ...]
     _sizes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sizes = np.array(self.stops) - np.array(self.starts)
+        n, l = self.n_subcarriers, self.chunk_size
+        if n < 1:
+            raise ConfigError(f"n_subcarriers must be >= 1, got {n}")
+        if not 1 <= l <= n:
+            raise ConfigError(f"chunk_size must be in [1, {n}], got {l}")
+        sizes = np.full(n // l, l)
+        sizes[-1] += n % l
         sizes.flags.writeable = False
         object.__setattr__(self, "_sizes", sizes)
 
     @property
     def n_chunks(self) -> int:
-        return len(self.starts)
+        return self.n_subcarriers // self.chunk_size
 
     def chunk_sizes(self) -> np.ndarray:
         """Subcarriers per chunk, (M,); read-only, built once at construction."""
@@ -65,15 +69,7 @@ def build_grid(n_subcarriers: int, chunk_size: int) -> ChunkGrid:
 
     Raises ConfigError unless 1 <= L <= N.
     """
-    n, l = int(n_subcarriers), int(chunk_size)
-    if n < 1:
-        raise ConfigError(f"n_subcarriers must be >= 1, got {n}")
-    if l < 1 or l > n:
-        raise ConfigError(f"chunk_size must be in [1, {n}], got {l}")
-    m = n // l
-    starts = tuple(i * l for i in range(m))
-    stops = tuple(list(starts[1:]) + [n])  # last chunk extends to N
-    return ChunkGrid(n_subcarriers=n, chunk_size=l, starts=starts, stops=stops)
+    return ChunkGrid(n_subcarriers=int(n_subcarriers), chunk_size=int(chunk_size))
 
 
 @dataclass(frozen=True)
@@ -101,9 +97,6 @@ class Assignment:
         per_subcarrier.flags.writeable = False
         object.__setattr__(self, "subcarrier_owners", per_subcarrier)
 
-    def chunks_of(self, user: int) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self.owners) == user)
-
     def subcarriers_of(self, user: int) -> np.ndarray:
         return np.flatnonzero(self.subcarrier_owners == user)
 
@@ -113,14 +106,6 @@ class Assignment:
     def indicator(self) -> np.ndarray:
         """(K, M) 0/1 matrix; each column sums to one."""
         return (np.arange(self.n_users)[:, None] == np.asarray(self.owners)).astype(int)
-
-    def to_record(self) -> str:
-        """Plain-text record, one line per user: 'user <k>: <sorted 1-based chunks>'."""
-        lines = []
-        for k in range(self.n_users):
-            chunks = " ".join(str(m + 1) for m in self.chunks_of(k))
-            lines.append(f"user {k + 1}: {chunks}".rstrip())
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -142,24 +127,6 @@ class ComparisonCount:
     phase2_argmax_strict: int = 0
     phase2_argmin_scanned: int = 0
     phase2_argmin_strict: int = 0
-
-    @property
-    def total_scanned(self) -> int:
-        return (
-            self.phase1_argmax_scanned
-            + self.phase1_argmin_scanned
-            + self.phase2_argmax_scanned
-            + self.phase2_argmin_scanned
-        )
-
-    @property
-    def total_strict(self) -> int:
-        return (
-            self.phase1_argmax_strict
-            + self.phase1_argmin_strict
-            + self.phase2_argmax_strict
-            + self.phase2_argmin_strict
-        )
 
 
 def chunk_rates(
@@ -195,8 +162,8 @@ def chunk_rates(
         )
     n_norm = grid.n_subcarriers if n_total is None else int(n_total)
     per_sc = np.log2(1.0 + power_per_subcarrier * gains)
-    # Chunks 0..M-2 are full; the last one absorbs the N mod L leftovers.
-    # Both sums run along the contiguous last axis, so each chunk is
+    # Full chunks are summed as one reshape, the last (longer) one alone;
+    # both sums run along the contiguous last axis, so each chunk is
     # summed in the same order as its slice alone would be.
     k, l, m = gains.shape[0], grid.chunk_size, grid.n_chunks
     table = np.empty((k, m))

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON config path")
     p_run.add_argument("--out", required=True, help="rows CSV output path")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--threads", type=int, default=1, help="parallel trial workers")
+    p_run.add_argument("--threads", type=int, default=1, help="parallel trial workers (>= 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config file and exit")

@@ -37,9 +37,11 @@ __all__ = [
     "ResultRow",
     "SummaryRow",
     "run_experiment",
+    "summarize",
     "emit_csv",
     "emit_summary_csv",
     "ROW_COLUMNS",
+    "SUMMARY_COLUMNS",
 ]
 
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
@@ -440,15 +442,19 @@ def run_experiment(
     """Execute every (sweep point, scheme, trial) cell of the configured run.
 
     Returns the rows sorted deterministically plus the aggregated
-    summary.  ``threads`` > 1 runs whole trials in parallel processes;
-    per-trial substreams make the result independent of scheduling.
+    summary.  ``threads`` > 1 runs whole trials in parallel processes,
+    at most one per trial; per-trial substreams make the result
+    independent of scheduling.  Raises ConfigError unless threads >= 1.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     config.validate()
-    if threads <= 1:
+    workers = min(threads, config.trials)
+    if workers == 1:
         per_trial = [_trial_rows(config, t) for t in range(config.trials)]
     else:
         run_trial = functools.partial(_trial_rows, config)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, range(config.trials)))
     rows = [row for trial_rows in per_trial for row in trial_rows]
     rows.sort(key=ResultRow.sort_key)

@@ -39,9 +39,6 @@ __all__ = [
     "ber_gap",
     "dbm_to_watts",
     "build_scenario",
-    "sinr_centre",
-    "sinr_edge",
-    "effective_chunk_rate",
     "multicell_sa",
     "reuse1_baseline",
 ]
@@ -223,9 +220,9 @@ class CellScenario:
 
     The gap-scaled SINR of each group's band and the group rate tables
     are computed on first use and kept per edge interferer set, so
-    ``gain_sq`` must not change after the first ``multicell_sa``,
-    ``reuse1_baseline`` or ``effective_chunk_rate`` call on the
-    scenario or on any of its ``with_chunk_size`` views.
+    ``gain_sq`` must not change after the first ``multicell_sa`` or
+    ``reuse1_baseline`` call on the scenario or on any of its
+    ``with_chunk_size`` views.
     """
 
     params: ScenarioParams
@@ -327,31 +324,6 @@ def _sinr_block(
 _ALL_INTERFERERS = np.arange(1, N_CELLS)
 
 
-def sinr_centre(scenario: CellScenario, user: int, subcarrier: int) -> float:
-    """SINR of a centre user on a centre-band subcarrier (18 interferers)."""
-    if not scenario.is_centre[user]:
-        raise ConfigError(f"user {user} is not in the centre group")
-    if subcarrier not in scenario.plan.centre_band:
-        raise ConfigError(f"subcarrier {subcarrier} is outside the centre band")
-    return float(
-        _sinr_block(scenario, np.array([user]), np.array([subcarrier]), _ALL_INTERFERERS)[0, 0]
-    )
-
-
-def sinr_edge(scenario: CellScenario, user: int, subcarrier: int) -> float:
-    """SINR of an edge user on an edge-band subcarrier (six co-band interferers)."""
-    if scenario.is_centre[user]:
-        raise ConfigError(f"user {user} is not in the edge group")
-    own_band = scenario.plan.edge_bands[scenario.plan.cell_edge_slot[0]]
-    if subcarrier not in own_band:
-        raise ConfigError(f"subcarrier {subcarrier} is outside cell 1's edge band")
-    return float(
-        _sinr_block(
-            scenario, np.array([user]), np.array([subcarrier]), scenario.plan.co_band_cells
-        )[0, 0]
-    )
-
-
 def _group_tables(
     scenario: CellScenario,
     edge_interferers: np.ndarray | None = None,
@@ -393,16 +365,6 @@ def _group_tables(
         out.append((name, users, table, grid))
     scenario._tables[key] = tuple(out)
     return scenario._tables[key]
-
-
-def effective_chunk_rate(scenario: CellScenario, user: int, chunk: int) -> float:
-    """Gap-scaled rate of one chunk in the user's own group band."""
-    centre, edge = _group_tables(scenario)
-    _, members, table, grid = centre if scenario.is_centre[user] else edge
-    if table is None or not 0 <= chunk < grid.n_chunks:
-        raise ConfigError(f"chunk {chunk} is outside user {user}'s band")
-    row = int(np.flatnonzero(members == user)[0])
-    return float(table[row, chunk])
 
 
 @dataclass(frozen=True)

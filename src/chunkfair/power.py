@@ -63,15 +63,14 @@ class WaterfillCoefficients:
 
     ``v`` is the power consumed by equalising the water level across the
     active set when the weakest subcarrier gets zero power, ``e`` the sum
-    of gains relative to the weakest, and ``w`` the geometric-mean gain
-    ratio (kept alongside its log2 for overflow-free arithmetic).
+    of gains relative to the weakest, and ``log2_w`` the log2 of the
+    geometric-mean gain ratio (kept in the log domain to avoid overflow).
     """
 
     n_active: int
     g_min: float
     v: float
     e: float
-    w: float
     log2_w: float
 
 
@@ -84,24 +83,6 @@ class PowerAllocation:
     repaired: np.ndarray      # (K,) bool, touched by the negative-budget repair
     pruned: np.ndarray        # (K,) int, subcarriers zeroed by the budget loop
     singular_fallback: bool = False
-
-    def active_set(self, user: int) -> np.ndarray:
-        return np.flatnonzero(self.powers[user] > 0)
-
-    def untouched(self) -> np.ndarray:
-        """Users whose budgets went through neither repair nor pruning."""
-        return ~self.repaired & (self.pruned == 0)
-
-    def to_records(self) -> str:
-        """Plain-text record: one 'budget | active set | powers' line per user."""
-        lines = []
-        for k in range(self.budgets.size):
-            active = self.active_set(k)
-            powers = " ".join(format(p, ".12g") for p in self.powers[k, active])
-            subs = " ".join(str(int(n) + 1) for n in active)
-            lines.append(f"user {k + 1}: budget {format(self.budgets[k], '.12g')} | "
-                         f"subcarriers {subs} | powers {powers}")
-        return "\n".join(lines) + "\n"
 
 
 def order_gains(gains: np.ndarray, subcarriers: np.ndarray) -> OrderedGains:
@@ -119,11 +100,11 @@ def drop_zero_gains(ordered: OrderedGains) -> OrderedGains:
 
 
 def waterfill_coefficients(ordered: OrderedGains) -> WaterfillCoefficients:
-    """Compute the water-filling statistics (v, e, w) of one user.
+    """Compute the water-filling statistics (v, e, log2_w) of one user.
 
     Requires a non-empty active set with strictly positive gains; the
-    geometric mean ``w`` is evaluated in the log domain so long gain
-    vectors cannot overflow the product.
+    geometric mean is evaluated in the log domain so long gain vectors
+    cannot overflow the product.
     """
     g = ordered.values
     if g.size == 0:
@@ -134,9 +115,7 @@ def waterfill_coefficients(ordered: OrderedGains) -> WaterfillCoefficients:
     v = float(((g[1:] - g1) / (g[1:] * g1)).sum())
     e = float((g / g1).sum())
     log2_w = float(np.log2(g[1:] / g1).sum()) / g.size
-    return WaterfillCoefficients(
-        n_active=g.size, g_min=g1, v=v, e=e, w=float(2.0**log2_w), log2_w=log2_w
-    )
+    return WaterfillCoefficients(n_active=g.size, g_min=g1, v=v, e=e, log2_w=log2_w)
 
 
 def linear_coefficients(
@@ -182,14 +161,12 @@ def solve_power_split(
 
     P_1 = (P_T - sum(beta/alpha)) / (1 - sum(1/alpha)) and
     P_k = (beta_k - P_1) / alpha_k.  A (near-)singular denominator falls
-    back to budgets proportional to the rate weights.
+    back to budgets proportional to the rate weights.  With one user
+    both sums are empty and P_1 is the total power.
     """
     weights = np.asarray(weights, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
-    n_users = weights.size
-    if n_users == 1:
-        return np.array([float(total_power)]), False
     inv = 1.0 / alphas
     denom = 1.0 - inv.sum()
     if abs(denom) < _SINGULAR_REL_TOL * max(1.0, np.abs(inv).sum()):
@@ -313,12 +290,8 @@ def proposed_pa(
     weights = np.asarray(weights, dtype=float)
     ordered = _ordered_user_gains(assignment, gains)
     coeffs = [waterfill_coefficients(og) for og in ordered]
-    if assignment.n_users == 1:
-        budgets = np.array([float(total_power)])
-        fallback = False
-    else:
-        alphas, betas = linear_coefficients(coeffs, weights)
-        budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
+    alphas, betas = linear_coefficients(coeffs, weights)
+    budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
     per_user = []
     pruned = np.zeros(assignment.n_users, dtype=int)
@@ -463,11 +436,12 @@ def exact_pa_oracle(
             if budgets[k] < c.v - 1e-12 * max(c.v, total_power) and ordered[k].size > 1
         ]
         if not violations:
-            per_user = []
-            for k, og in enumerate(ordered):
-                p, extra = prune_and_waterfill(max(budgets[k], coeffs[k].v), og)
-                pruned[k] += extra
-                per_user.append((og, p))
+            # prune_and_waterfill's first v is the same float as c.v, so a
+            # budget of at least v_k prunes nothing more.
+            per_user = [
+                (og, prune_and_waterfill(max(budgets[k], coeffs[k].v), og)[0])
+                for k, og in enumerate(ordered)
+            ]
             powers = _scatter(assignment, per_user, n_users)
             _check_allocation(powers, total_power)
             return PowerAllocation(

@@ -5,6 +5,8 @@ loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exception is
 ``exact_pa_oracle_direct``, an earlier form of the exact oracle kept to
 pin its rewrite bit for bit; it shares the package's helpers.
+``assignment_record`` and ``allocation_records`` are not oracles but
+the plain-text record formats the tests pin.
 """
 
 import cmath
@@ -196,12 +198,34 @@ def shen_sa_direct(rate_table, weights):
 
 
 def chunk_rates_direct(gains, grid, power_per_subcarrier, n_total=None):
-    """Per-chunk rates by one slice sum per chunk over the grid's start/stop pairs."""
+    """Per-chunk rates by one slice sum per chunk; chunk m starts at m L, the last ends at N."""
     per_sc = np.log2(1.0 + power_per_subcarrier * np.atleast_2d(gains))
-    table = np.empty((per_sc.shape[0], len(grid.starts)))
-    for m, (start, stop) in enumerate(zip(grid.starts, grid.stops)):
+    bounds = [m * grid.chunk_size for m in range(grid.n_chunks)] + [grid.n_subcarriers]
+    table = np.empty((per_sc.shape[0], grid.n_chunks))
+    for m, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         table[:, m] = per_sc[:, start:stop].sum(axis=1)
     return table / (grid.n_subcarriers if n_total is None else n_total)
+
+
+def assignment_record(assignment):
+    """Plain-text record, one line per user: 'user <k>: <sorted 1-based chunks>'."""
+    lines = []
+    for k in range(assignment.n_users):
+        chunks = " ".join(str(m + 1) for m, owner in enumerate(assignment.owners) if owner == k)
+        lines.append(f"user {k + 1}: {chunks}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def allocation_records(alloc):
+    """Plain-text record: one 'budget | active set | powers' line per user."""
+    lines = []
+    for k in range(alloc.budgets.size):
+        active = np.flatnonzero(alloc.powers[k] > 0)
+        powers = " ".join(format(p, ".12g") for p in alloc.powers[k, active])
+        subs = " ".join(str(int(n) + 1) for n in active)
+        lines.append(f"user {k + 1}: budget {format(alloc.budgets[k], '.12g')} | "
+                     f"subcarriers {subs} | powers {powers}")
+    return "\n".join(lines) + "\n"
 
 
 def exact_pa_oracle_direct(

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import runpy
@@ -262,6 +263,41 @@ def test_threaded_run_matches_serial():
         serial, _ = run_experiment(config, threads=1)
         parallel, _ = run_experiment(config, threads=2)
         assert serial == parallel
+
+
+def test_threads_capped_at_trials_and_below_one_rejected(tmp_path, monkeypatch):
+    created = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    config = tiny_config(trials=3)
+    serial, _ = run_experiment(config)
+    assert run_experiment(config, threads=64)[0] == serial
+    assert run_experiment(config, threads=2)[0] == serial
+    assert created == [3, 2]
+    for threads in (0, -1):
+        with pytest.raises(ConfigError, match="threads"):
+            run_experiment(config, threads=threads)
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--threads", "0"]) == 1
+    assert not out.exists()
+    assert created == [3, 2]
 
 
 # ------------------------------------------------------------- csv

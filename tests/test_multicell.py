@@ -12,17 +12,14 @@ from chunkfair import (
     ber_gap,
     build_layout,
     build_scenario,
-    effective_chunk_rate,
     multicell_sa,
     path_loss_db,
     place_users,
     reuse1_baseline,
-    sinr_centre,
-    sinr_edge,
     substream,
 )
 from chunkfair.assign import build_grid, chunk_rates
-from chunkfair.multicell import _group_tables
+from chunkfair.multicell import _group_tables, _sinr_block
 
 
 def small_params(**kw):
@@ -171,6 +168,26 @@ def edge_sinr_by_hand(sc, user, subcarrier):
     return desired / (sc.params.noise_power_watts + interference)
 
 
+def sinr_centre(sc, user, subcarrier):
+    """One entry of the centre group's SINR block: all 18 other cells interfere."""
+    return float(_sinr_block(sc, np.array([user]), np.array([subcarrier]), np.arange(1, 19))[0, 0])
+
+
+def sinr_edge(sc, user, subcarrier):
+    """One entry of the edge group's SINR block: the six co-band cells interfere."""
+    return float(
+        _sinr_block(sc, np.array([user]), np.array([subcarrier]), sc.plan.co_band_cells)[0, 0]
+    )
+
+
+def group_rate(sc, user, chunk):
+    """Entry of the rate table SA reads for the user's group."""
+    for _, users, table, _ in _group_tables(sc):
+        if user in users:
+            return float(table[int(np.flatnonzero(users == user)[0]), chunk])
+    raise AssertionError(f"user {user} is in no group")
+
+
 def test_sinr_matches_hand_evaluation():
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4), 3, 1)
     centre = sc.centre_users
@@ -204,18 +221,21 @@ def test_sinr_zero_interference_reduces_to_snr():
 
 
 def test_sinr_band_and_group_mismatch_rejected():
+    # Each group's table pairs its own users with its own band and interferers.
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4), 3, 1)
-    centre, edge = sc.centre_users, sc.edge_users
-    if centre.size and edge.size:
-        edge_band = sc.plan.edge_bands[sc.plan.cell_edge_slot[0]]
-        with pytest.raises(ConfigError):
-            sinr_centre(sc, int(edge[0]), int(sc.plan.centre_band[0]))
-        with pytest.raises(ConfigError):
-            sinr_centre(sc, int(centre[0]), int(edge_band[0]))
-        with pytest.raises(ConfigError):
-            sinr_edge(sc, int(centre[0]), int(edge_band[0]))
-        with pytest.raises(ConfigError):
-            sinr_edge(sc, int(edge[0]), int(sc.plan.centre_band[0]))
+    assert sc.centre_users.size and sc.edge_users.size
+    edge_band = sc.plan.edge_bands[sc.plan.cell_edge_slot[0]]
+    expected = (
+        ("centre", sc.centre_users, sc.plan.centre_band, np.arange(1, 19)),
+        ("edge", sc.edge_users, edge_band, sc.plan.co_band_cells),
+    )
+    for (name, users, table, grid), (want_name, want_users, band, cells) in zip(
+        _group_tables(sc), expected
+    ):
+        assert name == want_name and np.array_equal(users, want_users)
+        assert grid.n_subcarriers == band.size
+        sinr = sc.lam * _sinr_block(sc, want_users, band, cells)
+        assert np.array_equal(table, chunk_rates(sinr, grid, 1.0, n_total=512))
 
 
 def test_sinr_monotone_in_interference():
@@ -256,9 +276,9 @@ def test_effective_chunk_rate_matches_scalar_sinr_loop():
     chunk = 2
     subs = band[chunk * 4:(chunk + 1) * 4]
     direct = sum(
-        np.log2(1.0 + sc.lam * sinr_edge(sc, u, int(n))) for n in subs
+        np.log2(1.0 + sc.lam * edge_sinr_by_hand(sc, u, int(n))) for n in subs
     ) / 512.0
-    assert abs(effective_chunk_rate(sc, u, chunk) - direct) <= 1e-12 * direct
+    assert abs(group_rate(sc, u, chunk) - direct) <= 1e-12 * direct
 
 
 def test_lambda_strictly_degrades_rate():
@@ -290,9 +310,9 @@ def test_multicell_sa_single_centre_user_takes_all_chunks():
     sc = build_scenario(small_params(centre_radius_fraction=1.0), 31, 0)
     alloc = multicell_sa(sc, "proposed")
     assert alloc.edge_assignment is None
-    assert len(alloc.centre_assignment.chunks_of(0)) >= 1
+    assert alloc.centre_assignment.owners.count(0) >= 1
     total = sum(
-        len(alloc.centre_assignment.chunks_of(k)) for k in range(sc.params.n_users)
+        alloc.centre_assignment.owners.count(k) for k in range(sc.params.n_users)
     )
     assert total == sc.plan.m_cc
 
@@ -338,7 +358,7 @@ def test_zero_desired_signal_gives_zero_rate():
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
     sc.gain_sq[u, 0, :] = 0.0
-    assert effective_chunk_rate(sc, u, 0) == 0.0
+    assert group_rate(sc, u, 0) == 0.0
 
 
 def test_reuse1_equals_ffr_without_interference():
