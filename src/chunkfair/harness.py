@@ -187,10 +187,10 @@ class ExperimentConfig:
             # The run transforms each user's taps at N subcarriers.
             frequency_response(np.zeros(profile.tap_count), self.n_subcarriers)
         if not single_cell:
-            layout = multicell.build_layout(self.cell_radius_km, self.intercell_distance_km)
+            multicell.build_layout(self.cell_radius_km, self.intercell_distance_km)
             multicell.ber_gap(self.target_ber)
             for chunk_size in self.chunk_sizes:
-                self.scenario_params(chunk_size).band_plan(layout)
+                self.scenario_params(chunk_size)
             return
         for snr_db in self.snr_db:
             try:
@@ -382,10 +382,14 @@ def _fill_metrics(row: ResultRow, rates: np.ndarray, weights: np.ndarray) -> Non
     row.min_rate = float(rates.min())
     row.min_weighted_rate = metrics.min_weighted_rate(rates, weights)
     row.sum_rate = float(rates.sum())
+    row.deviation = _deviation_or_none(rates, weights)
+
+
+def _deviation_or_none(rates: np.ndarray, weights: np.ndarray) -> Optional[float]:
     try:
-        row.deviation = metrics.deviation(rates, weights)
+        return metrics.deviation(rates, weights)
     except UndefinedMetricError:
-        row.deviation = None
+        return None
 
 
 def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
@@ -412,17 +416,14 @@ def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
             )
             try:
                 if config.scenario == "multi-cell":
-                    rates = multicell.multicell_sa(scenario, sa_name).rates
+                    rates = multicell.multicell_sa(scenario, sa_name)
                 else:
                     rates = multicell.reuse1_baseline(scenario, sa_name)
                 _fill_metrics(row, rates, weights)
                 edge = scenario.edge_users
                 if edge.size:
                     row.min_edge_rate = float(rates[edge].min())
-                    try:
-                        row.edge_deviation = metrics.deviation(rates[edge], weights[edge])
-                    except UndefinedMetricError:
-                        row.edge_deviation = None
+                    row.edge_deviation = _deviation_or_none(rates[edge], weights[edge])
             except ChunkfairError as exc:
                 row.error = _error_text(exc)
             rows.append(row)

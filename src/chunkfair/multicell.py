@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assign import Assignment, ChunkGrid, build_grid, chunk_rates, run_sa
+from .assign import ChunkGrid, build_grid, chunk_rates, run_sa
 from .channel import STREAM_CHANNEL, STREAM_PLACEMENT, UserProfile, frequency_response, generate_taps, substream
 from .errors import ConfigError, InfeasibleError
 
@@ -31,7 +31,6 @@ __all__ = [
     "FfrPlan",
     "ScenarioParams",
     "CellScenario",
-    "MulticellAllocation",
     "build_layout",
     "path_loss_db",
     "place_users",
@@ -52,8 +51,6 @@ REUSE_FACTOR = 3
 class HexLayout:
     """Cell-centre coordinates (km) and derived base-station geometry."""
 
-    radius_km: float
-    intercell_km: float
     centers: np.ndarray        # (19, 2)
     bs_distance_km: np.ndarray # (19,) distance to cell 0's base station
     reuse3_color: np.ndarray   # (19,) in {0, 1, 2}
@@ -86,13 +83,7 @@ def build_layout(radius_km: float, intercell_km: float) -> HexLayout:
     qs = np.rint((centers[:, 0] - centers[:, 1] / math.sqrt(3.0)) / d).astype(int)
     rs = np.rint(centers[:, 1] * 2.0 / (math.sqrt(3.0) * d)).astype(int)
     color = (qs + 2 * rs) % 3
-    return HexLayout(
-        radius_km=float(radius_km),
-        intercell_km=d,
-        centers=centers,
-        bs_distance_km=dist,
-        reuse3_color=color,
-    )
+    return HexLayout(centers=centers, bs_distance_km=dist, reuse3_color=color)
 
 
 def path_loss_db(distance_km: float) -> float:
@@ -113,12 +104,8 @@ def place_users(n_users: int, radius_km: float, rng: np.random.Generator) -> np.
 class FfrPlan:
     """Band split between the centre group and the three edge groups."""
 
-    n_subcarriers: int
-    chunk_size: int
     n_cc: int
     n_ce: int
-    m_cc: int
-    m_ce: int
     centre_band: np.ndarray            # F1 subcarriers
     edge_bands: tuple[np.ndarray, ...] # F2, F3, F4
     cell_edge_slot: np.ndarray         # (19,) index into edge_bands
@@ -126,32 +113,23 @@ class FfrPlan:
 
 
 def band_partition(
-    n_subcarriers: int,
-    chunk_size: int,
-    tau_km: float,
-    radius_km: float,
-    layout: HexLayout,
+    n_subcarriers: int, tau_km: float, radius_km: float, layout: HexLayout
 ) -> FfrPlan:
     """Split N subcarriers into the centre band and reuse-3 edge bands.
 
     The centre band holds ceil(N * (tau/R)^2) subcarriers, matching the
     coverage-area split; each edge band holds floor((N - N_cc) / 3).
-    Raises ConfigError unless 1 <= L <= N and 0 <= tau <= R.
+    The plan does not depend on the chunk size.  Raises ConfigError
+    unless 0 <= tau <= R.
     """
-    n, l = int(n_subcarriers), int(chunk_size)
-    if not 1 <= l <= n:
-        raise ConfigError(f"chunk_size must be in [1, {n}], got {l}")
+    n = int(n_subcarriers)
     if not 0 <= tau_km <= radius_km:
         raise ConfigError(f"tau must lie in [0, {radius_km}], got {tau_km}")
     n_cc = math.ceil(n * (tau_km / radius_km) ** 2)
     n_ce = (n - n_cc) // REUSE_FACTOR
     return FfrPlan(
-        n_subcarriers=n,
-        chunk_size=l,
         n_cc=n_cc,
         n_ce=n_ce,
-        m_cc=n_cc // l,
-        m_ce=n_ce // l,
         centre_band=np.arange(n_cc),
         edge_bands=tuple(
             np.arange(n_cc + b * n_ce, n_cc + (b + 1) * n_ce) for b in range(REUSE_FACTOR)
@@ -194,6 +172,7 @@ class ScenarioParams:
             raise ConfigError("tap_counts and rate_weights must list one entry per user")
         if not 0 <= self.centre_radius_fraction <= 1:
             raise ConfigError("centre_radius_fraction must lie in [0, 1]")
+        ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
 
     @property
     def total_power_watts(self) -> float:
@@ -207,22 +186,17 @@ class ScenarioParams:
     def tau_km(self) -> float:
         return self.centre_radius_fraction * self.cell_radius_km
 
-    def band_plan(self, layout: HexLayout) -> FfrPlan:
-        """The FFR band plan of these params on the given layout."""
-        return band_partition(
-            self.n_subcarriers, self.chunk_size, self.tau_km, self.cell_radius_km, layout
-        )
-
 
 @dataclass(frozen=True)
 class CellScenario:
     """One seeded drop: placements, channels to every base station, and the plan.
 
-    The gap-scaled SINR of each group's band and the group rate tables
-    are computed on first use and kept per edge interferer set, so
+    ``params.chunk_size`` is the only chunk-size input; the plan and the
+    draw do not depend on it.  The gap-scaled SINR of each group's band
+    and the group rate tables are computed on first use and kept in one
+    memo that the scenario shares with its ``with_chunk_size`` views, so
     ``gain_sq`` must not change after the first ``multicell_sa`` or
-    ``reuse1_baseline`` call on the scenario or on any of its
-    ``with_chunk_size`` views.
+    ``reuse1_baseline`` call on any of them.
     """
 
     params: ScenarioParams
@@ -234,22 +208,13 @@ class CellScenario:
     desired_attenuation: np.ndarray     # (K,) path-loss factor of each user's own link
     interferer_attenuation: np.ndarray  # (19,) path-loss factor per base station, 0 for cell 1's
     lam: float
-    master_seed: int
-    trial: int
-    # Gap-scaled SINR per (group, interferer set); shared by every chunk-size view.
-    _sinr: dict = field(default_factory=dict, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # SINR blocks keyed by (group, interferers), rate tables by
+    # (chunk size, interferers); shared by every chunk-size view.
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def with_chunk_size(self, chunk_size: int) -> CellScenario:
-        """The same drop under another chunk size.
-
-        Placement, channels and bands do not depend on the chunk size, so
-        the result shares the draw and its gap-scaled SINR blocks with
-        this scenario; only the params, the band plan's chunk counts and
-        the rate tables change.
-        """
-        params = replace(self.params, chunk_size=chunk_size)
-        return replace(self, params=params, plan=params.band_plan(self.layout))
+        """The same drop, plan and memo under another chunk size."""
+        return replace(self, params=replace(self.params, chunk_size=chunk_size))
 
     @property
     def centre_users(self) -> np.ndarray:
@@ -273,7 +238,7 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
     FFT.
     """
     layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
-    plan = params.band_plan(layout)
+    plan = band_partition(params.n_subcarriers, params.tau_km, params.cell_radius_km, layout)
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
     is_centre = distances <= params.tau_km
@@ -298,8 +263,6 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
         desired_attenuation=np.array([10.0 ** (-0.1 * path_loss_db(d)) for d in distances]),
         interferer_attenuation=interferer_att,
         lam=ber_gap(params.target_ber),
-        master_seed=master_seed,
-        trial=trial,
     )
 
 
@@ -334,54 +297,44 @@ def _group_tables(
     the six co-band cells under FFR, or whatever ``edge_interferers``
     says (the no-FFR baseline passes all 18).  A group without users or
     without a whole chunk in its band gets no table and no grid.  The
-    result is computed once per scenario and edge interferer set, and
+    result is computed once per chunk size and edge interferer set, and
     each gap-scaled SINR block once per draw; both are read-only.
     """
-    plan = scenario.plan
+    plan, memo = scenario.plan, scenario._memo
+    chunk_size = scenario.params.chunk_size
     if edge_interferers is None:
         edge_interferers = plan.co_band_cells
-    key = tuple(int(i) for i in edge_interferers)
-    if key in scenario._tables:
-        return scenario._tables[key]
+    key = (chunk_size, tuple(int(i) for i in edge_interferers))
+    if key in memo:
+        return memo[key]
     edge_band = plan.edge_bands[plan.cell_edge_slot[0]]
     groups = (
-        ("centre", scenario.centre_users, plan.centre_band, plan.m_cc, _ALL_INTERFERERS),
-        ("edge", scenario.edge_users, edge_band, plan.m_ce, edge_interferers),
+        ("centre", scenario.centre_users, plan.centre_band, _ALL_INTERFERERS),
+        ("edge", scenario.edge_users, edge_band, edge_interferers),
     )
     out = []
-    for name, users, band, n_chunks, interferers in groups:
+    for name, users, band, interferers in groups:
         table = grid = None
-        if users.size and n_chunks:
-            grid = build_grid(band.size, plan.chunk_size)
+        if users.size and band.size >= chunk_size:
+            grid = build_grid(band.size, chunk_size)
             sinr_key = (name, tuple(int(i) for i in interferers))
-            if sinr_key not in scenario._sinr:
+            if sinr_key not in memo:
                 scaled = scenario.lam * _sinr_block(scenario, users, band, interferers)
                 scaled.flags.writeable = False
-                scenario._sinr[sinr_key] = scaled
-            table = chunk_rates(
-                scenario._sinr[sinr_key], grid, 1.0, n_total=scenario.params.n_subcarriers
-            )
+                memo[sinr_key] = scaled
+            table = chunk_rates(memo[sinr_key], grid, 1.0, n_total=scenario.params.n_subcarriers)
             table.flags.writeable = False
         out.append((name, users, table, grid))
-    scenario._tables[key] = tuple(out)
-    return scenario._tables[key]
-
-
-@dataclass(frozen=True)
-class MulticellAllocation:
-    """Per-user rates in cell 1 plus the two group assignments."""
-
-    rates: np.ndarray
-    centre_assignment: Assignment | None
-    edge_assignment: Assignment | None
+    memo[key] = tuple(out)
+    return memo[key]
 
 
 def multicell_sa(
     scenario: CellScenario,
     sa_scheme: str = "proposed",
     edge_interferers: np.ndarray | None = None,
-) -> MulticellAllocation:
-    """Assign each group's chunks inside its own band and report user rates.
+) -> np.ndarray:
+    """Per-user rates in cell 1, each group's chunks assigned inside its own band.
 
     The centre group shares the centre band, the edge group shares cell
     1's edge band, and the two problems are solved independently with
@@ -389,24 +342,15 @@ def multicell_sa(
     """
     weights = scenario.weights
     rates = np.zeros(scenario.params.n_users)
-    assignments = []
     for name, users, table, grid in _group_tables(scenario, edge_interferers):
-        assignment = None
-        if users.size:
-            if table is None or grid.n_chunks < users.size:
-                raise InfeasibleError(
-                    f"{users.size} {name} users need at least as many {name} chunks"
-                )
-            assignment = run_sa(sa_scheme, table, weights[users], grid)
-            owners = np.asarray(assignment.owners)
-            for row, user in enumerate(users):
-                rates[user] = table[row, owners == row].sum()
-        assignments.append(assignment)
-    return MulticellAllocation(
-        rates=rates,
-        centre_assignment=assignments[0],
-        edge_assignment=assignments[1],
-    )
+        if not users.size:
+            continue
+        if table is None or grid.n_chunks < users.size:
+            raise InfeasibleError(f"{users.size} {name} users need at least as many {name} chunks")
+        owners = np.asarray(run_sa(sa_scheme, table, weights[users], grid).owners)
+        for row, user in enumerate(users):
+            rates[user] = table[row, owners == row].sum()
+    return rates
 
 
 def reuse1_baseline(scenario: CellScenario, sa_scheme: str = "proposed") -> np.ndarray:
@@ -418,4 +362,4 @@ def reuse1_baseline(scenario: CellScenario, sa_scheme: str = "proposed") -> np.n
     cells.  On identical draws each edge subcarrier's SINR is therefore
     term-wise dominated by its FFR counterpart.
     """
-    return multicell_sa(scenario, sa_scheme, edge_interferers=_ALL_INTERFERERS).rates
+    return multicell_sa(scenario, sa_scheme, edge_interferers=_ALL_INTERFERERS)

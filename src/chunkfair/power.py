@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 _SINGULAR_REL_TOL = 1e-12
+# exact_pa_oracle's stopping rule: the budgets must sum to the total power
+# within this relative tolerance, in at most this many bracket doublings
+# and bisection steps per prune pass.
+_ORACLE_REL_TOL = 1e-12
+_ORACLE_MAX_DOUBLINGS = 200
+_ORACLE_MAX_BISECTIONS = 200
 
 
 @dataclass(frozen=True)
@@ -360,9 +366,6 @@ def exact_pa_oracle(
     gains: np.ndarray,
     weights: np.ndarray,
     total_power: float,
-    rel_tol: float = 1e-12,
-    max_doublings: int = 200,
-    max_bisections: int = 200,
 ) -> PowerAllocation:
     """Exact proportional-rate allocation by bisection on the rate level.
 
@@ -371,12 +374,12 @@ def exact_pa_oracle(
     weighted-rate level t gives
     P_k(t) = v_k + (n_k / g_min,k) * (2**(w_k t / n_k) / W_k - 1),
     and the level is bisected until the budgets sum to the total power
-    within ``rel_tol``.  If the bracket shrinks to two adjacent floats
-    first, no level meets ``rel_tol``; the bracket end whose budgets sum
-    closer to the total power is taken instead.  Whenever the solution
-    would drive a user's budget below its v_k, that user's weakest
-    subcarrier is dropped, its coefficients are refitted and the level
-    re-solved, iterating to a fixpoint.
+    within ``_ORACLE_REL_TOL``.  If the bracket shrinks to two adjacent
+    floats first, no level meets that tolerance; the bracket end whose
+    budgets sum closer to the total power is taken instead.  Whenever
+    the solution would drive a user's budget below its v_k, that user's
+    weakest subcarrier is dropped, its coefficients are refitted and the
+    level re-solved, iterating to a fixpoint.
 
     Each step evaluates the budgets as plain floats and sums them in
     ``ndarray.sum()``'s order; the budget array is built once, at the
@@ -396,7 +399,7 @@ def exact_pa_oracle(
             for k, c in enumerate(coeffs)
         ]
         t_hi = 1.0
-        for _ in range(max_doublings):
+        for _ in range(_ORACLE_MAX_DOUBLINGS):
             total = _total(_level_budgets(fit, t_hi))
             if total > total_power:
                 break
@@ -405,7 +408,7 @@ def exact_pa_oracle(
             raise OracleConvergenceError("failed to bracket the rate level")
         t_lo = 0.0
         level = t_hi
-        for _ in range(max_bisections):
+        for _ in range(_ORACLE_MAX_BISECTIONS):
             t = 0.5 * (t_lo + t_hi)
             if not t_lo < t < t_hi:
                 # The bracket holds two adjacent floats and cannot move.
@@ -417,7 +420,7 @@ def exact_pa_oracle(
             level = t
             total = _total(_level_budgets(fit, t))
             resid = total - total_power
-            if abs(resid) <= rel_tol * total_power:
+            if abs(resid) <= _ORACLE_REL_TOL * total_power:
                 break
             if resid > 0:
                 t_hi = t
@@ -426,7 +429,7 @@ def exact_pa_oracle(
         else:
             raise OracleConvergenceError(
                 f"bisection residual {total - total_power:g} "
-                f"did not reach {rel_tol * total_power:g}"
+                f"did not reach {_ORACLE_REL_TOL * total_power:g}"
             )
         budgets = np.array(_level_budgets(fit, level))
 

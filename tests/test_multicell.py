@@ -18,7 +18,7 @@ from chunkfair import (
     reuse1_baseline,
     substream,
 )
-from chunkfair.assign import build_grid, chunk_rates
+from chunkfair.assign import build_grid, chunk_rates, run_sa
 from chunkfair.multicell import _group_tables, _sinr_block
 
 
@@ -48,7 +48,7 @@ def test_layout_tier_distances():
 
 def test_layout_co_band_cells_are_the_mid_edge_six():
     layout = build_layout(1.0, 2.0)
-    plan = band_partition(512, 4, 0.5, 1.0, layout)
+    plan = band_partition(512, 0.5, 1.0, layout)
     # 1-based cell numbers of cell 1's co-band interferers
     assert (plan.co_band_cells + 1).tolist() == [8, 10, 12, 14, 16, 18]
     assert np.allclose(layout.bs_distance_km[plan.co_band_cells], 2.0 * math.sqrt(3.0))
@@ -95,11 +95,9 @@ def test_placement_group_tags_follow_tau():
 
 def test_band_partition_table_values():
     layout = build_layout(1.0, 2.0)
-    plan = band_partition(512, 4, 0.5, 1.0, layout)
+    plan = band_partition(512, 0.5, 1.0, layout)
     assert plan.n_cc == 128
     assert plan.n_ce == 128
-    assert plan.m_cc == 32
-    assert plan.m_ce == 32
     bands = [plan.centre_band, *plan.edge_bands]
     joined = np.concatenate(bands)
     assert joined.size == np.unique(joined).size  # disjoint
@@ -108,7 +106,7 @@ def test_band_partition_table_values():
 
 def test_band_partition_degenerate_tau_zero():
     layout = build_layout(1.0, 2.0)
-    plan = band_partition(512, 4, 0.0, 1.0, layout)
+    plan = band_partition(512, 0.0, 1.0, layout)
     assert plan.n_cc == 0
     assert plan.n_ce == 512 // 3
 
@@ -116,16 +114,21 @@ def test_band_partition_degenerate_tau_zero():
 def test_band_partition_area_consistency():
     layout = build_layout(1.0, 2.0)
     for tau in (0.1, 0.3, 0.5, 0.7, 0.9):
-        plan = band_partition(512, 4, tau, 1.0, layout)
+        plan = band_partition(512, tau, 1.0, layout)
         assert abs(plan.n_cc - 512 * tau**2) <= 1.0
 
 
 def test_band_partition_rejects_bad_inputs():
     layout = build_layout(1.0, 2.0)
     with pytest.raises(ConfigError):
-        band_partition(512, 4, 1.5, 1.0, layout)
-    with pytest.raises(ConfigError):
-        band_partition(512, 0, 0.5, 1.0, layout)
+        band_partition(512, 1.5, 1.0, layout)
+
+
+def test_scenario_params_reject_chunk_size_outside_one_to_n():
+    for chunk_size in (0, 129):
+        with pytest.raises(ConfigError, match=r"chunk_size must be in \[1, 128\]"):
+            small_params(n_subcarriers=128, chunk_size=chunk_size)
+    assert small_params(n_subcarriers=128, chunk_size=128).chunk_size == 128
 
 
 # ---------------------------------------------------------------- gap factor
@@ -253,8 +256,6 @@ def test_sinr_monotone_in_interference():
 def test_interferer_set_sizes():
     sc = build_scenario(small_params(), 11, 0)
     assert sc.plan.co_band_cells.size == 6
-    # centre formula sums over all 18 other cells
-    assert np.arange(1, 19).size == 18
 
 
 # ---------------------------------------------------------------- rates
@@ -293,28 +294,29 @@ def test_multicell_sa_partitions_bands():
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4, n_users=8,
                                      tap_counts=(4,) * 8,
                                      rate_weights=(1.0,) * 8), 21, 4)
-    alloc = multicell_sa(sc, "proposed")
-    if alloc.centre_assignment is not None:
-        ind = alloc.centre_assignment.indicator()
-        assert np.all(ind.sum(axis=0) == 1)
-    if alloc.edge_assignment is not None:
-        ind = alloc.edge_assignment.indicator()
-        assert np.all(ind.sum(axis=0) == 1)
-    assert np.all(alloc.rates >= 0)
-    # every user belongs to exactly one group and earns its group rate
-    assert alloc.rates[sc.centre_users].sum() + alloc.rates[sc.edge_users].sum() \
-        == pytest.approx(alloc.rates.sum())
+    rates = multicell_sa(sc, "proposed")
+    assert np.all(rates >= 0)
+    # each group's chunks go to exactly one of its users, who earns those chunks' rates
+    for _, users, table, grid in _group_tables(sc):
+        if table is None:
+            continue
+        assignment = run_sa("proposed", table, sc.weights[users], grid)
+        assert np.all(assignment.indicator().sum(axis=0) == 1)
+        owners = np.asarray(assignment.owners)
+        for row, user in enumerate(users):
+            assert rates[user] == table[row, owners == row].sum()
+    assert np.array_equal(np.sort(np.concatenate([sc.centre_users, sc.edge_users])),
+                          np.arange(8))
 
 
 def test_multicell_sa_single_centre_user_takes_all_chunks():
-    sc = build_scenario(small_params(centre_radius_fraction=1.0), 31, 0)
-    alloc = multicell_sa(sc, "proposed")
-    assert alloc.edge_assignment is None
-    assert alloc.centre_assignment.owners.count(0) >= 1
-    total = sum(
-        alloc.centre_assignment.owners.count(k) for k in range(sc.params.n_users)
-    )
-    assert total == sc.plan.m_cc
+    sc = build_scenario(small_params(centre_radius_fraction=1.0, n_users=1, tap_counts=(4,),
+                                     rate_weights=(1.0,)), 31, 0)
+    rates = multicell_sa(sc, "proposed")
+    (_, centre, table, grid), (_, edge, edge_table, _) = _group_tables(sc)
+    assert centre.tolist() == [0] and edge.size == 0 and edge_table is None
+    assert grid.n_chunks == sc.plan.n_cc // 4 == table.shape[1]
+    assert rates[0] == table[0].sum()
 
 
 def test_multicell_sa_infeasible_when_chunks_short():
@@ -365,7 +367,7 @@ def test_reuse1_equals_ffr_without_interference():
     # the two models differ only in the edge interferer set
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4), 37, 2)
     sc.gain_sq[:, 1:, :] = 0.0
-    ffr = multicell_sa(sc, "proposed").rates
+    ffr = multicell_sa(sc, "proposed")
     reuse1 = reuse1_baseline(sc, "proposed")
     assert np.allclose(ffr, reuse1)
 
@@ -405,10 +407,10 @@ def test_chunk_size_views_equal_fresh_draws():
         assert np.array_equal(view.gain_sq, fresh.gain_sq)
         assert np.array_equal(view.distance_km, fresh.distance_km)
         assert np.array_equal(view.is_centre, fresh.is_centre)
-        for name in ("n_cc", "n_ce", "m_cc", "m_ce", "chunk_size"):
-            assert getattr(view.plan, name) == getattr(fresh.plan, name)
+        assert view.plan is drawn.plan
+        assert (view.plan.n_cc, view.plan.n_ce) == (fresh.plan.n_cc, fresh.plan.n_ce)
         for scheme in ("proposed", "shen", "static"):
-            for fn in (lambda sc: multicell_sa(sc, scheme).rates,
+            for fn in (lambda sc: multicell_sa(sc, scheme),
                        lambda sc: reuse1_baseline(sc, scheme)):
                 got, want = _rates_or_error(fn, view), _rates_or_error(fn, fresh)
                 assert type(got) is type(want)
@@ -448,4 +450,13 @@ def test_group_tables_built_once_per_interferer_set():
     for _, _, table, _ in ffr:
         if table is not None:
             assert not table.flags.writeable
-    assert sc.with_chunk_size(8)._tables == {}
+    view = sc.with_chunk_size(8)
+    assert view.plan is sc.plan
+    coarse = _group_tables(view)
+    assert coarse is not ffr and _group_tables(view) is coarse
+    for (_, _, table, grid), (_, _, coarse_table, coarse_grid) in zip(ffr, coarse):
+        if table is not None:
+            assert (grid.chunk_size, coarse_grid.chunk_size) == (4, 8)
+            assert coarse_table.shape[1] == coarse_grid.n_chunks < table.shape[1]
+    # every view reads one memo: a fresh view at the draw's chunk size finds its tables
+    assert _group_tables(view.with_chunk_size(4)) is ffr

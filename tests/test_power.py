@@ -375,7 +375,8 @@ def test_exact_oracle_fairness_survives_pruning():
 def test_exact_oracle_takes_closer_end_of_a_collapsed_bracket():
     # Oracle-small workload input (seed 4000022, trial 5, 0 dB): the bisection
     # bracket shrinks to two adjacent floats with the residual still above
-    # rel_tol * total_power, which used to raise OracleConvergenceError.
+    # the oracle's relative tolerance times total_power, which used to raise
+    # OracleConvergenceError.
     assignment, gains, weights, total_power = _collapsed_bracket_instance()
     alloc = exact_pa_oracle(assignment, gains, weights, total_power)
     assert abs(alloc.budgets.sum() - total_power) <= 1e-9 * total_power
