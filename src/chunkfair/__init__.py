@@ -26,7 +26,6 @@ from .assign import (
 )
 from .channel import (
     ChannelRealization,
-    NoiseModel,
     UserProfile,
     frequency_response,
     generate_taps,

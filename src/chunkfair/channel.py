@@ -29,7 +29,6 @@ __all__ = [
     "STREAM_CHANNEL",
     "STREAM_PLACEMENT",
     "UserProfile",
-    "NoiseModel",
     "ChannelRealization",
     "substream",
     "generate_taps",
@@ -54,20 +53,6 @@ class UserProfile:
             raise ConfigError(f"tap_count must be >= 1, got {self.tap_count}")
         if not 0 < self.rate_weight < math.inf:
             raise ConfigError(f"rate_weight must be finite and > 0, got {self.rate_weight}")
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Per-subcarrier noise power and the total transmit power budget (watts)."""
-
-    noise_power: float
-    total_power: float
-
-    def __post_init__(self):
-        if not self.noise_power > 0:
-            raise ConfigError(f"noise_power must be > 0, got {self.noise_power}")
-        if not self.total_power > 0:
-            raise ConfigError(f"total_power must be > 0, got {self.total_power}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Command-line front end: run experiments, validate configs, refresh goldens."""
+"""Command-line front end: run experiments and validate configs."""
 
 from __future__ import annotations
 
@@ -14,22 +14,6 @@ from .harness import ExperimentConfig, emit_csv, emit_summary_csv, run_experimen
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-# Tiny fixed run backing the golden-CSV fixture used by the test suite.
-GOLDEN_CONFIG = {
-    "scenario": "single-cell",
-    "n_subcarriers": 16,
-    "n_users": 2,
-    "tap_counts": [2, 4],
-    "rate_weights": [1.0, 2.0],
-    "trials": 3,
-    "seed": 20240521,
-    "sa_schemes": ["proposed"],
-    "pa_schemes": ["uniform"],
-    "chunk_sizes": [4],
-    "snr_db": [0.0],
-}
-
 
 def _summary_path(rows_path: Path) -> Path:
     if rows_path.suffix == ".csv":
@@ -62,17 +46,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_golden(args) -> int:
-    if not args.write:
-        print("refusing to touch golden fixtures without --write", file=sys.stderr)
-        return EXIT_CONFIG
-    config = ExperimentConfig.from_dict(GOLDEN_CONFIG)
-    rows, _ = run_experiment(config)
-    emit_csv(rows, args.out)
-    print(f"regenerated golden fixture at {args.out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chunkfair",
@@ -90,11 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a config file and exit")
     p_val.add_argument("--config", required=True, help="JSON config path")
     p_val.set_defaults(func=_cmd_validate)
-
-    p_gold = sub.add_parser("golden", help="regenerate the golden CSV fixture")
-    p_gold.add_argument("--out", required=True, help="fixture path to overwrite")
-    p_gold.add_argument("--write", action="store_true", help="actually write the file")
-    p_gold.set_defaults(func=_cmd_golden)
     return parser
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import functools
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
@@ -21,7 +22,6 @@ import numpy as np
 from . import assign, metrics, multicell, power
 from .channel import (
     STREAM_CHANNEL,
-    NoiseModel,
     UserProfile,
     frequency_response,
     realize_channel,
@@ -67,12 +67,11 @@ def _is_json_kind(value, kind) -> bool:
 class ExperimentConfig:
     """Everything a run needs; see README for the JSON file grammar.
 
-    Single-cell runs sweep ``snr_db`` with per-subcarrier noise power
-    ``noise_power``; the transmit power at a sweep point is
-    P_T = N * noise_power * 10**(snr/10), i.e. snr is the average
-    per-subcarrier SNR under uniform power and unit-energy channels.
-    Multi-cell runs sweep ``chunk_sizes`` instead and always use uniform
-    power.
+    Single-cell runs sweep ``snr_db`` under unit noise power per
+    subcarrier; the transmit power at a sweep point is
+    P_T = N * 10**(snr/10), i.e. snr is the average per-subcarrier SNR
+    under uniform power and unit-energy channels.  Multi-cell runs sweep
+    ``chunk_sizes`` instead and always use uniform power.
     """
 
     scenario: str
@@ -86,7 +85,6 @@ class ExperimentConfig:
     pa_schemes: tuple[str, ...] = ("uniform",)
     chunk_sizes: tuple[int, ...] = (1,)
     snr_db: tuple[float, ...] = ()
-    noise_power: float = 1.0
     oracle_cap: int = 1_000_000
     cell_radius_km: float = 1.0
     intercell_distance_km: float = 2.0
@@ -98,6 +96,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -134,7 +134,7 @@ class ExperimentConfig:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
@@ -142,7 +142,7 @@ class ExperimentConfig:
         """Check the config as a whole, then build what a run builds.
 
         The rules about single inputs (weights, tap counts, chunk sizes,
-        noise power, geometry, target BER) live in the constructors the
+        geometry, target BER, link budget) live in the constructors the
         run uses; building them here raises their ``ConfigError``, so a
         config that validates also runs.
         """
@@ -194,9 +194,11 @@ class ExperimentConfig:
             return
         for snr_db in self.snr_db:
             try:
-                NoiseModel(self.noise_power, self.total_power(snr_db))
+                total_power = self.total_power(snr_db)
             except OverflowError:
-                raise ConfigError(f"snr_db {snr_db} overflows the transmit power") from None
+                total_power = math.inf
+            if not 0 < total_power < math.inf:
+                problems.append(f"snr_db {snr_db} must give a positive finite transmit power")
         for chunk_size in self.chunk_sizes:
             m = assign.build_grid(self.n_subcarriers, chunk_size).n_chunks
             if m < self.n_users:
@@ -211,7 +213,7 @@ class ExperimentConfig:
 
     def total_power(self, snr_db: float) -> float:
         """Single-cell transmit power at one sweep point."""
-        return self.n_subcarriers * self.noise_power * 10.0 ** (snr_db / 10.0)
+        return self.n_subcarriers * 10.0 ** (snr_db / 10.0)
 
     def scenario_params(self, chunk_size: int) -> multicell.ScenarioParams:
         shared = {
@@ -312,7 +314,7 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     for k in range(config.n_users):
         profile = UserProfile(tap_count=config.tap_counts[k], rate_weight=weights[k])
         rng = substream(config.seed, STREAM_CHANNEL, trial, k, 0)
-        gains[k] = realize_channel(profile, n, config.noise_power, rng).gains
+        gains[k] = realize_channel(profile, n, 1.0, rng).gains
 
     rows = []
     for chunk_size in config.chunk_sizes:

@@ -62,8 +62,8 @@ def build_layout(radius_km: float, intercell_km: float) -> HexLayout:
     Second-tier cells alternate mid-edge (distance sqrt(3)*D, odd
     positions 7, 9, ..., 17) and corner (distance 2*D).
     """
-    if not radius_km > 0 or not intercell_km > 0:
-        raise ConfigError("radius and intercell distance must be positive")
+    if not (0 < radius_km < math.inf and 0 < intercell_km < math.inf):
+        raise ConfigError("radius and intercell distance must be positive and finite")
     d = float(intercell_km)
     centers = [(0.0, 0.0)]
     for j in range(6):  # tier 1 at D
@@ -173,6 +173,13 @@ class ScenarioParams:
         if not 0 <= self.centre_radius_fraction <= 1:
             raise ConfigError("centre_radius_fraction must lie in [0, 1]")
         ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
+        try:
+            finite = 0 < self.total_power_watts < math.inf and 0 < self.noise_power_watts < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("bs_power_dbm, noise_density_dbm_hz and subcarrier_spacing_hz "
+                              "must give positive finite powers in watts")
 
     @property
     def total_power_watts(self) -> float:

@@ -21,17 +21,6 @@ def test_profile_validation():
         UserProfile(tap_count=4, rate_weight=0.0)
 
 
-def test_noise_model_validation():
-    from chunkfair import NoiseModel
-
-    model = NoiseModel(noise_power=1e-3, total_power=2.0)
-    assert model.noise_power == 1e-3
-    with pytest.raises(ConfigError):
-        NoiseModel(noise_power=0.0, total_power=1.0)
-    with pytest.raises(ConfigError):
-        NoiseModel(noise_power=1.0, total_power=0.0)
-
-
 def test_single_tap_is_flat():
     rng = substream(11, 0, 0, 0, 0)
     ch = realize_channel(UserProfile(1), 64, 1.0, rng)

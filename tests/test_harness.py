@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from chunkfair import ConfigError, ExperimentConfig, InfeasibleError, cli, run_experiment
-from chunkfair.cli import GOLDEN_CONFIG, main
+from chunkfair.cli import main
 from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_rows.csv"
+DATA = Path(__file__).parent / "data"
+# The golden fixture is the output of `chunkfair run` on this config.
+GOLDEN_CONFIG_PATH = DATA / "golden_config.json"
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 # Small multi-cell run with edge users at every chunk size.
@@ -292,10 +294,9 @@ def test_threads_capped_at_trials_and_below_one_rejected(tmp_path, monkeypatch):
     for threads in (0, -1):
         with pytest.raises(ConfigError, match="threads"):
             run_experiment(config, threads=threads)
-    config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
     out = tmp_path / "rows.csv"
-    assert main(["run", "--config", str(config_path), "--out", str(out), "--threads", "0"]) == 1
+    args = ["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out), "--threads", "0"]
+    assert main(args) == 1
     assert not out.exists()
     assert created == [3, 2]
 
@@ -322,12 +323,10 @@ def test_emit_csv_round_trip_format(tmp_path):
 
 
 def test_golden_fixture_matches(tmp_path):
-    config = ExperimentConfig.from_dict(GOLDEN_CONFIG)
-    rows, _ = run_experiment(config)
-    path = tmp_path / "fresh.csv"
-    emit_csv(rows, path)
-    assert GOLDEN_PATH.exists(), "golden fixture missing; run: chunkfair golden --write"
-    assert path.read_bytes() == GOLDEN_PATH.read_bytes()
+    out = tmp_path / "golden_rows.csv"
+    assert main(["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out)]) == 0
+    for name in ("golden_rows.csv", "golden_rows.summary.csv"):
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("config, digest", [
@@ -488,10 +487,34 @@ def _probe_id(value):
     (SMALL_MULTI_CELL, {"sa_schemes": ["static", "shen", "static"]}),
     (SINGLE_CELL, {"pa_schemes": ["uniform", "proposed", "uniform"]}),
     (SINGLE_CELL, {"rate_weights": [1.0, float("inf")]}),
+    (SINGLE_CELL, {"snr_db": [0.0, float("inf")]}),
+    (SMALL_MULTI_CELL, {"cell_radius_km": float("inf")}),
+    (SMALL_MULTI_CELL, {"intercell_distance_km": float("inf")}),
+    (SMALL_MULTI_CELL, {"bs_power_dbm": float("nan")}),
+    (SMALL_MULTI_CELL, {"bs_power_dbm": float("inf")}),
+    (SMALL_MULTI_CELL, {"bs_power_dbm": -float("inf")}),
+    (SMALL_MULTI_CELL, {"bs_power_dbm": 4000.0}),
+    (SMALL_MULTI_CELL, {"noise_density_dbm_hz": float("nan")}),
+    (SMALL_MULTI_CELL, {"noise_density_dbm_hz": float("inf")}),
+    (SMALL_MULTI_CELL, {"noise_density_dbm_hz": -float("inf")}),
+    (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": 0}),
+    (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": -15000.0}),
+    (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": float("inf")}),
 ], ids=_probe_id)
 def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
+    _assert_rejected(tmp_path, capsys, json.dumps(base | change).encode("utf-8"))
+
+
+@pytest.mark.parametrize("body", [b"3", b"null", b'["scenario", "trials"]', b'{"seed": "\xff"}'],
+                         ids=["number", "null", "list-of-strings", "not-utf-8"])
+def test_validate_and_run_reject_a_file_that_is_no_config_object(tmp_path, capsys, body):
+    _assert_rejected(tmp_path, capsys, body)
+
+
+def _assert_rejected(tmp_path, capsys, body: bytes):
+    """validate and run each exit 1 with one `config error:` line and write no file."""
     config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps(base | change), encoding="utf-8")
+    config_path.write_bytes(body)
     out = tmp_path / "rows.csv"
     for args in (["validate"], ["run", "--out", str(out)]):
         assert main([*args, "--config", str(config_path)]) == 1
@@ -538,21 +561,11 @@ def test_cli_broken_worker_pool_exit_code(tmp_path, monkeypatch, capsys):
         raise BrokenProcessPool("a worker process died")
 
     monkeypatch.setattr(cli, "run_experiment", crash)
-    config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps(GOLDEN_CONFIG), encoding="utf-8")
     out = tmp_path / "rows.csv"
-    args = ["run", "--config", str(config_path), "--out", str(out), "--threads", "2"]
+    args = ["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out), "--threads", "2"]
     assert main(args) == 2
     assert capsys.readouterr().err == "runtime error: a worker process died\n"
     assert not out.exists()
-
-
-def test_cli_golden_requires_write_flag(tmp_path):
-    out = tmp_path / "golden.csv"
-    assert main(["golden", "--out", str(out)]) == 1
-    assert not out.exists()
-    assert main(["golden", "--out", str(out), "--write"]) == 0
-    assert out.exists()
 
 
 def test_cli_seed_override(tmp_path):

@@ -1,8 +1,15 @@
+import argparse
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "chunkfair").glob("*.py"))
+from chunkfair import ExperimentConfig
+from chunkfair.cli import build_parser
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "chunkfair").glob("*.py"))
 
 
 def test_package_holds_no_assert_statements():
@@ -34,3 +41,23 @@ def test_all_lists_exactly_the_public_top_level_names():
         ]
         assert [name for name in public if name not in exported] == [], path.name
     assert checked
+
+
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_exactly_the_config_keys_and_commands():
+    # Every documented key and command exists, and every one that exists is documented.
+    spans = set(re.findall(r"`([^`]+)`", _readme_section("Config format")))
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    snake = {name for name in spans if re.fullmatch(r"[a-z][a-z0-9]*(_[a-z0-9]+)+", name)}
+    assert snake == {name for name in fields if "_" in name}
+    assert {"scenario", "trials", "seed"} <= spans & fields
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    documented = re.findall(r"^chunkfair (\S+)", _readme_section("CLI"), flags=re.M)
+    assert set(documented) == set(subparsers.choices)
