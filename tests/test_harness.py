@@ -407,6 +407,20 @@ def test_summary_normalizes_against_oracle_rows():
     assert normed[0].mean == pytest.approx(float(np.mean(ratios)))
 
 
+def test_no_heuristic_row_beats_the_oracle_row_on_sum_rate():
+    # Each heuristic assignment is one of the oracle's candidates, scored
+    # by the same PA function, so no row may exceed its oracle row.
+    path = Path(__file__).parent.parent / "configs" / "small_oracle_check.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    rows, _ = run_experiment(ExperimentConfig.from_dict({**data, "trials": 6}))
+    oracle = {(r.trial, r.pa): r.sum_rate for r in rows if r.sa == "exhaustive-oracle"}
+    heuristic = [r for r in rows if r.sa != "exhaustive-oracle"]
+    assert len(oracle) == 12 and len(heuristic) == 36
+    assert not any(r.error for r in rows)
+    for r in heuristic:
+        assert r.sum_rate <= oracle[r.trial, r.pa] * (1 + 1e-12), (r.sa, r.pa, r.trial)
+
+
 # ------------------------------------------------------------- cli
 
 def test_cli_validate_and_run(tmp_path, capsys):

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from chunkfair import (
     AllocationError,
+    ChunkfairError,
+    ExperimentConfig,
     InfeasibleError,
+    OracleConvergenceError,
     UserProfile,
     ZeroGainError,
     build_grid,
@@ -17,6 +22,7 @@ from chunkfair import (
     prune_and_waterfill,
     realize_channel,
     repair_negative_budgets,
+    run_experiment,
     solve_power_split,
     static_sa,
     substream,
@@ -24,6 +30,8 @@ from chunkfair import (
     user_rates,
     waterfill_coefficients,
 )
+from chunkfair import power
+from chunkfair.assign import Assignment
 from chunkfair.metrics import deviation
 from chunkfair.power import _check_allocation, _total
 
@@ -419,6 +427,116 @@ def test_exact_oracle_matches_direct_form_bit_for_bit():
             assert a.dtype == b.dtype and np.array_equal(a, b) and a.tobytes() == b.tobytes()
         pruning += bool(want.pruned.any())
     assert pruning >= 20
+
+
+def _random_oracle_instances(count=400, seed=31):
+    """Seeded instances: K 1-9, N <= 99, P / N from 1e-3 to 1e3, weights up to 400."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_users = int(rng.integers(1, 10))
+        n = int(rng.integers(n_users, 100))
+        grid = build_grid(n, int(rng.integers(1, n // n_users + 1)))
+        owners = np.concatenate(
+            [np.arange(n_users), rng.integers(0, n_users, grid.n_chunks - n_users)]
+        )
+        rng.shuffle(owners)
+        assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+        gains = rng.exponential(1.0, (n_users, n)) * 10.0 ** rng.uniform(-3, 3, (n_users, 1))
+        if rng.random() < 0.5:
+            weights = rng.integers(1, 401, n_users).astype(float)
+        else:
+            weights = 1.0 + rng.integers(0, 4, n_users)
+        yield assignment, gains, weights, n * 10.0 ** rng.uniform(-3, 3)
+
+
+def _edge_oracle_instances():
+    """Inputs that reach the oracle's errors and its certificate's guards."""
+    grid = build_grid(8, 2)
+    flat = np.ones((2, 8))
+    ramp = np.vstack([np.ones(8), np.linspace(1.0, 2.0, 8)])
+    for gains, weights, total_power in (
+        (flat, (1e100, 2e100), 8.0),  # the bisection runs out of steps
+        (ramp, (1e80, 3e80), 8.0),
+        (flat, (1e-320, 1e-320), 1e-300),  # no level brackets the power
+        (ramp, (0.0, 1.0), 8.0),  # a budget that does not grow with the level
+        (ramp, (1e-300, 1.0), 8.0),
+        (ramp, (1.0, 3.0), 1e-300),  # the budgets cannot conserve the power
+    ):
+        yield static_sa(2, grid), gains, np.array(weights), total_power
+
+
+def _oracle_outcome(solver, instance):
+    """The allocation's dtypes and bytes, or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            alloc = solver(*instance)
+    except ChunkfairError as exc:
+        return type(exc), str(exc)
+    return tuple((a.dtype, a.tobytes()) for a in (alloc.budgets, alloc.powers, alloc.pruned))
+
+
+def test_exact_oracle_matches_direct_form_on_random_instances():
+    outcomes = []
+    for instance in [*_random_oracle_instances(), *_edge_oracle_instances()]:
+        got = _oracle_outcome(exact_pa_oracle, instance)
+        assert got == _oracle_outcome(exact_pa_oracle_direct, instance)
+        outcomes.append(got[0])
+    assert outcomes.count(OracleConvergenceError) == 3
+    assert AllocationError in outcomes
+
+
+@pytest.mark.parametrize(
+    "misplace",
+    [lambda t: t * (1.0 + 1e-6), lambda t: t * (1.0 - 1e-6), lambda t: math.nan],
+    ids=["above", "below", "nan"],
+)
+def test_exact_oracle_survives_a_wrong_newton_root(monkeypatch, misplace):
+    # A misplaced root fails the window's certificate on at least one side;
+    # that side is then evaluated step by step, so no byte moves.
+    instances = [*_exact_oracle_instances(), *_random_oracle_instances(count=80)]
+    want = [_oracle_outcome(exact_pa_oracle, instance) for instance in instances]
+    newton_root = power._newton_root
+
+    def wrong_root(*args):
+        found = newton_root(*args)
+        return None if found is None else (misplace(found[0]), found[1])
+
+    monkeypatch.setattr(power, "_newton_root", wrong_root)
+    assert [_oracle_outcome(exact_pa_oracle, instance) for instance in instances] == want
+
+
+def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch):
+    # The oracle-small benchmark workload at its default seed.  Bisecting
+    # with every step evaluated took 129,944 budget evaluations here.
+    config = ExperimentConfig.from_dict({
+        "scenario": "single-cell",
+        "n_subcarriers": 12,
+        "n_users": 2,
+        "tap_counts": [2, 4],
+        "rate_weights": [1.0, 2.0],
+        "trials": 12,
+        "seed": 7,
+        "sa_schemes": ["proposed", "shen", "static", "exhaustive-oracle"],
+        "pa_schemes": ["uniform", "exact-oracle"],
+        "chunk_sizes": [2],
+        "snr_db": [0.0],
+    })
+    counts = {"oracle": 0, "budgets": 0}
+    oracle, level_budgets = power.exact_pa_oracle, power._level_budgets
+
+    def counted_oracle(*args):
+        counts["oracle"] += 1
+        return oracle(*args)
+
+    def counted_budgets(fit, t):
+        counts["budgets"] += 1
+        return level_budgets(fit, t)
+
+    monkeypatch.setattr(power, "exact_pa_oracle", counted_oracle)
+    monkeypatch.setattr(power, "_level_budgets", counted_budgets)
+    run_experiment(config)
+    assert counts["oracle"] == 780
+    assert counts["budgets"] <= 129_944 // 3
 
 
 def test_budget_total_sums_in_ndarray_order():
