@@ -47,6 +47,9 @@ __all__ = [
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
 PA_SCHEMES = ("proposed", "uniform", "exact-oracle")
 SCENARIOS = ("single-cell", "multi-cell", "multi-cell-no-FFR")
+# The keys only one kind of run reads; the other kind takes them at their defaults only.
+_SINGLE_CELL_KEYS = ("snr_db", "oracle_cap")
+_MULTI_CELL_KEYS = tuple(f.name for f in fields(multicell.LinkBudget))
 
 # What a JSON value of each field type must be: (one value, a list of them).
 _JSON_KINDS = {
@@ -63,15 +66,16 @@ def _is_json_kind(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(multicell.LinkBudget):
     """Everything a run needs; see README for the JSON file grammar.
 
     Single-cell runs sweep ``snr_db`` under unit noise power per
     subcarrier; the transmit power at a sweep point is
     P_T = N * 10**(snr/10), i.e. snr is the average per-subcarrier SNR
     under uniform power and unit-energy channels.  Multi-cell runs sweep
-    ``chunk_sizes`` instead and always use uniform power.
+    ``chunk_sizes`` instead, always use uniform power, and read the
+    link-budget keys inherited from ``multicell.LinkBudget``.
     """
 
     scenario: str
@@ -86,13 +90,6 @@ class ExperimentConfig:
     chunk_sizes: tuple[int, ...] = (1,)
     snr_db: tuple[float, ...] = ()
     oracle_cap: int = 1_000_000
-    cell_radius_km: float = 1.0
-    intercell_distance_km: float = 2.0
-    centre_radius_fraction: float = 0.5
-    target_ber: float = 1e-6
-    bs_power_dbm: float = 43.0
-    noise_density_dbm_hz: float = -174.0
-    subcarrier_spacing_hz: float = 15e3
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -141,10 +138,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check the config as a whole, then build what a run builds.
 
-        The rules about single inputs (weights, tap counts, chunk sizes,
-        geometry, target BER, link budget) live in the constructors the
-        run uses; building them here raises their ``ConfigError``, so a
-        config that validates also runs.
+        Keys the scenario does not read must keep their defaults.  Rules
+        about single inputs (weights, chunk sizes, geometry, target BER,
+        link budget) live in the constructors the run uses; building them
+        here raises their ``ConfigError``, so a config that validates runs.
         """
         single_cell = self.scenario == "single-cell"
         problems = []
@@ -179,16 +176,23 @@ class ExperimentConfig:
             problems.append("exhaustive oracle is only available single-cell")
         if not single_cell and tuple(self.pa_schemes) != ("uniform",):
             problems.append("multi-cell runs use uniform power only")
+        if any(tap_count > self.n_subcarriers for tap_count in self.tap_counts):
+            problems.append(f"tap counts {list(self.tap_counts)} must not exceed n_subcarriers")
+        other_keys = _MULTI_CELL_KEYS if single_cell else _SINGLE_CELL_KEYS
+        unread = [f.name for f in fields(self)
+                  if f.name in other_keys and getattr(self, f.name) != f.default]
+        if unread:
+            problems.append(f"{self.scenario} runs do not read {unread}; drop them")
         if problems:
             raise ConfigError("; ".join(problems))
 
         for tap_count, weight in zip(self.tap_counts, self.rate_weights):
             profile = UserProfile(tap_count=tap_count, rate_weight=weight)
-            # The run transforms each user's taps at N subcarriers.
-            frequency_response(np.zeros(profile.tap_count), self.n_subcarriers)
+            try:  # the run transforms each user's taps at N subcarriers
+                frequency_response(np.zeros(profile.tap_count), self.n_subcarriers)
+            except ValueError as exc:  # numpy refuses an array it cannot index
+                raise ConfigError(f"n_subcarriers {self.n_subcarriers} is too large: {exc}") from None
         if not single_cell:
-            multicell.build_layout(self.cell_radius_km, self.intercell_distance_km)
-            multicell.ber_gap(self.target_ber)
             for chunk_size in self.chunk_sizes:
                 self.scenario_params(chunk_size)
             return
@@ -216,12 +220,8 @@ class ExperimentConfig:
         return self.n_subcarriers * 10.0 ** (snr_db / 10.0)
 
     def scenario_params(self, chunk_size: int) -> multicell.ScenarioParams:
-        shared = {
-            f.name: getattr(self, f.name)
-            for f in fields(multicell.ScenarioParams)
-            if f.name != "chunk_size"
-        }
-        return multicell.ScenarioParams(chunk_size=chunk_size, **shared)
+        names = {f.name for f in fields(multicell.ScenarioParams)} - {"chunk_size"}
+        return multicell.ScenarioParams(chunk_size=chunk_size, **{n: getattr(self, n) for n in names})
 
 
 @dataclass

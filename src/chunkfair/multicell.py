@@ -29,6 +29,7 @@ from .errors import ConfigError, InfeasibleError
 __all__ = [
     "HexLayout",
     "FfrPlan",
+    "LinkBudget",
     "ScenarioParams",
     "CellScenario",
     "build_layout",
@@ -151,14 +152,9 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 @dataclass(frozen=True)
-class ScenarioParams:
-    """Inputs of one multi-cell drop, before any randomness."""
+class LinkBudget:
+    """Multi-cell geometry, target BER and powers; the one place their defaults are stated."""
 
-    n_subcarriers: int
-    chunk_size: int
-    n_users: int
-    tap_counts: tuple[int, ...]
-    rate_weights: tuple[float, ...]
     cell_radius_km: float = 1.0
     intercell_distance_km: float = 2.0
     centre_radius_fraction: float = 0.5
@@ -166,20 +162,6 @@ class ScenarioParams:
     bs_power_dbm: float = 43.0
     noise_density_dbm_hz: float = -174.0
     subcarrier_spacing_hz: float = 15e3
-
-    def __post_init__(self):
-        if len(self.tap_counts) != self.n_users or len(self.rate_weights) != self.n_users:
-            raise ConfigError("tap_counts and rate_weights must list one entry per user")
-        if not 0 <= self.centre_radius_fraction <= 1:
-            raise ConfigError("centre_radius_fraction must lie in [0, 1]")
-        ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
-        try:
-            finite = 0 < self.total_power_watts < math.inf and 0 < self.noise_power_watts < math.inf
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ConfigError("bs_power_dbm, noise_density_dbm_hz and subcarrier_spacing_hz "
-                              "must give positive finite powers in watts")
 
     @property
     def total_power_watts(self) -> float:
@@ -192,6 +174,33 @@ class ScenarioParams:
     @property
     def tau_km(self) -> float:
         return self.centre_radius_fraction * self.cell_radius_km
+
+
+@dataclass(frozen=True, kw_only=True)
+class ScenarioParams(LinkBudget):
+    """Inputs of one multi-cell drop, before any randomness; construction checks every range."""
+
+    n_subcarriers: int
+    chunk_size: int
+    n_users: int
+    tap_counts: tuple[int, ...]
+    rate_weights: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.tap_counts) != self.n_users or len(self.rate_weights) != self.n_users:
+            raise ConfigError("tap_counts and rate_weights must list one entry per user")
+        if not 0 <= self.centre_radius_fraction <= 1:
+            raise ConfigError("centre_radius_fraction must lie in [0, 1]")
+        build_layout(self.cell_radius_km, self.intercell_distance_km)
+        ber_gap(self.target_ber)
+        ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
+        try:
+            finite = 0 < self.total_power_watts < math.inf and 0 < self.noise_power_watts < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError("bs_power_dbm, noise_density_dbm_hz and subcarrier_spacing_hz "
+                              "must give positive finite powers in watts")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
 DATA = Path(__file__).parent / "data"
 # The golden fixture is the output of `chunkfair run` on this config.
 GOLDEN_CONFIG_PATH = DATA / "golden_config.json"
+GOLDEN_CONFIG = json.loads(GOLDEN_CONFIG_PATH.read_text(encoding="utf-8"))
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 # Small multi-cell run with edge users at every chunk size.
@@ -514,6 +515,13 @@ def _probe_id(value):
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": 0}),
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": -15000.0}),
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": float("inf")}),
+    # Keys the scenario does not read must keep their defaults.
+    (SINGLE_CELL, {"bs_power_dbm": float("nan"), "cell_radius_km": -1, "target_ber": 3.0}),
+    (SMALL_MULTI_CELL, {"oracle_cap": -5, "snr_db": [3, 7]}),
+    # Sizes numpy refuses to allocate; 2**62 is refused at once, without touching memory.
+    (GOLDEN_CONFIG, {"tap_counts": [2, 2**62]}),
+    (GOLDEN_CONFIG, {"n_subcarriers": 2**62}),
+    (SMALL_MULTI_CELL, {"n_subcarriers": 2**62}),
 ], ids=_probe_id)
 def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
     _assert_rejected(tmp_path, capsys, json.dumps(base | change).encode("utf-8"))
@@ -582,9 +590,8 @@ def test_cli_broken_worker_pool_exit_code(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_seed_override(tmp_path):
-    config_path = tmp_path / "c.json"
-    config_path.write_text(json.dumps({
+@pytest.mark.parametrize("config", [
+    {
         "scenario": "single-cell",
         "n_subcarriers": 16,
         "n_users": 2,
@@ -596,7 +603,13 @@ def test_cli_seed_override(tmp_path):
         "pa_schemes": ["uniform"],
         "chunk_sizes": [4],
         "snr_db": [0.0],
-    }), encoding="utf-8")
+    },
+    # --seed rebuilds the config from all its fields, unread keys at their defaults.
+    MULTI_CELL | {"trials": 1, "bs_power_dbm": 40.0},
+], ids=_probe_id)
+def test_cli_seed_override(tmp_path, config):
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     assert main(["run", "--config", str(config_path), "--out", str(out_a), "--seed", "99"]) == 0

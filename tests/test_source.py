@@ -5,7 +5,7 @@ import importlib
 import re
 from pathlib import Path
 
-from chunkfair import ExperimentConfig
+from chunkfair import ExperimentConfig, harness
 from chunkfair.cli import build_parser
 
 ROOT = Path(__file__).parent.parent
@@ -50,11 +50,17 @@ def _readme_section(title: str) -> str:
 
 def test_readme_names_exactly_the_config_keys_and_commands():
     # Every documented key and command exists, and every one that exists is documented.
-    spans = set(re.findall(r"`([^`]+)`", _readme_section("Config format")))
+    section = _readme_section("Config format")
+    spans = set(re.findall(r"`([^`]+)`", section))
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     snake = {name for name in spans if re.fullmatch(r"[a-z][a-z0-9]*(_[a-z0-9]+)+", name)}
     assert snake == {name for name in fields if "_" in name}
     assert {"scenario", "trials", "seed"} <= spans & fields
+    # Each scenario's own table lists the keys validate holds the other scenario to defaults on.
+    for title, own_keys in (("Single-cell", harness._SINGLE_CELL_KEYS),
+                            ("Multi-cell", harness._MULTI_CELL_KEYS)):
+        table = section.split(f"\n### {title} only keys\n", 1)[1].split("\n### ", 1)[0]
+        assert set(re.findall(r"^\| `(\w+)` \|", table, flags=re.M)) == set(own_keys), title
 
     (subparsers,) = [
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
