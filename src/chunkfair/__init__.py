@@ -44,7 +44,7 @@ from .errors import (
     ZeroGainError,
 )
 from .harness import ExperimentConfig, ResultRow, emit_csv, run_experiment
-from .metrics import deviation, mean_ci, min_weighted_rate, normalize_vs_oracle
+from .metrics import deviation, mean_ci, min_weighted_rate
 from .multicell import (
     CellScenario,
     FfrPlan,

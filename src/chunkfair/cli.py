@@ -6,6 +6,7 @@ import argparse
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import ChunkfairError, ConfigError
@@ -24,8 +25,7 @@ def _summary_path(rows_path: Path) -> Path:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     if args.seed is not None:
-        data = config.__dict__ | {"seed": args.seed}
-        config = ExperimentConfig.from_dict(data)
+        config = replace(config, seed=args.seed)
     out = Path(args.out)
     started = time.perf_counter()
     rows, summary = run_experiment(config, threads=args.threads)

@@ -14,7 +14,7 @@ import concurrent.futures
 import functools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -76,6 +76,13 @@ class ExperimentConfig(multicell.LinkBudget):
     under uniform power and unit-energy channels.  Multi-cell runs sweep
     ``chunk_sizes`` instead, always use uniform power, and read the
     link-budget keys inherited from ``multicell.LinkBudget``.
+
+    Construction checks the config: first as a whole (keys the scenario
+    does not read must keep their defaults), then by building what a run
+    builds.  Rules about single inputs (weights, chunk sizes, geometry,
+    target BER, link budget) live in the constructors the run uses and
+    raise their ``ConfigError`` here, so every config that constructs
+    runs.  A multi-cell check keeps what it built as ``chunk_params``.
     """
 
     scenario: str
@@ -120,11 +127,9 @@ class ExperimentConfig(multicell.LinkBudget):
         if problems:
             raise ConfigError("; ".join(problems))
         try:
-            config = cls(**data)
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
-        config.validate()
-        return config
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -135,14 +140,7 @@ class ExperimentConfig(multicell.LinkBudget):
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
-    def validate(self) -> None:
-        """Check the config as a whole, then build what a run builds.
-
-        Keys the scenario does not read must keep their defaults.  Rules
-        about single inputs (weights, chunk sizes, geometry, target BER,
-        link budget) live in the constructors the run uses; building them
-        here raises their ``ConfigError``, so a config that validates runs.
-        """
+    def __post_init__(self):
         single_cell = self.scenario == "single-cell"
         problems = []
         if self.scenario not in SCENARIOS:
@@ -193,8 +191,7 @@ class ExperimentConfig(multicell.LinkBudget):
             except ValueError as exc:  # numpy refuses an array it cannot index
                 raise ConfigError(f"n_subcarriers {self.n_subcarriers} is too large: {exc}") from None
         if not single_cell:
-            for chunk_size in self.chunk_sizes:
-                self.scenario_params(chunk_size)
+            self.chunk_params  # building each chunk size's ScenarioParams checks it
             return
         for snr_db in self.snr_db:
             try:
@@ -219,9 +216,15 @@ class ExperimentConfig(multicell.LinkBudget):
         """Single-cell transmit power at one sweep point."""
         return self.n_subcarriers * 10.0 ** (snr_db / 10.0)
 
-    def scenario_params(self, chunk_size: int) -> multicell.ScenarioParams:
+    @functools.cached_property
+    def chunk_params(self) -> tuple[multicell.ScenarioParams, ...]:
+        """One multi-cell ``ScenarioParams`` per chunk size, in ``chunk_sizes`` order.
+
+        Not a field: equality, ``fields()`` and the JSON grammar ignore it.
+        """
         names = {f.name for f in fields(multicell.ScenarioParams)} - {"chunk_size"}
-        return multicell.ScenarioParams(chunk_size=chunk_size, **{n: getattr(self, n) for n in names})
+        shared = {n: getattr(self, n) for n in names}
+        return tuple(multicell.ScenarioParams(chunk_size=size, **shared) for size in self.chunk_sizes)
 
 
 @dataclass
@@ -397,21 +400,20 @@ def _deviation_or_none(rates: np.ndarray, weights: np.ndarray) -> Optional[float
 def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     """All rows of one multi-cell trial across chunk sizes and SA schemes.
 
-    The network is drawn once; every chunk size sees the same draw.
+    The network is drawn once; every chunk size sees the same draw
+    through a view that swaps in that chunk size's checked params.
     """
     weights = np.asarray(config.rate_weights, dtype=float)
-    drawn = multicell.build_scenario(
-        config.scenario_params(config.chunk_sizes[0]), config.seed, trial
-    )
+    drawn = multicell.build_scenario(config.chunk_params[0], config.seed, trial)
     rows = []
-    for chunk_size in config.chunk_sizes:
-        scenario = drawn.with_chunk_size(chunk_size)
+    for params in config.chunk_params:
+        scenario = replace(drawn, params=params)
         for sa_name in config.sa_schemes:
             row = ResultRow(
                 scenario=config.scenario,
                 sa=sa_name,
                 pa="uniform",
-                chunk_size=chunk_size,
+                chunk_size=params.chunk_size,
                 snr_db=None,
                 trial=trial,
                 seed=config.seed,
@@ -451,7 +453,6 @@ def run_experiment(
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    config.validate()
     workers = min(threads, config.trials)
     if workers == 1:
         per_trial = [_trial_rows(config, t) for t in range(config.trials)]
@@ -498,7 +499,7 @@ def _metric_values(key: tuple, groups: dict[tuple, list[ResultRow]]):
     for name in _ORACLE_NORMALIZED:
         pairs = [(getattr(r, name), getattr(ref, name)) for r, ref in paired]
         yield name + "_vs_oracle", [
-            metrics.normalize_vs_oracle(value, ref_value)
+            value / ref_value
             for value, ref_value in pairs
             if value is not None and ref_value is not None and ref_value > 0
         ]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import UndefinedMetricError
 
-__all__ = ["deviation", "min_weighted_rate", "normalize_vs_oracle", "mean_ci"]
+__all__ = ["deviation", "min_weighted_rate", "mean_ci"]
 
 
 def deviation(rates: np.ndarray, weights: np.ndarray) -> float:
@@ -36,15 +36,6 @@ def min_weighted_rate(rates: np.ndarray, weights: np.ndarray) -> float:
     rates = np.asarray(rates, dtype=float)
     weights = np.asarray(weights, dtype=float)
     return float((rates / weights).min())
-
-
-def normalize_vs_oracle(value, oracle_value):
-    """Ratio of a scheme's value to the oracle's; may exceed one."""
-    oracle = np.asarray(oracle_value, dtype=float)
-    if np.any(oracle <= 0):
-        raise UndefinedMetricError("oracle reference must be positive")
-    out = np.asarray(value, dtype=float) / oracle
-    return float(out) if out.ndim == 0 else out
 
 
 def mean_ci(values) -> tuple[float, float]:

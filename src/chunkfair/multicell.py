@@ -18,7 +18,7 @@ the BER-dependent gap factor before the log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -208,11 +208,13 @@ class CellScenario:
     """One seeded drop: placements, channels to every base station, and the plan.
 
     ``params.chunk_size`` is the only chunk-size input; the plan and the
-    draw do not depend on it.  The gap-scaled SINR of each group's band
-    and the group rate tables are computed on first use and kept in one
-    memo that the scenario shares with its ``with_chunk_size`` views, so
-    ``gain_sq`` must not change after the first ``multicell_sa`` or
-    ``reuse1_baseline`` call on any of them.
+    draw do not depend on it.  A view of the drop under another chunk
+    size is ``dataclasses.replace(drawn, params=p)``, where ``p`` differs
+    from ``drawn.params`` only in ``chunk_size``; it shares the drop's
+    arrays, plan and memo.  The gap-scaled SINR of each group's band and
+    the group rate tables are computed on first use and kept in that
+    memo, so ``gain_sq`` must not change after the first ``multicell_sa``
+    or ``reuse1_baseline`` call on any view.
     """
 
     params: ScenarioParams
@@ -227,10 +229,6 @@ class CellScenario:
     # SINR blocks keyed by (group, interferers), rate tables by
     # (chunk size, interferers); shared by every chunk-size view.
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def with_chunk_size(self, chunk_size: int) -> CellScenario:
-        """The same drop, plan and memo under another chunk size."""
-        return replace(self, params=replace(self.params, chunk_size=chunk_size))
 
     @property
     def centre_users(self) -> np.ndarray:

@@ -132,7 +132,7 @@ def waterfill_coefficients(ordered: OrderedGains) -> WaterfillCoefficients:
     g1 = float(g[0])
     if g1 <= 0:
         raise ZeroGainError("zero-gain subcarrier in active set; drop it first")
-    v = float(((g[1:] - g1) / (g[1:] * g1)).sum())
+    v = _waterfill_v(g)
     e = float((g / g1).sum())
     log2_w = float(np.log2(g[1:] / g1).sum()) / g.size
     return WaterfillCoefficients(n_active=g.size, g_min=g1, v=v, e=e, log2_w=log2_w)
@@ -227,6 +227,16 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return budgets, mask
 
 
+def _waterfill_v(g: np.ndarray) -> float:
+    """Power that lifts every gain of the ascending ``g`` to the weakest one's water level."""
+    return float(((g[1:] - g[0]) / (g[1:] * g[0])).sum())
+
+
+def _waterfill(budget: float, v: float, g: np.ndarray) -> np.ndarray:
+    """Powers of a budget water-filled over the ascending active gains ``g`` with their ``v``."""
+    return (budget - v) / g.size + (g - g[0]) / (g * g[0])
+
+
 def prune_and_waterfill(
     budget: float,
     ordered: OrderedGains,
@@ -251,14 +261,11 @@ def prune_and_waterfill(
     powers = np.zeros(g.size)
     start = 0
     while True:
-        active = g[start:]
-        v = float(((active[1:] - active[0]) / (active[1:] * active[0])).sum())
-        if budget >= v or active.size == 1:
+        v = _waterfill_v(g[start:])
+        if budget >= v or start == g.size - 1:
             break
         start += 1  # weakest gain leaves the active set
-    active = g[start:]
-    p1 = (budget - v) / active.size
-    powers[start:] = p1 + (active - active[0]) / (active * active[0])
+    powers[start:] = _waterfill(budget, v, g[start:])
     return powers, start
 
 
@@ -577,10 +584,8 @@ def exact_pa_oracle(
             budgets = np.array(budgets)
             violations = [k for k in range(n_users) if budgets[k] < floors[k]]
         if not violations:
-            # prune_and_waterfill's first v is the same float as c.v, so a
-            # budget of at least v_k prunes nothing more.
             per_user = [
-                (og, prune_and_waterfill(max(budgets[k], coeffs[k].v), og)[0])
+                (og, _waterfill(max(budgets[k], coeffs[k].v), coeffs[k].v, og.values))
                 for k, og in enumerate(ordered)
             ]
             powers = _scatter(assignment, per_user, n_users)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import runpy
@@ -93,6 +94,17 @@ def test_config_oracle_cap_guard():
 def test_config_per_user_lists_checked():
     with pytest.raises(ConfigError, match="per user"):
         tiny_config(tap_counts=[2])
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"target_ber": 3.0}, "do not read"),
+], ids=["trials", "target_ber"])
+def test_config_is_checked_when_constructed(change, message):
+    base = tiny_config()
+    data = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**data | change)
 
 
 def test_config_from_file_and_bad_json(tmp_path):
@@ -192,6 +204,30 @@ def test_multicell_run_draws_each_trial_once(monkeypatch):
     rows, _ = run_experiment(config)
     assert draws == [0, 1]
     assert len(rows) == 12
+
+
+def test_multicell_run_reuses_the_checked_params(monkeypatch):
+    # The config's check builds each chunk size's ScenarioParams; a run
+    # builds none and one layout per drawn trial.
+    from chunkfair import multicell
+
+    config = ExperimentConfig.from_dict(MULTI_CELL)
+    counts = {"params": 0, "layouts": 0}
+    post_init, build_layout = multicell.ScenarioParams.__post_init__, multicell.build_layout
+
+    def counting_post_init(params):
+        counts["params"] += 1
+        post_init(params)
+
+    def counting_build_layout(*args):
+        counts["layouts"] += 1
+        return build_layout(*args)
+
+    monkeypatch.setattr(multicell.ScenarioParams, "__post_init__", counting_post_init)
+    monkeypatch.setattr(multicell, "build_layout", counting_build_layout)
+    rows, _ = run_experiment(config)
+    assert counts == {"params": 0, "layouts": config.trials}
+    assert len(rows) == config.trials * len(config.chunk_sizes) * len(config.sa_schemes)
 
 
 def _counting_run_sa(monkeypatch, fail=()):

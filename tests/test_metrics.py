@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chunkfair import UndefinedMetricError, deviation, mean_ci, min_weighted_rate, normalize_vs_oracle
+from chunkfair import UndefinedMetricError, deviation, mean_ci, min_weighted_rate
 
 from oracles import deviation_direct
 
@@ -80,16 +80,6 @@ def test_min_weighted_rate():
         r = rng.random(6)
         w = rng.random(6) + 0.1
         assert min_weighted_rate(r, w) == min(a / b for a, b in zip(r, w))
-
-
-def test_normalize_vs_oracle():
-    assert normalize_vs_oracle(2.0, 2.0) == 1.0
-    assert normalize_vs_oracle(0.0, 3.0) == 0.0
-    assert normalize_vs_oracle(4.5, 3.0) == 1.5  # may exceed one
-    out = normalize_vs_oracle(np.array([1.0, 2.0]), np.array([2.0, 2.0]))
-    assert np.allclose(out, [0.5, 1.0])
-    with pytest.raises(UndefinedMetricError):
-        normalize_vs_oracle(1.0, 0.0)
 
 
 def test_mean_ci():

@@ -389,6 +389,11 @@ def test_scenario_determinism():
 
 # ---------------------------------------------------------------- one draw, many chunk sizes
 
+def _view(scenario, chunk_size):
+    """The same drop under another chunk size, made as the harness makes its views."""
+    return dataclasses.replace(scenario, params=dataclasses.replace(scenario.params, chunk_size=chunk_size))
+
+
 def _rates_or_error(fn, scenario):
     try:
         return fn(scenario)
@@ -400,7 +405,7 @@ def test_chunk_size_views_equal_fresh_draws():
     base = small_params(n_subcarriers=128, chunk_size=1)
     drawn = build_scenario(base, 43, 6)
     for chunk_size in (1, 2, 3, 5, 7, 8, 12):
-        view = drawn.with_chunk_size(chunk_size)
+        view = _view(drawn, chunk_size)
         fresh = build_scenario(dataclasses.replace(base, chunk_size=chunk_size), 43, 6)
         assert view.params == fresh.params
         assert view.gain_sq is drawn.gain_sq
@@ -432,7 +437,7 @@ def test_chunk_size_views_share_sinr_blocks(monkeypatch):
                                         tap_counts=(4,) * 6, rate_weights=(1.0,) * 6), 5, 4)
     assert drawn.centre_users.size and drawn.edge_users.size
     for chunk_size in (1, 2, 4, 8):
-        view = drawn.with_chunk_size(chunk_size)
+        view = _view(drawn, chunk_size)
         multicell_sa(view)
         reuse1_baseline(view)
     # Centre band, FFR edge band and no-FFR edge band, each once per draw.
@@ -450,7 +455,7 @@ def test_group_tables_built_once_per_interferer_set():
     for _, _, table, _ in ffr:
         if table is not None:
             assert not table.flags.writeable
-    view = sc.with_chunk_size(8)
+    view = _view(sc, 8)
     assert view.plan is sc.plan
     coarse = _group_tables(view)
     assert coarse is not ffr and _group_tables(view) is coarse
@@ -459,4 +464,4 @@ def test_group_tables_built_once_per_interferer_set():
             assert (grid.chunk_size, coarse_grid.chunk_size) == (4, 8)
             assert coarse_table.shape[1] == coarse_grid.n_chunks < table.shape[1]
     # every view reads one memo: a fresh view at the draw's chunk size finds its tables
-    assert _group_tables(view.with_chunk_size(4)) is ffr
+    assert _group_tables(_view(view, 4)) is ffr
