@@ -303,13 +303,42 @@ def emit_summary_csv(rows: Iterable[SummaryRow], path) -> None:
     _write_csv(rows, SUMMARY_COLUMNS, path)
 
 
+def _row(config, trial, sa, pa, chunk_size, snr_db, weights, rates_of, edge=None) -> ResultRow:
+    """One result row: the metrics of ``rates_of()``, or ``"<Type>: <message>"`` of its library error.
+
+    The edge metrics cover the users that ``edge`` indexes, when there are any.
+    """
+    row = ResultRow(config.scenario, sa, pa, chunk_size, snr_db, trial, config.seed)
+    try:
+        rates = rates_of()
+    except ChunkfairError as exc:
+        row.error = f"{type(exc).__name__}: {exc}"
+        return row
+    row.rates = tuple(float(r) for r in rates)
+    row.min_rate = float(rates.min())
+    row.min_weighted_rate = metrics.min_weighted_rate(rates, weights)
+    row.sum_rate = float(rates.sum())
+    row.deviation = _deviation_or_none(rates, weights)
+    if edge is not None and edge.size:
+        row.min_edge_rate = float(rates[edge].min())
+        row.edge_deviation = _deviation_or_none(rates[edge], weights[edge])
+    return row
+
+
+def _deviation_or_none(rates: np.ndarray, weights: np.ndarray) -> Optional[float]:
+    try:
+        return metrics.deviation(rates, weights)
+    except UndefinedMetricError:
+        return None
+
+
 def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     """All rows of one single-cell trial across chunk sizes and SNR points.
 
     Each greedy or static SA runs once per sweep point and its
-    assignment serves every PA scheme; an SA that raises writes the same
-    error row for each of them.  The exhaustive oracle searches per PA
-    scheme, since its result depends on the PA.
+    assignment serves every PA scheme; an SA that raises puts the same
+    error on the row of each of them.  The exhaustive oracle searches
+    per PA scheme, since its result depends on the PA.
     """
     weights = np.asarray(config.rate_weights, dtype=float)
     n = config.n_subcarriers
@@ -325,38 +354,28 @@ def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
         for snr_db in config.snr_db:
             total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
+
+            def rates_of(assignment, pa_name):
+                """Rates under a PA of an SA's assignment, or its error, or (None) the oracle's."""
+                if isinstance(assignment, ChunkfairError):
+                    raise assignment
+                if assignment is None:
+                    solver = functools.partial(rates_of, pa_name=pa_name)
+                    return assign.exhaustive_sa_oracle(weights, grid, solver, cap=config.oracle_cap).rates
+                alloc = _apply_pa(pa_name, assignment, gains, weights, total_power)
+                return power.user_rates(alloc.powers, gains)
+
             for sa_name in config.sa_schemes:
-                assignment, sa_error = None, ""
+                assignment = None
                 if sa_name != "exhaustive-oracle":
                     try:
                         assignment = assign.run_sa(sa_name, table, weights, grid)
                     except ChunkfairError as exc:
-                        sa_error = _error_text(exc)
+                        assignment = exc
                 for pa_name in config.pa_schemes:
-                    row = ResultRow(
-                        scenario=config.scenario,
-                        sa=sa_name,
-                        pa=pa_name,
-                        chunk_size=chunk_size,
-                        snr_db=snr_db,
-                        trial=trial,
-                        seed=config.seed,
-                        error=sa_error,
-                    )
-                    if not sa_error:
-                        try:
-                            rates = _evaluate_single_cell(
-                                config, assignment, pa_name, grid, gains, weights, total_power
-                            )
-                            _fill_metrics(row, rates, weights)
-                        except ChunkfairError as exc:
-                            row.error = _error_text(exc)
-                    rows.append(row)
+                    rates = functools.partial(rates_of, assignment, pa_name)
+                    rows.append(_row(config, trial, sa_name, pa_name, chunk_size, snr_db, weights, rates))
     return rows
-
-
-def _error_text(exc: ChunkfairError) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def _apply_pa(pa_name, assignment, gains, weights, total_power):
@@ -369,34 +388,6 @@ def _apply_pa(pa_name, assignment, gains, weights, total_power):
     raise ConfigError(f"unknown PA scheme {pa_name!r}")
 
 
-def _evaluate_single_cell(config, assignment, pa_name, grid, gains, weights, total_power):
-    """User rates under one PA scheme; no assignment means the exhaustive oracle's."""
-    if assignment is None:
-        def pa_solver(candidate):
-            alloc = _apply_pa(pa_name, candidate, gains, weights, total_power)
-            return power.user_rates(alloc.powers, gains)
-
-        result = assign.exhaustive_sa_oracle(weights, grid, pa_solver, cap=config.oracle_cap)
-        return result.rates
-    alloc = _apply_pa(pa_name, assignment, gains, weights, total_power)
-    return power.user_rates(alloc.powers, gains)
-
-
-def _fill_metrics(row: ResultRow, rates: np.ndarray, weights: np.ndarray) -> None:
-    row.rates = tuple(float(r) for r in rates)
-    row.min_rate = float(rates.min())
-    row.min_weighted_rate = metrics.min_weighted_rate(rates, weights)
-    row.sum_rate = float(rates.sum())
-    row.deviation = _deviation_or_none(rates, weights)
-
-
-def _deviation_or_none(rates: np.ndarray, weights: np.ndarray) -> Optional[float]:
-    try:
-        return metrics.deviation(rates, weights)
-    except UndefinedMetricError:
-        return None
-
-
 def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     """All rows of one multi-cell trial across chunk sizes and SA schemes.
 
@@ -404,33 +395,15 @@ def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
     through a view that swaps in that chunk size's checked params.
     """
     weights = np.asarray(config.rate_weights, dtype=float)
+    sa_rates = multicell.multicell_sa if config.scenario == "multi-cell" else multicell.reuse1_baseline
     drawn = multicell.build_scenario(config.chunk_params[0], config.seed, trial)
+    edge = drawn.edge_users
     rows = []
     for params in config.chunk_params:
         scenario = replace(drawn, params=params)
         for sa_name in config.sa_schemes:
-            row = ResultRow(
-                scenario=config.scenario,
-                sa=sa_name,
-                pa="uniform",
-                chunk_size=params.chunk_size,
-                snr_db=None,
-                trial=trial,
-                seed=config.seed,
-            )
-            try:
-                if config.scenario == "multi-cell":
-                    rates = multicell.multicell_sa(scenario, sa_name)
-                else:
-                    rates = multicell.reuse1_baseline(scenario, sa_name)
-                _fill_metrics(row, rates, weights)
-                edge = scenario.edge_users
-                if edge.size:
-                    row.min_edge_rate = float(rates[edge].min())
-                    row.edge_deviation = _deviation_or_none(rates[edge], weights[edge])
-            except ChunkfairError as exc:
-                row.error = _error_text(exc)
-            rows.append(row)
+            rates = functools.partial(sa_rates, scenario, sa_name)
+            rows.append(_row(config, trial, sa_name, "uniform", params.chunk_size, None, weights, rates, edge))
     return rows
 
 

@@ -191,7 +191,15 @@ class ScenarioParams(LinkBudget):
             raise ConfigError("tap_counts and rate_weights must list one entry per user")
         if not 0 <= self.centre_radius_fraction <= 1:
             raise ConfigError("centre_radius_fraction must lie in [0, 1]")
-        build_layout(self.cell_radius_km, self.intercell_distance_km)
+        layout = build_layout(self.cell_radius_km, self.intercell_distance_km)
+        # The nearest base station, or the nearest user place_users can draw
+        # (rng.random() >= 2**-53 unless 0), has the largest path-loss factor.
+        nearest = min(layout.bs_distance_km[1:].min(), self.cell_radius_km * math.sqrt(2.0**-53))
+        try:
+            10.0 ** (-0.1 * path_loss_db(nearest))
+        except OverflowError:
+            raise ConfigError(f"cell_radius_km and intercell_distance_km must give finite "
+                              f"path-loss factors; a distance of {nearest:g} km does not") from None
         ber_gap(self.target_ber)
         ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
         try:

@@ -457,12 +457,13 @@ def _solve_level(
     inside the window.  An end whose certificate fails leaves its side
     unknown; with both failing the loop is the plain bisection.
 
-    Returns (budgets, violations, root), ``root`` being Newton's for the
-    next pass.  When both ends hold and the budgets at lo and hi put every
-    user on the same side of its floor, with err to spare, the budgets at
-    the bisection's level would too; if some user is below its floor, the
-    pass is decided without the replay and budgets is None.  Otherwise
-    violations is None and budgets is the list at the bisection's level.
+    Returns (budgets, violations, root): the users below their floors and
+    Newton's root for the next pass.  When both ends hold and the budgets
+    at lo and hi put every user on the same side of its floor, with err to
+    spare, the budgets at the bisection's level would too; if some user is
+    below its floor, the pass is decided without the replay and budgets is
+    None.  Otherwise budgets is the list at the bisection's level and
+    violations compares it with the floors.
     """
     t_hi = 1.0
     for _ in range(_ORACLE_MAX_DOUBLINGS):
@@ -524,7 +525,7 @@ def _solve_level(
     else:
         resid = _total(_level_budgets(fit, t)) - total_power
         raise OracleConvergenceError(f"bisection residual {resid:g} did not reach {tol:g}")
-    return budgets, None, root
+    return budgets, [k for k, floor in enumerate(floors) if budgets[k] < floor], root
 
 
 def exact_pa_oracle(
@@ -556,8 +557,8 @@ def exact_pa_oracle(
     A pass whose window ends agree, with margin, on which users to
     prune is decided without the bisection; only the final pass replays
     it.  If a certificate fails, that side is evaluated in full, which
-    is the plain bisection.  The budget array is built once, at the
-    level the bisection settles on.
+    is the plain bisection.  The budget array is built once, on the
+    final pass, at the level the bisection settles on.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -580,10 +581,8 @@ def exact_pa_oracle(
             for k, c in enumerate(coeffs)
         ]
         budgets, violations, root = _solve_level(fit, total_power, floors, root)
-        if violations is None:
-            budgets = np.array(budgets)
-            violations = [k for k in range(n_users) if budgets[k] < floors[k]]
         if not violations:
+            budgets = np.array(budgets)
             per_user = [
                 (og, _waterfill(max(budgets[k], coeffs[k].v), coeffs[k].v, og.values))
                 for k, og in enumerate(ordered)

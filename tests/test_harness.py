@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chunkfair import ConfigError, ExperimentConfig, InfeasibleError, cli, run_experiment
+from chunkfair import (
+    ConfigError,
+    ExperimentConfig,
+    InfeasibleError,
+    OracleConvergenceError,
+    cli,
+    run_experiment,
+)
 from chunkfair.cli import main
 from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
 
@@ -277,6 +284,28 @@ def test_failed_assignment_writes_one_error_row_per_pa_scheme(monkeypatch):
     assert not any(r.error for r in rows if r.sa == "proposed")
 
 
+def test_failed_power_allocation_marks_only_its_own_rows(monkeypatch):
+    from chunkfair import power
+
+    def failing(*args):
+        raise OracleConvergenceError("forced")
+
+    monkeypatch.setattr(power, "exact_pa_oracle", failing)
+    config = tiny_config(sa_schemes=["proposed", "exhaustive-oracle"],
+                         pa_schemes=["uniform", "exact-oracle"])
+    rows, _ = run_experiment(config)
+    failed = [r for r in rows if r.pa == "exact-oracle"]
+    assert [(r.trial, r.sa) for r in failed] == [
+        (0, "exhaustive-oracle"), (0, "proposed"), (1, "exhaustive-oracle"), (1, "proposed")
+    ]
+    assert all(r.error == "OracleConvergenceError: forced" for r in failed)
+    assert all(r.rates == () and r.min_rate is None and r.deviation is None for r in failed)
+    complete = [r for r in rows if r.pa == "uniform"]
+    assert len(complete) == 4 and not any(r.error for r in complete)
+    assert all(len(r.rates) == 2 and r.min_rate is not None and r.deviation is not None
+               for r in complete)
+
+
 def test_infeasible_scenarios_become_error_rows():
     config = ExperimentConfig.from_dict({
         "scenario": "multi-cell",
@@ -383,6 +412,11 @@ def test_golden_fixture_matches(tmp_path):
         lambda: ExperimentConfig.from_dict(MULTI_CELL),
         "a87d38bca36096dd59b3e82a3674bd000b6fbcb139a431bfd52af6130eff31af",
         id="multi-cell",
+    ),
+    pytest.param(
+        lambda: ExperimentConfig.from_dict(MULTI_CELL | {"scenario": "multi-cell-no-FFR"}),
+        "da2c7793132301734fa7ff938b0791cd4814192c32950e45b95ad1ee970ecf79",
+        id="multi-cell-no-FFR",
     ),
 ])
 def test_summary_csv_bytes_are_pinned(tmp_path, config, digest):
@@ -551,6 +585,9 @@ def _probe_id(value):
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": 0}),
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": -15000.0}),
     (SMALL_MULTI_CELL, {"subcarrier_spacing_hz": float("inf")}),
+    # Path-loss factors that overflow at the nearest base station or the nearest user draw.
+    (SMALL_MULTI_CELL, {"intercell_distance_km": 1e-100}),
+    (SMALL_MULTI_CELL, {"cell_radius_km": 1e-86}),
     # Keys the scenario does not read must keep their defaults.
     (SINGLE_CELL, {"bs_power_dbm": float("nan"), "cell_radius_km": -1, "target_ber": 3.0}),
     (SMALL_MULTI_CELL, {"oracle_cap": -5, "snr_db": [3, 7]}),
