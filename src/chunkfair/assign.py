@@ -377,11 +377,15 @@ class OracleResult:
     candidates: int = 0
 
 
+# Most candidate maps the exhaustive oracle enumerates; each costs one PA call.
+ORACLE_CAP = 1_000_000
+
+
 def exhaustive_sa_oracle(
     weights: np.ndarray,
     grid: ChunkGrid,
     pa_solver,
-    cap: int = 1_000_000,
+    cap: int = ORACLE_CAP,
 ) -> OracleResult:
     """Best assignment by brute force, for small instances only.
 

@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ChunkfairError, OSError, BrokenProcessPool) as exc:
+    except (ChunkfairError, OSError, BrokenProcessPool, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -45,10 +45,16 @@ __all__ = [
 ]
 
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
-PA_SCHEMES = ("proposed", "uniform", "exact-oracle")
+# Each PA scheme reads its ``power`` function when called, so a wrapper set there takes effect.
+_PA = {
+    "proposed": lambda a, gains, weights, p: power.proposed_pa(a, gains, weights, p),
+    "uniform": lambda a, gains, weights, p: power.uniform_pa(a, p),
+    "exact-oracle": lambda a, gains, weights, p: power.exact_pa_oracle(a, gains, weights, p),
+}
+PA_SCHEMES = tuple(_PA)
 SCENARIOS = ("single-cell", "multi-cell", "multi-cell-no-FFR")
 # The keys only one kind of run reads; the other kind takes them at their defaults only.
-_SINGLE_CELL_KEYS = ("snr_db", "oracle_cap")
+_SINGLE_CELL_KEYS = ("snr_db",)
 _MULTI_CELL_KEYS = tuple(f.name for f in fields(multicell.LinkBudget))
 
 # What a JSON value of each field type must be: (one value, a list of them).
@@ -96,7 +102,6 @@ class ExperimentConfig(multicell.LinkBudget):
     pa_schemes: tuple[str, ...] = ("uniform",)
     chunk_sizes: tuple[int, ...] = (1,)
     snr_db: tuple[float, ...] = ()
-    oracle_cap: int = 1_000_000
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -185,11 +190,11 @@ class ExperimentConfig(multicell.LinkBudget):
             raise ConfigError("; ".join(problems))
 
         for tap_count, weight in zip(self.tap_counts, self.rate_weights):
-            profile = UserProfile(tap_count=tap_count, rate_weight=weight)
-            try:  # the run transforms each user's taps at N subcarriers
-                frequency_response(np.zeros(profile.tap_count), self.n_subcarriers)
-            except ValueError as exc:  # numpy refuses an array it cannot index
-                raise ConfigError(f"n_subcarriers {self.n_subcarriers} is too large: {exc}") from None
+            UserProfile(tap_count=tap_count, rate_weight=weight)
+        try:  # the run transforms each user's taps at N subcarriers; every output has N points
+            frequency_response(np.zeros(max(self.tap_counts)), self.n_subcarriers)
+        except (ValueError, MemoryError) as exc:  # numpy refuses, or cannot allocate, the output
+            raise ConfigError(f"n_subcarriers {self.n_subcarriers} is too large: {exc}") from None
         if not single_cell:
             self.chunk_params  # building each chunk size's ScenarioParams checks it
             return
@@ -204,11 +209,9 @@ class ExperimentConfig(multicell.LinkBudget):
             m = assign.build_grid(self.n_subcarriers, chunk_size).n_chunks
             if m < self.n_users:
                 problems.append(f"chunk size {chunk_size} leaves fewer chunks than users")
-            elif "exhaustive-oracle" in self.sa_schemes and self.n_users**m > self.oracle_cap:
-                problems.append(
-                    f"exhaustive oracle needs {self.n_users}**{m} candidates, "
-                    f"cap is {self.oracle_cap}"
-                )
+            elif "exhaustive-oracle" in self.sa_schemes and self.n_users**m > assign.ORACLE_CAP:
+                problems.append(f"exhaustive oracle needs {self.n_users}**{m} candidates, "
+                                f"cap is {assign.ORACLE_CAP}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -303,14 +306,14 @@ def emit_summary_csv(rows: Iterable[SummaryRow], path) -> None:
     _write_csv(rows, SUMMARY_COLUMNS, path)
 
 
-def _row(config, trial, sa, pa, chunk_size, snr_db, weights, rates_of, edge=None) -> ResultRow:
-    """One result row: the metrics of ``rates_of()``, or ``"<Type>: <message>"`` of its library error.
+def _row(config, trial, sa, pa, chunk_size, snr_db, weights, rates_of, edge) -> ResultRow:
+    """One result row: the metrics of ``rates_of(sa, pa)``, or ``"<Type>: <message>"`` of its library error.
 
     The edge metrics cover the users that ``edge`` indexes, when there are any.
     """
     row = ResultRow(config.scenario, sa, pa, chunk_size, snr_db, trial, config.seed)
     try:
-        rates = rates_of()
+        rates = rates_of(sa, pa)
     except ChunkfairError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
@@ -332,85 +335,75 @@ def _deviation_or_none(rates: np.ndarray, weights: np.ndarray) -> Optional[float
         return None
 
 
-def _single_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    """All rows of one single-cell trial across chunk sizes and SNR points.
+def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarray):
+    """Each (chunk size, SNR) point of one single-cell trial, as ``(chunk_size, snr_db, rates_of, None)``.
 
-    Each greedy or static SA runs once per sweep point and its
-    assignment serves every PA scheme; an SA that raises puts the same
-    error on the row of each of them.  The exhaustive oracle searches
-    per PA scheme, since its result depends on the PA.
+    A greedy or static SA runs once per point and its assignment, or its
+    error, serves every PA scheme; the exhaustive oracle searches per PA.
     """
-    weights = np.asarray(config.rate_weights, dtype=float)
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
     for k in range(config.n_users):
         profile = UserProfile(tap_count=config.tap_counts[k], rate_weight=weights[k])
         rng = substream(config.seed, STREAM_CHANNEL, trial, k, 0)
         gains[k] = realize_channel(profile, n, 1.0, rng).gains
-
-    rows = []
     for chunk_size in config.chunk_sizes:
         grid = assign.build_grid(n, chunk_size)
         for snr_db in config.snr_db:
             total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
+            assigned = {}  # SA name -> its assignment or its error
 
-            def rates_of(assignment, pa_name):
-                """Rates under a PA of an SA's assignment, or its error, or (None) the oracle's."""
-                if isinstance(assignment, ChunkfairError):
-                    raise assignment
-                if assignment is None:
-                    solver = functools.partial(rates_of, pa_name=pa_name)
-                    return assign.exhaustive_sa_oracle(weights, grid, solver, cap=config.oracle_cap).rates
-                alloc = _apply_pa(pa_name, assignment, gains, weights, total_power)
-                return power.user_rates(alloc.powers, gains)
+            def rates_of(sa, pa):
+                def pa_rates(assignment):
+                    return power.user_rates(_PA[pa](assignment, gains, weights, total_power).powers, gains)
 
-            for sa_name in config.sa_schemes:
-                assignment = None
-                if sa_name != "exhaustive-oracle":
+                if sa == "exhaustive-oracle":
+                    return assign.exhaustive_sa_oracle(weights, grid, pa_rates).rates
+                if sa not in assigned:
                     try:
-                        assignment = assign.run_sa(sa_name, table, weights, grid)
+                        assigned[sa] = assign.run_sa(sa, table, weights, grid)
                     except ChunkfairError as exc:
-                        assignment = exc
-                for pa_name in config.pa_schemes:
-                    rates = functools.partial(rates_of, assignment, pa_name)
-                    rows.append(_row(config, trial, sa_name, pa_name, chunk_size, snr_db, weights, rates))
-    return rows
+                        assigned[sa] = exc
+                if isinstance(assigned[sa], ChunkfairError):
+                    raise assigned[sa]
+                return pa_rates(assigned[sa])
+
+            yield chunk_size, snr_db, rates_of, None
 
 
-def _apply_pa(pa_name, assignment, gains, weights, total_power):
-    if pa_name == "proposed":
-        return power.proposed_pa(assignment, gains, weights, total_power)
-    if pa_name == "uniform":
-        return power.uniform_pa(assignment, total_power)
-    if pa_name == "exact-oracle":
-        return power.exact_pa_oracle(assignment, gains, weights, total_power)
-    raise ConfigError(f"unknown PA scheme {pa_name!r}")
-
-
-def _multi_cell_trial(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    """All rows of one multi-cell trial across chunk sizes and SA schemes.
+def _multi_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarray):
+    """Each chunk size of one multi-cell trial, as ``(chunk_size, None, rates_of, edge users)``.
 
     The network is drawn once; every chunk size sees the same draw
-    through a view that swaps in that chunk size's checked params.
+    through a view that swaps in that chunk size's checked params.  The
+    PA is always uniform, so ``rates_of`` reads only the SA name.
     """
-    weights = np.asarray(config.rate_weights, dtype=float)
-    sa_rates = multicell.multicell_sa if config.scenario == "multi-cell" else multicell.reuse1_baseline
+    ffr = config.scenario == "multi-cell"
     drawn = multicell.build_scenario(config.chunk_params[0], config.seed, trial)
-    edge = drawn.edge_users
-    rows = []
     for params in config.chunk_params:
         scenario = replace(drawn, params=params)
-        for sa_name in config.sa_schemes:
-            rates = functools.partial(sa_rates, scenario, sa_name)
-            rows.append(_row(config, trial, sa_name, "uniform", params.chunk_size, None, weights, rates, edge))
-    return rows
+
+        def rates_of(sa, pa):
+            return (multicell.multicell_sa if ffr else multicell.reuse1_baseline)(scenario, sa)
+
+        yield params.chunk_size, None, rates_of, drawn.edge_users
 
 
 def _trial_rows(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    if config.scenario == "single-cell":
-        return _single_cell_trial(config, trial)
-    return _multi_cell_trial(config, trial)
+    """All rows of one trial: one per sweep point, SA scheme and PA scheme.
+
+    Each point's ``rates_of`` is used up before the next point is asked
+    for, because the points' closures read their generator's loop variables.
+    """
+    weights = np.asarray(config.rate_weights, dtype=float)
+    points = _single_cell_points if config.scenario == "single-cell" else _multi_cell_points
+    return [
+        _row(config, trial, sa, pa, chunk_size, snr_db, weights, rates_of, edge)
+        for chunk_size, snr_db, rates_of, edge in points(config, trial, weights)
+        for sa in config.sa_schemes
+        for pa in config.pa_schemes
+    ]
 
 
 def run_experiment(

@@ -15,6 +15,7 @@ from chunkfair import (
     InfeasibleError,
     OracleConvergenceError,
     cli,
+    harness,
     run_experiment,
 )
 from chunkfair.cli import main
@@ -492,6 +493,42 @@ def test_no_heuristic_row_beats_the_oracle_row_on_sum_rate():
         assert r.sum_rate <= oracle[r.trial, r.pa] * (1 + 1e-12), (r.sa, r.pa, r.trial)
 
 
+def test_no_scheme_beats_the_oracle_on_sum_rate_under_any_pa():
+    # Greedy phase 1 and the static round robin both cover every user, so
+    # every heuristic assignment is an oracle candidate under the same PA.
+    config = tiny_config(n_subcarriers=8, chunk_sizes=[2], snr_db=[-10.0, 10.0], trials=4,
+                         sa_schemes=list(harness.SA_SCHEMES), pa_schemes=list(harness.PA_SCHEMES))
+    rows, summary = run_experiment(config)
+    assert len(rows) == 2 * 4 * 4 * 3 and not any(r.error for r in rows)
+    oracle = {(r.snr_db, r.trial, r.pa): r.sum_rate for r in rows if r.sa == "exhaustive-oracle"}
+    for r in rows:
+        assert r.sum_rate <= oracle[r.snr_db, r.trial, r.pa] * (1 + 1e-12), (r.sa, r.pa, r.snr_db)
+    means = [s for s in summary if s.metric == "sum_rate_vs_oracle"]
+    assert len(means) == 2 * 3 * 3 and all(s.mean <= 1 + 1e-12 for s in means)
+
+
+def test_every_traced_library_function_is_read_from_its_module_when_called(monkeypatch):
+    # A profiler that wraps these module attributes sees every call only if
+    # the harness looks each one up on its module when it runs a row.
+    from chunkfair import assign, multicell, power
+
+    traced = [(power, name) for name in ("proposed_pa", "uniform_pa", "exact_pa_oracle", "user_rates")]
+    traced += [(assign, name) for name in ("proposed_sa", "shen_sa", "static_sa", "exhaustive_sa_oracle")]
+    traced += [(multicell, name) for name in ("build_scenario", "multicell_sa")]
+    reached = set()
+    for module, name in traced:
+        def counting(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}", **kw):
+            reached.add(_name)
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(module, name, counting)
+    run_experiment(tiny_config(n_subcarriers=8, chunk_sizes=[2], trials=1,
+                               sa_schemes=list(harness.SA_SCHEMES), pa_schemes=list(harness.PA_SCHEMES)))
+    for scenario in ("multi-cell", "multi-cell-no-FFR"):
+        run_experiment(ExperimentConfig.from_dict(MULTI_CELL | {"scenario": scenario, "trials": 1}))
+    assert sorted({f"{module.__name__}.{name}" for module, name in traced} - reached) == []
+
+
 # ------------------------------------------------------------- cli
 
 def test_cli_validate_and_run(tmp_path, capsys):
@@ -591,10 +628,14 @@ def _probe_id(value):
     # Keys the scenario does not read must keep their defaults.
     (SINGLE_CELL, {"bs_power_dbm": float("nan"), "cell_radius_km": -1, "target_ber": 3.0}),
     (SMALL_MULTI_CELL, {"oracle_cap": -5, "snr_db": [3, 7]}),
+    (SMALL_MULTI_CELL, {"snr_db": [3, 7]}),
     # Sizes numpy refuses to allocate; 2**62 is refused at once, without touching memory.
     (GOLDEN_CONFIG, {"tap_counts": [2, 2**62]}),
     (GOLDEN_CONFIG, {"n_subcarriers": 2**62}),
     (SMALL_MULTI_CELL, {"n_subcarriers": 2**62}),
+    # 2**58 complex subcarriers pass numpy's size check, but 4 EiB fits no address space.
+    (GOLDEN_CONFIG, {"n_subcarriers": 2**58}),
+    (SMALL_MULTI_CELL, {"n_subcarriers": 2**58}),
 ], ids=_probe_id)
 def test_validate_and_run_reject_the_same_configs(tmp_path, capsys, base, change):
     _assert_rejected(tmp_path, capsys, json.dumps(base | change).encode("utf-8"))
@@ -661,6 +702,17 @@ def test_cli_broken_worker_pool_exit_code(tmp_path, monkeypatch, capsys):
     assert main(args) == 2
     assert capsys.readouterr().err == "runtime error: a worker process died\n"
     assert not out.exists()
+
+
+def test_cli_memory_error_during_a_run_exit_code(tmp_path, monkeypatch, capsys):
+    def exhaust(config, threads=1):
+        raise MemoryError("Unable to allocate 4.00 EiB")
+
+    monkeypatch.setattr(cli, "run_experiment", exhaust)
+    out = tmp_path / "rows.csv"
+    assert main(["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime error: Unable to allocate 4.00 EiB\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("config", [
