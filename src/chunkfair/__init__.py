@@ -41,7 +41,6 @@ from .errors import (
     OracleConvergenceError,
     OracleSizeError,
     UndefinedMetricError,
-    ZeroGainError,
 )
 from .harness import ExperimentConfig, ResultRow, emit_csv, run_experiment
 from .metrics import deviation, mean_ci, min_weighted_rate
@@ -62,8 +61,6 @@ from .multicell import (
 from .power import (
     OrderedGains,
     PowerAllocation,
-    WaterfillCoefficients,
-    drop_zero_gains,
     exact_pa_oracle,
     linear_coefficients,
     order_gains,
@@ -73,7 +70,6 @@ from .power import (
     solve_power_split,
     uniform_pa,
     user_rates,
-    waterfill_coefficients,
 )
 
 __version__ = "0.1.0"

@@ -13,14 +13,6 @@ class InfeasibleError(ChunkfairError, ValueError):
     """A structurally impossible request, e.g. fewer chunks than users."""
 
 
-class ZeroGainError(ChunkfairError, ValueError):
-    """A zero-gain subcarrier reached the water-filling coefficients.
-
-    Zero-gain subcarriers can never carry power; callers must drop them
-    before computing coefficients.
-    """
-
-
 class OracleSizeError(ChunkfairError, ValueError):
     """Exhaustive enumeration would exceed the configured candidate cap."""
 

@@ -13,25 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .assign import Assignment
-from .errors import (
-    AllocationError,
-    ConfigError,
-    InfeasibleError,
-    OracleConvergenceError,
-    ZeroGainError,
-)
+from .errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
 
 __all__ = [
     "OrderedGains",
-    "WaterfillCoefficients",
     "PowerAllocation",
     "order_gains",
-    "drop_zero_gains",
-    "waterfill_coefficients",
     "linear_coefficients",
     "solve_power_split",
     "repair_negative_budgets",
@@ -67,31 +59,48 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class OrderedGains:
-    """One user's gains sorted ascending, with the owning subcarrier indices."""
+    """One user's active gains sorted ascending, with the owning subcarrier indices.
+
+    The set is non-empty and its weakest gain positive.  The water-filling
+    statistics are computed on first use: ``v`` is the power consumed by
+    equalising the water level across the set when the weakest subcarrier
+    gets zero power, ``e`` the sum of gains relative to the weakest, and
+    ``log2_w`` the log2 of the geometric-mean gain ratio (kept in the log
+    domain so long gain vectors cannot overflow the product).
+    """
 
     values: np.ndarray
     subcarriers: np.ndarray
 
-    @property
+    def __post_init__(self):
+        if self.values.size == 0:
+            raise InfeasibleError("user has no subcarriers")
+        if not self.values[0] > 0:
+            raise ConfigError("active set needs a positive weakest gain")
+
+    @cached_property
     def size(self) -> int:
         return int(self.values.size)
 
+    @cached_property
+    def g_min(self) -> float:
+        return float(self.values[0])
 
-@dataclass(frozen=True)
-class WaterfillCoefficients:
-    """Water-filling summary statistics of one user's ordered gains.
+    @cached_property
+    def v(self) -> float:
+        return _waterfill_v(self.values)
 
-    ``v`` is the power consumed by equalising the water level across the
-    active set when the weakest subcarrier gets zero power, ``e`` the sum
-    of gains relative to the weakest, and ``log2_w`` the log2 of the
-    geometric-mean gain ratio (kept in the log domain to avoid overflow).
-    """
+    @cached_property
+    def e(self) -> float:
+        return float((self.values / self.g_min).sum())
 
-    n_active: int
-    g_min: float
-    v: float
-    e: float
-    log2_w: float
+    @cached_property
+    def log2_w(self) -> float:
+        return float(np.log2(self.values[1:] / self.g_min).sum()) / self.size
+
+    def without_weakest(self) -> OrderedGains:
+        """The set with its weakest subcarrier dropped."""
+        return OrderedGains(values=self.values[1:], subcarriers=self.subcarriers[1:])
 
 
 @dataclass(frozen=True)
@@ -106,40 +115,16 @@ class PowerAllocation:
 
 
 def order_gains(gains: np.ndarray, subcarriers: np.ndarray) -> OrderedGains:
-    """Sort one user's gains ascending, keeping the subcarrier permutation."""
+    """Sort one user's gains ascending (stably) with their subcarriers, dropping zero gains."""
     gains = np.asarray(gains, dtype=float)
     subcarriers = np.asarray(subcarriers, dtype=int)
     order = np.argsort(gains, kind="stable")
+    order = order[gains[order] > 0]
     return OrderedGains(values=gains[order], subcarriers=subcarriers[order])
 
 
-def drop_zero_gains(ordered: OrderedGains) -> OrderedGains:
-    """Remove zero-gain subcarriers; they can never carry power."""
-    keep = ordered.values > 0
-    return OrderedGains(values=ordered.values[keep], subcarriers=ordered.subcarriers[keep])
-
-
-def waterfill_coefficients(ordered: OrderedGains) -> WaterfillCoefficients:
-    """Compute the water-filling statistics (v, e, log2_w) of one user.
-
-    Requires a non-empty active set with strictly positive gains; the
-    geometric mean is evaluated in the log domain so long gain vectors
-    cannot overflow the product.
-    """
-    g = ordered.values
-    if g.size == 0:
-        raise InfeasibleError("user has no subcarriers")
-    g1 = float(g[0])
-    if g1 <= 0:
-        raise ZeroGainError("zero-gain subcarrier in active set; drop it first")
-    v = _waterfill_v(g)
-    e = float((g / g1).sum())
-    log2_w = float(np.log2(g[1:] / g1).sum()) / g.size
-    return WaterfillCoefficients(n_active=g.size, g_min=g1, v=v, e=e, log2_w=log2_w)
-
-
 def linear_coefficients(
-    coeffs: list[WaterfillCoefficients],
+    ordered: list[OrderedGains],
     weights: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row parameters (alpha_k, beta_k) of the linearised budget system.
@@ -149,21 +134,21 @@ def linear_coefficients(
     of each returned array corresponds to user 2.
     """
     weights = np.asarray(weights, dtype=float)
-    n_users = len(coeffs)
+    n_users = len(ordered)
     if n_users != weights.size:
-        raise ConfigError("one coefficient set per user required")
-    c1 = coeffs[0]
+        raise ConfigError("one gain set per user required")
+    c1 = ordered[0]
     alphas = np.empty(n_users - 1)
     betas = np.empty(n_users - 1)
     for k in range(1, n_users):
-        ck = coeffs[k]
+        ck = ordered[k]
         wr = weights[0] / weights[k]
-        alpha = -wr * (ck.e * c1.n_active * ck.g_min) / (c1.e * ck.n_active * c1.g_min)
+        alpha = -wr * (ck.e * c1.size * ck.g_min) / (c1.e * ck.size * c1.g_min)
         beta = (
-            wr * ck.e * c1.n_active / (c1.e * c1.g_min)
-            - wr * c1.n_active * ck.n_active / (c1.e * c1.g_min)
+            wr * ck.e * c1.size / (c1.e * c1.g_min)
+            - wr * c1.size * ck.size / (c1.e * c1.g_min)
             + alpha * ck.v
-            + (c1.n_active / c1.g_min) * (c1.n_active / c1.e - 1.0)
+            + (c1.size / c1.g_min) * (c1.size / c1.e - 1.0)
             + c1.v
         )
         alphas[k - 1] = alpha
@@ -204,14 +189,16 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sum is non-negative; every group member then receives the group
     average.  Rounding can leave every sorted partial sum negative while
     the total is not; the group is then every user, sharing the total.
-    Returns (budgets, group_mask); the total is preserved.
+    Returns (budgets, group_mask); the total is preserved.  A negative
+    total cannot be repaired and raises AllocationError: the split gives
+    one only through float cancellation, at very low SNR.
     """
     budgets = np.asarray(budgets, dtype=float).copy()
     mask = np.zeros(budgets.size, dtype=bool)
     if budgets.min() >= 0:
         return budgets, mask
     if budgets.sum() < 0:
-        raise ConfigError("total budget must be non-negative for repair")
+        raise AllocationError("total budget must be non-negative for repair")
     order = np.argsort(budgets, kind="stable")
     partial = budgets[order[0]]
     count = 1
@@ -254,17 +241,12 @@ def prune_and_waterfill(
     if budget < 0:
         raise ConfigError(f"budget must be >= 0, got {budget}")
     g = ordered.values
-    if g.size == 0:
-        raise InfeasibleError("user has no subcarriers")
-    if g[0] <= 0:
-        raise ZeroGainError("zero-gain subcarrier in active set; drop it first")
     powers = np.zeros(g.size)
     start = 0
-    while True:
-        v = _waterfill_v(g[start:])
-        if budget >= v or start == g.size - 1:
-            break
+    v = ordered.v
+    while not (budget >= v or start == g.size - 1):
         start += 1  # weakest gain leaves the active set
+        v = _waterfill_v(g[start:])
     powers[start:] = _waterfill(budget, v, g[start:])
     return powers, start
 
@@ -273,10 +255,10 @@ def _ordered_user_gains(assignment: Assignment, gains: np.ndarray) -> list[Order
     out = []
     for k in range(assignment.n_users):
         subs = assignment.subcarriers_of(k)
-        og = drop_zero_gains(order_gains(gains[k, subs], subs))
-        if og.size == 0:
-            raise InfeasibleError(f"user {k} has no positive-gain subcarrier")
-        out.append(og)
+        try:
+            out.append(order_gains(gains[k, subs], subs))
+        except InfeasibleError:
+            raise InfeasibleError(f"user {k} has no positive-gain subcarrier") from None
     return out
 
 
@@ -316,8 +298,7 @@ def proposed_pa(
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     ordered = _ordered_user_gains(assignment, gains)
-    coeffs = [waterfill_coefficients(og) for og in ordered]
-    alphas, betas = linear_coefficients(coeffs, weights)
+    alphas, betas = linear_coefficients(ordered, weights)
     budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
     per_user = []
@@ -545,7 +526,7 @@ def exact_pa_oracle(
     floats first, no level meets that tolerance; the bracket end whose
     budgets sum closer to the total power is taken instead.  Whenever
     the solution would drive a user's budget below its v_k, that user's
-    weakest subcarrier is dropped, its coefficients are refitted and the
+    weakest subcarrier is dropped, its statistics are recomputed and the
     level re-solved, iterating to a fixpoint.
 
     The result is bit-identical to bisecting with every step evaluated
@@ -563,7 +544,6 @@ def exact_pa_oracle(
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     ordered = _ordered_user_gains(assignment, gains)
-    coeffs = [waterfill_coefficients(og) for og in ordered]
     n_users = assignment.n_users
     pruned = np.zeros(n_users, dtype=int)
     max_prunes = sum(og.size for og in ordered)
@@ -571,20 +551,20 @@ def exact_pa_oracle(
 
     for _ in range(max_prunes + 1):
         fit = [
-            (c.v, c.n_active / c.g_min, float(weights[k]), c.n_active, c.log2_w)
-            for k, c in enumerate(coeffs)
+            (og.v, og.size / og.g_min, float(weights[k]), og.size, og.log2_w)
+            for k, og in enumerate(ordered)
         ]
         # A budget below its floor prunes the user's weakest subcarrier;
         # a single-subcarrier user is never pruned.
         floors = [
-            c.v - 1e-12 * max(c.v, total_power) if ordered[k].size > 1 else -math.inf
-            for k, c in enumerate(coeffs)
+            og.v - 1e-12 * max(og.v, total_power) if og.size > 1 else -math.inf
+            for og in ordered
         ]
         budgets, violations, root = _solve_level(fit, total_power, floors, root)
         if not violations:
             budgets = np.array(budgets)
             per_user = [
-                (og, _waterfill(max(budgets[k], coeffs[k].v), coeffs[k].v, og.values))
+                (og, _waterfill(max(budgets[k], og.v), og.v, og.values))
                 for k, og in enumerate(ordered)
             ]
             powers = _scatter(assignment, per_user, n_users)
@@ -596,9 +576,7 @@ def exact_pa_oracle(
                 pruned=pruned,
             )
         for k in violations:
-            og = ordered[k]
-            ordered[k] = OrderedGains(values=og.values[1:], subcarriers=og.subcarriers[1:])
-            coeffs[k] = waterfill_coefficients(ordered[k])
+            ordered[k] = ordered[k].without_weakest()
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")
 

@@ -17,13 +17,11 @@ import numpy as np
 from chunkfair.assign import Assignment
 from chunkfair.errors import OracleConvergenceError
 from chunkfair.power import (
-    OrderedGains,
     PowerAllocation,
     _check_allocation,
     _ordered_user_gains,
     _scatter,
     prune_and_waterfill,
-    waterfill_coefficients,
 )
 
 
@@ -97,13 +95,13 @@ def proportional_budget_system(coeff_list, weights, total_power):
     c1 = coeff_list[0]
     for k in range(1, n_users):
         ck = coeff_list[k]
-        a[k, 0] = c1.g_min * c1.e / (c1.n_active * weights[0])
-        a[k, k] = -ck.g_min * ck.e / (ck.n_active * weights[k])
+        a[k, 0] = c1.g_min * c1.e / (c1.size * weights[0])
+        a[k, k] = -ck.g_min * ck.e / (ck.size * weights[k])
         b[k] = (
-            c1.v * c1.g_min * c1.e / (c1.n_active * weights[0])
-            - (c1.e - c1.n_active) / weights[0]
-            - ck.v * ck.g_min * ck.e / (ck.n_active * weights[k])
-            + (ck.e - ck.n_active) / weights[k]
+            c1.v * c1.g_min * c1.e / (c1.size * weights[0])
+            - (c1.e - c1.size) / weights[0]
+            - ck.v * ck.g_min * ck.e / (ck.size * weights[k])
+            + (ck.e - ck.size) / weights[k]
         )
     return a, b
 
@@ -239,9 +237,10 @@ def exact_pa_oracle_direct(
 ) -> PowerAllocation:
     """The exact oracle as it was before its plain-float bisection.
 
-    Kept verbatim: each bracket and bisection step builds the budget
-    array and sums it with numpy, and every fixpoint pass refits every
-    user.  ``power.exact_pa_oracle`` must match it bit for bit.
+    Kept as it was, apart from reading each user's statistics from its
+    gain record: each bracket and bisection step builds the budget array
+    and sums it with numpy.  ``power.exact_pa_oracle`` must match it bit
+    for bit.
 
     Water-filling inside each user makes its rate a closed-form,
     strictly increasing function of its budget; inverting it at a common
@@ -263,15 +262,13 @@ def exact_pa_oracle_direct(
     max_prunes = sum(og.size for og in ordered)
 
     for _ in range(max_prunes + 1):
-        coeffs = [waterfill_coefficients(og) for og in ordered]
-
         def budget_at(t: float) -> np.ndarray:
             return np.array(
                 [
                     c.v
-                    + (c.n_active / c.g_min)
-                    * (2.0 ** (weights[k] * t / c.n_active - c.log2_w) - 1.0)
-                    for k, c in enumerate(coeffs)
+                    + (c.size / c.g_min)
+                    * (2.0 ** (weights[k] * t / c.size - c.log2_w) - 1.0)
+                    for k, c in enumerate(ordered)
                 ]
             )
 
@@ -309,13 +306,13 @@ def exact_pa_oracle_direct(
 
         violations = [
             k
-            for k, c in enumerate(coeffs)
-            if budgets[k] < c.v - 1e-12 * max(c.v, total_power) and ordered[k].size > 1
+            for k, c in enumerate(ordered)
+            if budgets[k] < c.v - 1e-12 * max(c.v, total_power) and c.size > 1
         ]
         if not violations:
             per_user = []
             for k, og in enumerate(ordered):
-                p, extra = prune_and_waterfill(max(budgets[k], coeffs[k].v), og)
+                p, extra = prune_and_waterfill(max(budgets[k], og.v), og)
                 pruned[k] += extra
                 per_user.append((og, p))
             powers = _scatter(assignment, per_user, n_users)
@@ -327,7 +324,6 @@ def exact_pa_oracle_direct(
                 pruned=pruned,
             )
         for k in violations:
-            og = ordered[k]
-            ordered[k] = OrderedGains(values=og.values[1:], subcarriers=og.subcarriers[1:])
+            ordered[k] = ordered[k].without_weakest()
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")

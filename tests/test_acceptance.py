@@ -31,7 +31,6 @@ from chunkfair import (
     substream,
     uniform_pa,
     user_rates,
-    waterfill_coefficients,
 )
 from chunkfair.harness import emit_csv
 
@@ -131,9 +130,7 @@ def test_criterion_01_linear_split_matches_dense_solve():
         if not 16 <= total <= 128:
             continue
         coeffs = [
-            waterfill_coefficients(
-                order_gains(np.sort(rng.lognormal(0.0, 1.0, s)), np.arange(s))
-            )
+            order_gains(np.sort(rng.lognormal(0.0, 1.0, s)), np.arange(s))
             for s in sizes
         ]
         weights = rng.random(k) + 0.2
@@ -172,7 +169,7 @@ def test_criterion_02_water_level_identity():
         size = int(rng.integers(1, 64))
         gains = np.sort(rng.lognormal(0.0, 1.0, size)) + 1e-3
         og = order_gains(gains, np.arange(size))
-        v = waterfill_coefficients(og).v
+        v = og.v
         budget = float(rng.random() * (2.0 * v + 5.0))
         powers, _ = prune_and_waterfill(budget, og)
         active = powers > 0

@@ -327,6 +327,22 @@ def test_infeasible_scenarios_become_error_rows():
     assert all(r.min_rate is None for r in rows)
 
 
+def test_rate_adaptive_pa_failures_at_minus_200_db_are_allocation_errors():
+    # The budgets' float cancellation at this SNR is a run-time failure,
+    # not a config error; uniform power still allocates.
+    config = json.loads((Path(__file__).parents[1] / "configs" / "single_cell_sweep.json")
+                        .read_text(encoding="utf-8"))
+    config.update(trials=10, snr_db=[-200.0], pa_schemes=["proposed", "uniform", "exact-oracle"])
+    rows, _ = run_experiment(ExperimentConfig.from_dict(config))
+    by_pa = {pa: [r.error.split(":")[0] for r in rows if r.pa == pa]
+             for pa in config["pa_schemes"]}
+    assert by_pa == {
+        "proposed": ["AllocationError"] * 20,
+        "uniform": [""] * 20,
+        "exact-oracle": ["AllocationError"] * 20,
+    }
+
+
 def test_threaded_run_matches_serial():
     for config in (tiny_config(trials=4), ExperimentConfig.from_dict(MULTI_CELL)):
         serial, _ = run_experiment(config, threads=1)
@@ -447,6 +463,17 @@ def test_benchmark_workload_csv_bytes_are_pinned(tmp_path, name):
         for f in ("rows.csv", "rows.summary.csv")
     )
     assert digests == workload.digests
+
+
+def test_benchmark_microbenchmarks_run_on_the_library():
+    # perfbench/micro.py calls the library directly, outside any run.
+    micro = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "micro.py"))
+    calls = micro["cases"](7, 2, 16)
+    assert sorted(calls) == ["assign.proposed_sa", "assign.shen_sa", "multicell.build_scenario",
+                             "power.exact_pa_oracle", "power.proposed_pa"]
+    for call in calls.values():
+        for i in (0, 7):
+            call(i)
 
 
 def test_summarize_groups_and_cis():

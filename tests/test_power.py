@@ -6,14 +6,14 @@ import pytest
 from chunkfair import (
     AllocationError,
     ChunkfairError,
+    ConfigError,
     ExperimentConfig,
     InfeasibleError,
     OracleConvergenceError,
+    OrderedGains,
     UserProfile,
-    ZeroGainError,
     build_grid,
     chunk_rates,
-    drop_zero_gains,
     exact_pa_oracle,
     linear_coefficients,
     order_gains,
@@ -28,7 +28,6 @@ from chunkfair import (
     substream,
     uniform_pa,
     user_rates,
-    waterfill_coefficients,
 )
 from chunkfair import power
 from chunkfair.assign import Assignment
@@ -67,14 +66,14 @@ def random_instance(seed, n_users=4, n=64, taps=8, chunk_size=4,
 # ------------------------------------------------------- coefficients
 
 def test_coefficients_flat_gains():
-    c = waterfill_coefficients(og([2.0, 2.0, 2.0]))
+    c = og([2.0, 2.0, 2.0])
     assert c.v == 0.0
     assert c.e == 3.0
     assert 2.0**c.log2_w == 1.0
 
 
 def test_coefficients_hand_value():
-    c = waterfill_coefficients(og([1.0, 2.0]))
+    c = og([1.0, 2.0])
     assert abs(c.v - 0.5) < 1e-15
     assert abs(c.e - 3.0) < 1e-15
     assert abs(2.0**c.log2_w - np.sqrt(2.0)) < 1e-15
@@ -84,33 +83,36 @@ def test_log_domain_w_matches_direct_product():
     rng = np.random.default_rng(0)
     for _ in range(20):
         gains = np.sort(rng.lognormal(0.0, 1.5, size=50))
-        c = waterfill_coefficients(og(gains))
+        c = og(gains)
         direct = np.prod(gains[1:] / gains[0]) ** (1.0 / gains.size)
         assert abs(2.0**c.log2_w - direct) <= 1e-12 * direct
 
 
 def test_zero_gain_rejected_and_dropped():
-    with pytest.raises(ZeroGainError):
-        waterfill_coefficients(og([0.0, 1.0]))
-    trimmed = drop_zero_gains(og([0.0, 0.0, 1.0, 2.0]))
+    with pytest.raises(ConfigError):
+        OrderedGains(values=np.array([0.0, 1.0]), subcarriers=np.arange(2))
+    with pytest.raises(InfeasibleError):
+        og([0.0, 0.0])
+    trimmed = og([0.0, 0.0, 1.0, 2.0])
     assert trimmed.size == 2
     assert trimmed.values[0] == 1.0
+    assert trimmed.subcarriers.tolist() == [2, 3]
 
 
 def test_alpha_is_minus_one_for_identical_users():
-    c = waterfill_coefficients(og([1.0, 2.0, 4.0]))
+    c = og([1.0, 2.0, 4.0])
     alphas, betas = linear_coefficients([c, c], np.array([1.0, 1.0]))
     assert abs(alphas[0] + 1.0) < 1e-14
 
 
 def test_beta_zero_for_identical_flat_users():
-    c = waterfill_coefficients(og([3.0, 3.0, 3.0, 3.0]))
+    c = og([3.0, 3.0, 3.0, 3.0])
     alphas, betas = linear_coefficients([c, c], np.array([2.0, 2.0]))
     assert abs(betas[0]) < 1e-14
     assert abs(alphas[0] + 1.0) < 1e-14
     # alpha is negative for any instance (all factors positive, leading minus)
     rng = np.random.default_rng(1)
-    cs = [waterfill_coefficients(og(np.sort(rng.lognormal(0, 1, 12)))) for _ in range(4)]
+    cs = [og(np.sort(rng.lognormal(0, 1, 12))) for _ in range(4)]
     a, _ = linear_coefficients(cs, np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.all(a < 0)
 
@@ -121,7 +123,7 @@ def test_coefficients_match_independent_derivation():
     for _ in range(20):
         sizes = rng.integers(2, 30, size=4)
         cs = [
-            waterfill_coefficients(og(np.sort(rng.lognormal(0.0, 1.0, s))))
+            og(np.sort(rng.lognormal(0.0, 1.0, s)))
             for s in sizes
         ]
         weights = rng.random(4) + 0.5
@@ -147,7 +149,7 @@ def test_split_single_user():
 
 
 def test_split_identical_users_halves():
-    c = waterfill_coefficients(og([1.0, 2.0, 4.0]))
+    c = og([1.0, 2.0, 4.0])
     alphas, betas = linear_coefficients([c, c], np.array([1.0, 1.0]))
     budgets, _ = solve_power_split(alphas, betas, 8.0, np.array([1.0, 1.0]))
     assert np.allclose(budgets, [4.0, 4.0])
@@ -309,12 +311,13 @@ def test_proposed_pa_conservation_and_nonnegativity():
         assert alloc.budgets.min() >= 0.0
 
 
-def test_proposed_pa_requires_positive_gain_user():
+@pytest.mark.parametrize("pa", [proposed_pa, exact_pa_oracle], ids=["proposed", "exact-oracle"])
+def test_proposed_pa_requires_positive_gain_user(pa):
     grid = build_grid(4, 1)
     a = static_sa(2, grid)
     gains = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-    with pytest.raises(InfeasibleError):
-        proposed_pa(a, gains, np.ones(2), 4.0)
+    with pytest.raises(InfeasibleError, match="user 1 has no positive-gain subcarrier"):
+        pa(a, gains, np.ones(2), 4.0)
 
 
 def test_uniform_pa_examples():
@@ -343,7 +346,7 @@ def test_exact_oracle_single_user_matches_waterfill():
     gains = np.empty((1, 16))
     gains[0] = realize_channel(UserProfile(4), 16, 1.0, substream(8, 0, 0, 0, 0)).gains
     alloc = exact_pa_oracle(a, gains, np.array([1.0]), 4.0)
-    direct, _ = prune_and_waterfill(4.0, drop_zero_gains(order_gains(gains[0], np.arange(16))))
+    direct, _ = prune_and_waterfill(4.0, order_gains(gains[0], np.arange(16)))
     assert abs(alloc.powers.sum() - 4.0) <= 1e-9
     assert np.allclose(np.sort(alloc.powers[0]), np.sort(direct), atol=1e-9)
 
