@@ -213,16 +213,19 @@ class ScenarioParams(LinkBudget):
 
 @dataclass(frozen=True)
 class CellScenario:
-    """One seeded drop: placements, channels to every base station, and the plan.
+    """One seeded drop: placements, the plan, and channels to every base station.
 
     ``params.chunk_size`` is the only chunk-size input; the plan and the
     draw do not depend on it.  A view of the drop under another chunk
     size is ``dataclasses.replace(drawn, params=p)``, where ``p`` differs
     from ``drawn.params`` only in ``chunk_size``; it shares the drop's
-    arrays, plan and memo.  The gap-scaled SINR of each group's band and
-    the group rate tables are computed on first use and kept in that
-    memo, so ``gain_sq`` must not change after the first ``multicell_sa``
-    or ``reuse1_baseline`` call on any view.
+    arrays, drawn-link mask, plan and memo.  Each (user, cell) link is
+    drawn when a model first reads it, and reading ``gain_sq`` draws
+    every link not drawn yet.  The gap-scaled SINR of each group's band
+    and the group rate tables are computed on first use and kept in that
+    memo, so write into ``gain_sq`` only before the first SINR read, that
+    is, before the first ``multicell_sa`` or ``reuse1_baseline`` call on
+    any view.
     """
 
     params: ScenarioParams
@@ -230,13 +233,21 @@ class CellScenario:
     plan: FfrPlan
     distance_km: np.ndarray   # (K,) user distance from cell 0's base station
     is_centre: np.ndarray     # (K,) bool group tag
-    gain_sq: np.ndarray       # (K, 19, N) squared channel magnitudes
     desired_attenuation: np.ndarray     # (K,) path-loss factor of each user's own link
     interferer_attenuation: np.ndarray  # (19,) path-loss factor per base station, 0 for cell 1's
     lam: float
+    _seed_trial: tuple[int, int]  # (master_seed, trial) of the channel substreams
+    _gains: np.ndarray            # (K, 19, N) squared channel magnitudes, valid where _drawn
+    _drawn: np.ndarray            # (K, 19) bool, links drawn so far
     # SINR blocks keyed by (group, interferers), rate tables by
     # (chunk size, interferers); shared by every chunk-size view.
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def gain_sq(self) -> np.ndarray:
+        """(K, 19, N) squared channel magnitudes; draws every link not drawn yet."""
+        _links(self, np.arange(self.params.n_users), np.arange(N_CELLS))
+        return self._gains
 
     @property
     def centre_users(self) -> np.ndarray:
@@ -252,40 +263,59 @@ class CellScenario:
 
 
 def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
-    """Draw one multi-cell scenario from documented substreams.
+    """Place the users of one multi-cell drop; its links are drawn on first read.
 
-    Placement uses (STREAM_PLACEMENT, trial); the channel from base
-    station i to user k uses (STREAM_CHANNEL, trial, k, i).  A user's 19
-    tap vectors are drawn in cell order and transformed in one batched
-    FFT.
+    Placement uses (STREAM_PLACEMENT, trial).  No link is drawn here:
+    the channel from base station i to user k uses (STREAM_CHANNEL,
+    trial, k, i) and is drawn when a model first reads it, or when
+    ``gain_sq`` is read.  Write into ``gain_sq`` only before the first
+    SINR read; see ``CellScenario``.
     """
     layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
     plan = band_partition(params.n_subcarriers, params.tau_km, params.cell_radius_km, layout)
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
-    is_centre = distances <= params.tau_km
-    gain_sq = np.empty((params.n_users, N_CELLS, params.n_subcarriers))
     interferer_att = np.zeros(N_CELLS)
     interferer_att[1:] = [10.0 ** (-0.1 * path_loss_db(d)) for d in layout.bs_distance_km[1:]]
-    for k in range(params.n_users):
-        profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
-        taps = np.stack([
-            generate_taps(profile, substream(master_seed, STREAM_CHANNEL, trial, k, cell))
-            for cell in range(N_CELLS)
-        ])
-        h = frequency_response(taps, params.n_subcarriers)
-        gain_sq[k] = h.real**2 + h.imag**2
     return CellScenario(
         params=params,
         layout=layout,
         plan=plan,
         distance_km=distances,
-        is_centre=is_centre,
-        gain_sq=gain_sq,
+        is_centre=distances <= params.tau_km,
         desired_attenuation=np.array([10.0 ** (-0.1 * path_loss_db(d)) for d in distances]),
         interferer_attenuation=interferer_att,
         lam=ber_gap(params.target_ber),
+        _seed_trial=(master_seed, trial),
+        _gains=np.empty((params.n_users, N_CELLS, params.n_subcarriers)),
+        _drawn=np.zeros((params.n_users, N_CELLS), dtype=bool),
     )
+
+
+def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None:
+    """Draw every listed (user, cell) link that is not drawn yet.
+
+    A user's missing links are drawn in cell order from their own
+    substreams and transformed in one batched FFT, whose rows equal
+    row-by-row calls, so a link's bytes depend only on its substream
+    path, not on which links are drawn with it or when.
+    """
+    params = scenario.params
+    master_seed, trial = scenario._seed_trial
+    wanted = np.zeros(N_CELLS, dtype=bool)
+    wanted[cells] = True
+    for k in users:
+        missing = np.flatnonzero(wanted & ~scenario._drawn[k])
+        if not missing.size:
+            continue
+        profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
+        taps = np.stack([
+            generate_taps(profile, substream(master_seed, STREAM_CHANNEL, trial, k, cell))
+            for cell in missing
+        ])
+        h = frequency_response(taps, params.n_subcarriers)
+        scenario._gains[k, missing] = h.real**2 + h.imag**2
+        scenario._drawn[k, missing] = True
 
 
 def _sinr_block(
@@ -297,11 +327,13 @@ def _sinr_block(
     """SINR for the given users x subcarriers under the given interferer set."""
     params = scenario.params
     per_sc = params.total_power_watts / params.n_subcarriers
+    _links(scenario, users, np.append(0, interferers))
+    gain_sq = scenario._gains
     desired_att = scenario.desired_attenuation[users]
     att = scenario.interferer_attenuation[interferers]
-    desired = desired_att[:, None] * scenario.gain_sq[np.ix_(users, [0], subcarriers)][:, 0, :] * per_sc
+    desired = desired_att[:, None] * gain_sq[np.ix_(users, [0], subcarriers)][:, 0, :] * per_sc
     interference = np.einsum(
-        "i,kin->kn", att, scenario.gain_sq[np.ix_(users, interferers, subcarriers)]
+        "i,kin->kn", att, gain_sq[np.ix_(users, interferers, subcarriers)]
     ) * per_sc
     return desired / (params.noise_power_watts + interference)
 

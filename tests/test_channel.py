@@ -50,14 +50,20 @@ def test_fft_matches_direct_sum():
 
 
 def test_stacked_response_matches_row_by_row_bit_for_bit():
+    # All 19 links of a user, an FFR edge user's 7 (cell 0 and the co-band
+    # cells) and the 12 that a no-FFR read adds later.
+    edge = (0, 7, 9, 11, 13, 15, 17)
+    rest = tuple(cell for cell in range(19) if cell not in edge)
     for n, taps in ((512, 32), (128, 4), (16, 16), (12, 1)):
         stacked = np.stack([
             generate_taps(UserProfile(taps), substream(5, 0, 0, 0, cell)) for cell in range(19)
         ])
-        batched = frequency_response(stacked, n)
-        assert batched.shape == (19, n)
-        for row, response in zip(stacked, batched):
-            assert np.array_equal(response, frequency_response(row, n))
+        for cells in (range(19), edge, rest):
+            rows = stacked[list(cells)]
+            batched = frequency_response(rows, n)
+            assert batched.shape == (len(cells), n)
+            for row, response in zip(rows, batched):
+                assert np.array_equal(response, frequency_response(row, n))
 
 
 def test_same_seed_identical_draws():

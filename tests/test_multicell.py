@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -6,19 +7,25 @@ import pytest
 
 from chunkfair import (
     ConfigError,
+    ExperimentConfig,
     InfeasibleError,
     ScenarioParams,
+    UserProfile,
     band_partition,
     ber_gap,
     build_layout,
     build_scenario,
+    frequency_response,
+    generate_taps,
     multicell_sa,
     path_loss_db,
     place_users,
     reuse1_baseline,
+    run_experiment,
     substream,
 )
 from chunkfair.assign import build_grid, chunk_rates, run_sa
+from chunkfair.channel import STREAM_CHANNEL
 from chunkfair.multicell import _group_tables, _sinr_block
 
 
@@ -465,3 +472,73 @@ def test_group_tables_built_once_per_interferer_set():
             assert coarse_table.shape[1] == coarse_grid.n_chunks < table.shape[1]
     # every view reads one memo: a fresh view at the draw's chunk size finds its tables
     assert _group_tables(_view(view, 4)) is ffr
+
+
+# ---------------------------------------------------------------- links drawn on first read
+
+@pytest.mark.parametrize("scenario", ["multi-cell", "multi-cell-no-FFR"])
+def test_run_draws_each_link_a_model_reads_once(monkeypatch, scenario):
+    from chunkfair import multicell
+
+    draws = collections.Counter()
+    stream = multicell.substream
+
+    def counting(master_seed, *path):
+        if path[0] == STREAM_CHANNEL:
+            draws[path[1:]] += 1
+        return stream(master_seed, *path)
+
+    monkeypatch.setattr(multicell, "substream", counting)
+    config = ExperimentConfig.from_dict({
+        "scenario": scenario,
+        "n_subcarriers": 256,
+        "n_users": 8,
+        "tap_counts": [4, 8, 16, 32, 4, 8, 16, 32],
+        "rate_weights": [1.0] * 8,
+        "trials": 3,
+        "seed": 24680,
+        "sa_schemes": ["proposed", "shen", "static"],
+        "pa_schemes": ["uniform"],
+        "chunk_sizes": [1, 4, 8],
+    })
+    run_experiment(config)
+    got = draws.copy()
+    want = collections.Counter()
+    for trial in range(config.trials):
+        drop = build_scenario(config.chunk_params[0], config.seed, trial)
+        for k in range(config.n_users):
+            ffr_edge = scenario == "multi-cell" and not drop.is_centre[k]
+            cells = [0, *drop.plan.co_band_cells] if ffr_edge else range(19)
+            want.update((trial, k, int(cell)) for cell in cells)
+    assert got == want
+    if scenario == "multi-cell":  # some edge users, so a full draw would not match
+        assert sum(want.values()) < config.trials * 152
+
+
+def _row_by_row_gains(params, master_seed, trial):
+    """|H|^2 of every link, each drawn and transformed on its own."""
+    gains = np.empty((params.n_users, 19, params.n_subcarriers))
+    for k, taps in enumerate(params.tap_counts):
+        for cell in range(19):
+            rng = substream(master_seed, STREAM_CHANNEL, trial, k, cell)
+            h = frequency_response(generate_taps(UserProfile(taps), rng), params.n_subcarriers)
+            gains[k, cell] = h.real**2 + h.imag**2
+    return gains
+
+
+@pytest.mark.parametrize("seed", [3, 17, 43, 101, 24680])
+def test_links_drawn_in_two_batches_equal_a_full_draw(seed):
+    params = small_params(n_subcarriers=256, chunk_size=1, n_users=6, tap_counts=(4, 8, 16, 32, 4, 8),
+                          rate_weights=(1.0,) * 6)
+    drop = build_scenario(params, seed, 2)
+    edge = drop.edge_users
+    assert edge.size
+    multicell_sa(drop)
+    assert drop._drawn[edge].sum(axis=1).tolist() == [7] * edge.size
+    for chunk_size in (1, 2, 4, 8):
+        view = _view(drop, chunk_size)
+        multicell_sa(view)
+        reuse1_baseline(view)  # the edge users' other 12 links, in a second batch
+    assert drop._drawn.all()
+    assert np.array_equal(drop.gain_sq, build_scenario(params, seed, 2).gain_sq)
+    assert np.array_equal(drop.gain_sq, _row_by_row_gains(params, seed, 2))
