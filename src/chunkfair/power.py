@@ -55,6 +55,10 @@ _NEWTON_MAX_STEPS = 60
 # 57 steps, so a span below 2**100 stays within _ORACLE_MAX_BISECTIONS.
 _ORACLE_SKIP_SPAN = 2.0**100
 _LN2 = math.log(2.0)
+# prune_and_waterfill's certified start: the relative margin per gain,
+# and the smallest g_min**2 its range guard admits (the least normal float).
+_START_SLACK = 8.0 * 2.0**-52
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,23 @@ def _waterfill(budget: float, v: float, g: np.ndarray) -> np.ndarray:
     return (budget - v) / g.size + (g - g[0]) / (g * g[0])
 
 
+def _first_doubtful_start(budget: float, g: np.ndarray) -> int:
+    """First start s >= 1 at which ``budget >= _waterfill_v(g[s:])`` is not certified false.
+
+    Every v(s) = (n - s) / g_s - sum_{i >= s} 1 / g_i at once, each term
+    less its margin; see ``prune_and_waterfill``.
+    """
+    lo, hi = float(g[0]), float(g[-1])
+    if not (lo * lo >= _TINY and hi * hi < math.inf):
+        return 1
+    slack = _START_SLACK * g.size
+    r = 1.0 / g
+    tail = r[::-1].cumsum()[::-1]  # sum_{i >= s} 1 / g_i
+    head = np.arange(g.size, 0, -1) * r  # (n - s) / g_s
+    certified = head * (1.0 - slack) - tail * (1.0 + slack) > budget
+    return max(int(certified.argmin()), 1)
+
+
 def prune_and_waterfill(
     budget: float,
     ordered: OrderedGains,
@@ -231,9 +252,26 @@ def prune_and_waterfill(
     """Water-fill one user's budget over its ordered gains.
 
     While the budget cannot keep the weakest active subcarrier at
-    non-negative power, that subcarrier is dropped.  The remaining set
-    gets p_(1) = (budget - v) / n on the weakest and the water-level
-    increments (g_(n) - g_(1)) / (g_(n) g_(1)) on the rest.
+    non-negative power (``budget >= v`` fails), that subcarrier is
+    dropped.  The remaining set gets p_(1) = (budget - v) / n on the
+    weakest and the water-level increments (g_(n) - g_(1)) / (g_(n) g_(1))
+    on the rest.
+
+    The first prune jumps over every start that a certificate rules out
+    (``_first_doubtful_start``), so the exact ``v`` is summed about once
+    per pruned user instead of once per dropped subcarrier.  Over the
+    suffix from s, v(s) = (n - s - 1) / g_s - sum_{i > s} 1 / g_i; both
+    the float ``_waterfill_v(g[s:])`` and the suffix-sum estimate of it
+    stray from v(s) by about (n + 1) * 2**-53 * A(s) at most, where
+    A(s) = (n - s) / g_s + sum_{i >= s} 1 / g_i, since each term and sum
+    rounds once per operation and every term is at most 1 / g_s + 1 / g_i
+    in size.  A start whose estimate exceeds the budget by 8 n 2**-52
+    A(s) therefore fails the exact test too.  The bound needs every
+    product g_i g_s to be a normal float and every 1 / g_i finite; when
+    g_min**2 underflows or g_max**2 overflows, no start is ruled out and
+    the subcarriers are dropped one at a time.  From the first start in
+    doubt on, each start gets the exact test, so the start, ``v`` and
+    every power equal those of dropping one subcarrier at a time.
 
     Returns (powers aligned with ``ordered.values``, pruned_count);
     pruned subcarriers hold exactly zero.
@@ -245,7 +283,9 @@ def prune_and_waterfill(
     start = 0
     v = ordered.v
     while not (budget >= v or start == g.size - 1):
-        start += 1  # weakest gain leaves the active set
+        # The weakest gains leave the active set: at first every start
+        # certified to fail, then one at a time.
+        start = _first_doubtful_start(budget, g) if start == 0 else start + 1
         v = _waterfill_v(g[start:])
     powers[start:] = _waterfill(budget, v, g[start:])
     return powers, start

@@ -2,9 +2,10 @@
 
 Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
-cannot hide in its own checker.  The exception is
-``exact_pa_oracle_direct``, an earlier form of the exact oracle kept to
-pin its rewrite bit for bit; it shares the package's helpers.
+cannot hide in its own checker.  The exceptions are
+``exact_pa_oracle_direct`` and ``prune_and_waterfill_direct``, earlier
+forms of the exact oracle and the prune loop kept to pin their rewrites
+bit for bit; they share the package's helpers.
 ``assignment_record`` and ``allocation_records`` are not oracles but
 the plain-text record formats the tests pin.
 """
@@ -15,12 +16,14 @@ import math
 import numpy as np
 
 from chunkfair.assign import Assignment
-from chunkfair.errors import OracleConvergenceError
+from chunkfair.errors import ConfigError, OracleConvergenceError
 from chunkfair.power import (
     PowerAllocation,
     _check_allocation,
     _ordered_user_gains,
     _scatter,
+    _waterfill,
+    _waterfill_v,
     prune_and_waterfill,
 )
 
@@ -327,3 +330,21 @@ def exact_pa_oracle_direct(
             ordered[k] = ordered[k].without_weakest()
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")
+
+
+def prune_and_waterfill_direct(budget, ordered):
+    """The prune loop as it was before its certified start: one exact ``v`` per dropped subcarrier.
+
+    ``power.prune_and_waterfill`` must match it bit for bit.
+    """
+    if budget < 0:
+        raise ConfigError(f"budget must be >= 0, got {budget}")
+    g = ordered.values
+    powers = np.zeros(g.size)
+    start = 0
+    v = ordered.v
+    while not (budget >= v or start == g.size - 1):
+        start += 1  # weakest gain leaves the active set
+        v = _waterfill_v(g[start:])
+    powers[start:] = _waterfill(budget, v, g[start:])
+    return powers, start

@@ -343,6 +343,24 @@ def test_rate_adaptive_pa_failures_at_minus_200_db_are_allocation_errors():
     }
 
 
+def test_proposed_pa_failures_at_low_snr_are_pinned():
+    # Here the prune drops the most subcarriers and the budgets are tiny;
+    # the linearised split's cancellation fails some proposed rows.
+    config = json.loads((Path(__file__).parents[1] / "configs" / "single_cell_sweep.json")
+                        .read_text(encoding="utf-8"))
+    config.update(trials=20, snr_db=[-70.0, -60.0, -50.0], pa_schemes=["proposed", "uniform"])
+    rows, _ = run_experiment(ExperimentConfig.from_dict(config))
+    failed = {(pa, snr): 0 for pa in config["pa_schemes"] for snr in config["snr_db"]}
+    for r in rows:
+        assert not r.error or r.error.startswith("AllocationError: ")
+        failed[r.pa, r.snr_db] += bool(r.error)
+    assert len(rows) == 240
+    assert failed == {
+        ("proposed", -70.0): 15, ("proposed", -60.0): 1, ("proposed", -50.0): 0,
+        ("uniform", -70.0): 0, ("uniform", -60.0): 0, ("uniform", -50.0): 0,
+    }
+
+
 def test_threaded_run_matches_serial():
     for config in (tiny_config(trials=4), ExperimentConfig.from_dict(MULTI_CELL)):
         serial, _ = run_experiment(config, threads=1)

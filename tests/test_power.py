@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     exact_pa_oracle_direct,
     gauss_solve,
     proportional_budget_system,
+    prune_and_waterfill_direct,
     rates_direct,
 )
 
@@ -264,6 +267,92 @@ def test_water_level_identity_random():
             assert level.max() - level.min() < 1e-10
         # pruned subcarriers are exactly the weakest ones
         assert np.all(p[:pruned] == 0.0)
+
+
+def _prune_instances(seed=18):
+    """Sizes 1-200 over three gain families, each with budgets at and beside its v(s).
+
+    The families cycle with the size: log-uniform gains over 1e-12..1e12,
+    near-equal gains (a few ulp apart, at a random scale) and the
+    shipped channel's exponential gains.  Budgets are 0, each tested
+    start's float v(s) with its two float neighbours (every start up to
+    16 gains, 2 random ones above), and NaN at every tenth size: a NaN
+    budget drops every subcarrier but the strongest, one at a time.
+    """
+    rng = np.random.default_rng(seed)
+    for n in range(1, 201):
+        if n % 3 == 0:
+            gains = 10.0 ** rng.uniform(-12.0, 12.0, n)
+        elif n % 3 == 1:
+            gains = (1.0 + rng.integers(0, 4, n) * 2.0**-52) * 10.0 ** rng.uniform(-6.0, 6.0)
+        else:
+            gains = realize_channel(UserProfile(min(n, 32)), n, 1.0, substream(seed, 0, 0, n, 0)).gains
+        ordered = og(gains)
+        g = ordered.values
+        starts = range(g.size) if g.size <= 16 else rng.choice(g.size, 2, replace=False)
+        budgets = [0.0, math.nan] if n % 10 == 0 else [0.0]
+        for s in starts:
+            v = power._waterfill_v(g[s:])
+            budgets += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+        yield ordered, [b for b in budgets if not b < 0]
+
+
+def test_prune_matches_the_stepwise_loop_bit_for_bit():
+    cases = 0
+    for ordered, budgets in _prune_instances():
+        for budget in budgets:
+            powers, pruned = prune_and_waterfill(budget, ordered)
+            want_powers, want_pruned = prune_and_waterfill_direct(budget, ordered)
+            assert pruned == want_pruned, (ordered.values, budget)
+            assert np.array_equal(powers, want_powers, equal_nan=True), (ordered.values, budget)
+            cases += 1
+    assert cases > 1500
+
+
+@pytest.mark.parametrize("gains, budget, pruned", [
+    # 1e300 * 2e300 overflows, so the float v from start 1 is 0 and the
+    # loop stops there; a certificate would skip to start 2.
+    ([1e-10, 1e300, 2e300], 0.0, 1),
+    # 1 / 1e-320 overflows.
+    ([1e-320, 3e-320, 1e-319, 1.0], 1.0, 3),
+    ([1e-320, 1e-319, 2.0, 3.0], 1.0, 2),
+])
+def test_prune_outside_the_certified_range_steps_one_at_a_time(gains, budget, pruned):
+    ordered = og(gains)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = prune_and_waterfill(budget, ordered)
+        want = prune_and_waterfill_direct(budget, ordered)
+    assert got[1] == want[1] == pruned
+    assert np.array_equal(got[0], want[0])
+
+
+def test_proposed_pa_sums_v_once_per_pruned_user(monkeypatch):
+    # One drop of the shipped sweep's users at -10 dB, the sweep's point
+    # with the most pruned subcarriers.
+    config = json.loads((Path(__file__).parents[1] / "configs" / "single_cell_sweep.json")
+                        .read_text(encoding="utf-8"))
+    config.update(trials=1, snr_db=[-10.0], pa_schemes=["proposed"])
+    sums, calls = [0], []
+    waterfill_v, pa = power._waterfill_v, power.proposed_pa
+
+    def counted_v(g):
+        sums[0] += 1
+        return waterfill_v(g)
+
+    def counted_pa(*args):
+        sums[0] = 0
+        alloc = pa(*args)
+        calls.append((sums[0], alloc.pruned))
+        return alloc
+
+    monkeypatch.setattr(power, "_waterfill_v", counted_v)
+    monkeypatch.setattr(power, "proposed_pa", counted_pa)
+    run_experiment(ExperimentConfig.from_dict(config))
+    assert len(calls) == 2
+    assert sum(pruned.sum() for _, pruned in calls) > 100
+    for count, pruned in calls:
+        # One v per user's gain record, then one re-sum per pruned user.
+        assert count <= pruned.size + np.count_nonzero(pruned)
 
 
 # ------------------------------------------------------- end-to-end PA
