@@ -393,7 +393,9 @@ def exhaustive_sa_oracle(
     holds at least one chunk), evaluates the supplied power allocation
     on each, and returns the candidate with the largest sum rate.  Ties
     break first toward the smallest rate-constraint deviation, then
-    toward the lexicographically smallest owner vector.
+    toward the lexicographically smallest owner vector.  Only a
+    candidate whose sum rate is at least the best so far can win, so
+    only those get their deviation computed.
 
     Parameters
     ----------
@@ -425,6 +427,8 @@ def exhaustive_sa_oracle(
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())
+        if best is not None and total_rate < -best[0][0]:
+            continue  # a lower sum rate cannot win, whatever its deviation
         if n_users >= 2 and total_rate > 0:
             dev = deviation(rates, weights)
         else:

@@ -340,6 +340,9 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
 
     A greedy or static SA runs once per point and its assignment, or its
     error, serves every PA scheme; the exhaustive oracle searches per PA.
+    Each PA scheme solves each distinct assignment once per point, so an
+    oracle candidate that a heuristic also picked is not solved again.
+    A PA error is not kept: asking again raises it again.
     """
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
@@ -353,10 +356,17 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
             total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
             assigned = {}  # SA name -> its assignment or its error
+            solved = {}  # (PA name, owners) -> that assignment's rates under that PA
 
             def rates_of(sa, pa):
                 def pa_rates(assignment):
-                    return power.user_rates(_PA[pa](assignment, gains, weights, total_power).powers, gains)
+                    key = (pa, assignment.owners)
+                    if key not in solved:
+                        alloc = _PA[pa](assignment, gains, weights, total_power)
+                        rates = power.user_rates(alloc.powers, gains)
+                        rates.flags.writeable = False  # every row and search that asks shares it
+                        solved[key] = rates
+                    return solved[key]
 
                 if sa == "exhaustive-oracle":
                     return assign.exhaustive_sa_oracle(weights, grid, pa_rates).rates

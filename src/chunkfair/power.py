@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +60,23 @@ _START_SLACK = 8.0 * 2.0**-52
 _TINY = float(np.finfo(float).tiny)
 
 
+class _computed_once:
+    """A lazily computed attribute, stored in the instance dict on first read.
+
+    ``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first read; see ``OrderedGains``.
+    """
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class OrderedGains:
     """One user's active gains sorted ascending, with the owning subcarrier indices.
@@ -70,7 +86,11 @@ class OrderedGains:
     equalising the water level across the set when the weakest subcarrier
     gets zero power, ``e`` the sum of gains relative to the weakest, and
     ``log2_w`` the log2 of the geometric-mean gain ratio (kept in the log
-    domain so long gain vectors cannot overflow the product).
+    domain so long gain vectors cannot overflow the product).  Each is
+    computed at most once per record and then read from the instance
+    dict.  No lock guards the first read: the record is frozen and
+    each statistic a pure function of it, so two threads that race
+    would only store equal values.
     """
 
     values: np.ndarray
@@ -82,23 +102,23 @@ class OrderedGains:
         if not self.values[0] > 0:
             raise ConfigError("active set needs a positive weakest gain")
 
-    @cached_property
+    @_computed_once
     def size(self) -> int:
         return int(self.values.size)
 
-    @cached_property
+    @_computed_once
     def g_min(self) -> float:
         return float(self.values[0])
 
-    @cached_property
+    @_computed_once
     def v(self) -> float:
         return _waterfill_v(self.values)
 
-    @cached_property
+    @_computed_once
     def e(self) -> float:
         return float((self.values / self.g_min).sum())
 
-    @cached_property
+    @_computed_once
     def log2_w(self) -> float:
         return float(np.log2(self.values[1:] / self.g_min).sum()) / self.size
 

@@ -3,20 +3,23 @@
 Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exceptions are
-``exact_pa_oracle_direct`` and ``prune_and_waterfill_direct``, earlier
-forms of the exact oracle and the prune loop kept to pin their rewrites
-bit for bit; they share the package's helpers.
+``exact_pa_oracle_direct``, ``prune_and_waterfill_direct`` and
+``exhaustive_sa_oracle_direct``, earlier forms of the exact oracle, the
+prune loop and the SA oracle kept to pin their rewrites bit for bit;
+they share the package's helpers.
 ``assignment_record`` and ``allocation_records`` are not oracles but
 the plain-text record formats the tests pin.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
 
-from chunkfair.assign import Assignment
+from chunkfair.assign import Assignment, OracleResult
 from chunkfair.errors import ConfigError, OracleConvergenceError
+from chunkfair.metrics import deviation
 from chunkfair.power import (
     PowerAllocation,
     _check_allocation,
@@ -348,3 +351,36 @@ def prune_and_waterfill_direct(budget, ordered):
         v = _waterfill_v(g[start:])
     powers[start:] = _waterfill(budget, v, g[start:])
     return powers, start
+
+
+def exhaustive_sa_oracle_direct(weights, grid, pa_solver):
+    """The SA oracle's search as it was before its lazy deviation: every candidate gets one.
+
+    ``assign.exhaustive_sa_oracle`` must match it bit for bit.
+    """
+    weights = np.asarray(weights, dtype=float)
+    n_users = weights.size
+    best = None
+    examined = 0
+    for owners in itertools.product(range(n_users), repeat=grid.n_chunks):
+        if len(set(owners)) < n_users:
+            continue
+        examined += 1
+        cand = Assignment(grid=grid, owners=owners, n_users=n_users)
+        rates = np.asarray(pa_solver(cand), dtype=float)
+        total_rate = float(rates.sum())
+        if n_users >= 2 and total_rate > 0:
+            dev = deviation(rates, weights)
+        else:
+            dev = 0.0
+        key = (-total_rate, dev, owners)
+        if best is None or key < best[0]:
+            best = (key, cand, rates)
+    (_, cand, rates) = best
+    return OracleResult(
+        assignment=cand,
+        sum_rate=float(rates.sum()),
+        deviation=best[0][1],
+        rates=rates,
+        candidates=examined,
+    )

@@ -13,19 +13,28 @@ from chunkfair import (
     UserProfile,
     build_grid,
     chunk_rates,
+    exact_pa_oracle,
     exhaustive_sa_oracle,
     normalized_rates,
     proposed_sa,
     realize_channel,
+    run_experiment,
     shen_sa,
     static_sa,
     substream,
     uniform_pa,
     user_rates,
 )
+from chunkfair import assign
 from chunkfair.assign import _greedy_sa
 
-from oracles import assignment_record, chunk_rates_direct, proposed_sa_direct, shen_sa_direct
+from oracles import (
+    assignment_record,
+    chunk_rates_direct,
+    exhaustive_sa_oracle_direct,
+    proposed_sa_direct,
+    shen_sa_direct,
+)
 
 
 def chunks_of(assignment, user):
@@ -443,6 +452,87 @@ def test_oracle_dominates_heuristics():
         for heuristic in (proposed_sa, shen_sa):
             a, _ = heuristic(table, weights, grid)
             assert res.sum_rate + 1e-12 >= float(np.sum(solver(a)))
+
+
+def _oracle_bits(res):
+    """Every field of an OracleResult, floats as their bytes."""
+    return (
+        res.assignment,
+        np.float64(res.sum_rate).tobytes(),
+        np.float64(res.deviation).tobytes(),
+        res.rates.dtype,
+        res.rates.shape,
+        res.rates.tobytes(),
+        res.candidates,
+    )
+
+
+def _exact_rates_solver(gains, weights, total_power):
+    def solver(assignment):
+        return user_rates(exact_pa_oracle(assignment, gains, weights, total_power).powers, gains)
+
+    return solver
+
+
+@pytest.mark.parametrize("n_users,n,chunk_size", [(2, 6, 1), (2, 12, 2), (3, 10, 2), (3, 8, 2)])
+def test_oracle_matches_the_search_that_scores_every_deviation(n_users, n, chunk_size):
+    grid = build_grid(n, chunk_size)
+    weights = np.array([1.0, 2.0, 4.0][:n_users])
+    for seed in range(3):
+        gains = random_gains(n_users, n, seed=seed, taps=2)
+        for snr_db in (-10.0, 0.0, 10.0):
+            total_power = n * 10.0 ** (snr_db / 10.0)
+            for solver in (_uniform_rates_solver(gains, total_power),
+                           _exact_rates_solver(gains, weights, total_power)):
+                res = exhaustive_sa_oracle(weights, grid, solver)
+                ref = exhaustive_sa_oracle_direct(weights, grid, solver)
+                assert _oracle_bits(res) == _oracle_bits(ref)
+
+
+def _stub_solver(rates_by_owners):
+    def solver(assignment):
+        return np.array(rates_by_owners.get(assignment.owners, (0.5, 0.5)))
+
+    return solver
+
+
+def test_oracle_sum_rate_tie_goes_to_the_later_lower_deviation():
+    grid = build_grid(3, 1)
+    solver = _stub_solver({
+        (0, 1, 1): (3.0, 1.0),  # sum 4, deviation 0.5
+        (1, 0, 0): (1.6, 1.4),  # lower sum, deviation below 0.5
+        (1, 1, 0): (2.0, 2.0),  # sum 4, deviation 0
+    })
+    res = exhaustive_sa_oracle(np.ones(2), grid, solver)
+    assert res.assignment.owners == (1, 1, 0)
+    assert res.deviation == 0.0
+    assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
+
+
+def test_oracle_deviation_tie_goes_to_the_smaller_owners():
+    grid = build_grid(3, 1)
+    solver = _stub_solver({
+        (0, 1, 0): (1.0, 3.0),  # sum 4, deviation 0.5
+        (1, 0, 1): (3.0, 1.0),  # sum 4, deviation 0.5
+    })
+    res = exhaustive_sa_oracle(np.ones(2), grid, solver)
+    assert res.assignment.owners == (0, 1, 0)
+    assert res.deviation == 0.5
+    assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
+
+
+def test_oracle_computes_deviation_only_for_candidates_that_can_win(monkeypatch, oracle_small_config):
+    # 24 searches over 62 candidates each, all 1,488 with a positive sum rate.
+    calls = []
+    deviation = assign.deviation
+
+    def counted(rates, weights):
+        calls.append(rates.size)
+        return deviation(rates, weights)
+
+    monkeypatch.setattr(assign, "deviation", counted)
+    run_experiment(oracle_small_config)
+    assert 24 <= len(calls) <= 167
 
 
 def test_oracle_cap_enforced():

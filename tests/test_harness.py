@@ -307,6 +307,31 @@ def test_failed_power_allocation_marks_only_its_own_rows(monkeypatch):
                for r in complete)
 
 
+def test_each_assignment_is_solved_once_per_point_and_errors_are_asked_again(monkeypatch):
+    from chunkfair import power
+
+    uniform = power.uniform_pa
+    asked, failing = [], set()
+
+    def counted(assignment, total_power):
+        asked.append(assignment.owners)
+        if assignment.owners in failing:
+            raise OracleConvergenceError("forced")
+        return uniform(assignment, total_power)
+
+    monkeypatch.setattr(power, "uniform_pa", counted)
+    config = tiny_config(trials=1, sa_schemes=["proposed", "exhaustive-oracle"])
+    clean, _ = run_experiment(config)
+    # The proposed assignment is solved first and is one of the 14 oracle candidates.
+    assert len(asked) == len(set(asked)) == 14
+    failing.add(asked[0])
+    asked.clear()
+    rows, _ = run_experiment(config)
+    assert asked.count(next(iter(failing))) == 2
+    assert [r.error for r in rows] == ["OracleConvergenceError: forced"] * 2
+    assert not any(r.error for r in clean)
+
+
 def test_infeasible_scenarios_become_error_rows():
     config = ExperimentConfig.from_dict({
         "scenario": "multi-cell",

@@ -102,6 +102,38 @@ def test_zero_gain_rejected_and_dropped():
     assert trimmed.subcarriers.tolist() == [2, 3]
 
 
+def test_record_computes_each_statistic_once(monkeypatch):
+    summed = []
+    waterfill_v = power._waterfill_v
+
+    def counted_v(g):
+        summed.append(g.size)
+        return waterfill_v(g)
+
+    monkeypatch.setattr(power, "_waterfill_v", counted_v)
+    record = order_gains(np.random.default_rng(3).exponential(size=9), np.arange(9))
+    weaker = record.without_weakest()
+    assert weaker.values.tolist() == record.values[1:].tolist()
+    assert weaker.subcarriers.tolist() == record.subcarriers[1:].tolist()
+    for rec in (record, weaker):
+        summed.clear()
+        g = [float(x) for x in rec.values]
+        direct = {
+            "size": len(g),
+            "g_min": g[0],
+            "v": math.fsum((x - g[0]) / (x * g[0]) for x in g[1:]),
+            "e": math.fsum(x / g[0] for x in g),
+            "log2_w": math.fsum(math.log2(x / g[0]) for x in g[1:]) / len(g),
+        }
+        for name, expected in direct.items():
+            first = getattr(rec, name)
+            # Stored on the record, so no later read computes it again.
+            assert vars(rec)[name] is first
+            assert getattr(rec, name) is first
+            assert first == pytest.approx(expected, rel=1e-14, abs=0.0), name
+        assert summed == [len(g)]
+
+
 def test_alpha_is_minus_one_for_identical_users():
     c = og([1.0, 2.0, 4.0])
     alphas, betas = linear_coefficients([c, c], np.array([1.0, 1.0]))
@@ -597,22 +629,11 @@ def test_exact_oracle_survives_a_wrong_newton_root(monkeypatch, misplace):
     assert [_oracle_outcome(exact_pa_oracle, instance) for instance in instances] == want
 
 
-def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch):
+def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch, oracle_small_config):
     # The oracle-small benchmark workload at its default seed.  Bisecting
-    # with every step evaluated took 129,944 budget evaluations here.
-    config = ExperimentConfig.from_dict({
-        "scenario": "single-cell",
-        "n_subcarriers": 12,
-        "n_users": 2,
-        "tap_counts": [2, 4],
-        "rate_weights": [1.0, 2.0],
-        "trials": 12,
-        "seed": 7,
-        "sa_schemes": ["proposed", "shen", "static", "exhaustive-oracle"],
-        "pa_schemes": ["uniform", "exact-oracle"],
-        "chunk_sizes": [2],
-        "snr_db": [0.0],
-    })
+    # with every step evaluated took 129,944 budget evaluations here.  The
+    # 62 candidates of each of the 12 oracle searches are solved once each;
+    # the three heuristic assignments are among them and are not solved again.
     counts = {"oracle": 0, "budgets": 0}
     oracle, level_budgets = power.exact_pa_oracle, power._level_budgets
 
@@ -626,8 +647,8 @@ def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch):
 
     monkeypatch.setattr(power, "exact_pa_oracle", counted_oracle)
     monkeypatch.setattr(power, "_level_budgets", counted_budgets)
-    run_experiment(config)
-    assert counts["oracle"] == 780
+    run_experiment(oracle_small_config)
+    assert counts["oracle"] == 744
     assert counts["budgets"] <= 129_944 // 3
 
 
