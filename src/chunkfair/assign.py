@@ -9,11 +9,12 @@ arg-min scan break toward the lowest index so runs are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleError, OracleSizeError
+from .errors import AllocationError, ConfigError, InfeasibleError, OracleSizeError
 from .metrics import deviation
 
 __all__ = [
@@ -93,7 +94,9 @@ class Assignment:
             )
         if min(self.owners) < 0 or max(self.owners) >= self.n_users:
             raise ConfigError(f"chunk owners must lie in [0, {self.n_users - 1}]")
-        per_subcarrier = np.repeat(self.owners, self.grid.chunk_sizes())
+        per_subcarrier = np.array(self.owners)
+        if self.grid.chunk_size > 1:
+            per_subcarrier = np.repeat(per_subcarrier, self.grid.chunk_sizes())
         per_subcarrier.flags.writeable = False
         object.__setattr__(self, "subcarrier_owners", per_subcarrier)
 
@@ -162,6 +165,8 @@ def chunk_rates(
         )
     n_norm = grid.n_subcarriers if n_total is None else int(n_total)
     per_sc = np.log2(1.0 + power_per_subcarrier * gains)
+    if grid.chunk_size == 1:
+        return per_sc / n_norm  # one subcarrier per chunk: its sum is itself
     # Full chunks are summed as one reshape, the last (longer) one alone;
     # both sums run along the contiguous last axis, so each chunk is
     # summed in the same order as its slice alone would be.
@@ -181,8 +186,10 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
     """
     rates = np.asarray(rate_table, dtype=float)
     means = rates.mean(axis=0)
-    out = np.ones_like(rates)
     ok = means > 0
+    if np.count_nonzero(ok) == ok.size:
+        return rates / means
+    out = np.ones_like(rates)
     out[:, ok] = rates[:, ok] / means[ok]
     return out
 
@@ -245,18 +252,17 @@ def _greedy_sa(
     Every float operation matches the array form: sequential adds into
     ``acc``, then one division.  Neither input array is modified.
     """
-    weights = np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float).tolist()
     n_users, n_chunks = rates.shape
     if n_chunks < n_users:
         raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
-    if not np.all(np.isfinite(weights) & (weights > 0)):
+    if not all(0.0 < wk < math.inf for wk in w):
         raise ConfigError("rate weights must be positive and finite")
-    if not np.all(np.isfinite(rates)):
+    if not np.isfinite(rates).all():
         raise ConfigError("rate table must be finite")
     scores = np.asarray(scores, dtype=float)
     order = np.argsort(-scores, axis=1, kind="stable").tolist()
     rate_rows = rates.tolist()
-    w = weights.tolist()
     pointer = [0] * n_users
     taken = [False] * n_chunks
     owners = [0] * n_chunks
@@ -395,7 +401,8 @@ def exhaustive_sa_oracle(
     break first toward the smallest rate-constraint deviation, then
     toward the lexicographically smallest owner vector.  Only a
     candidate whose sum rate is at least the best so far can win, so
-    only those get their deviation computed.
+    only those get their deviation computed; a NaN sum rate never wins,
+    and if every candidate has one the search raises AllocationError.
 
     Parameters
     ----------
@@ -427,8 +434,8 @@ def exhaustive_sa_oracle(
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())
-        if best is not None and total_rate < -best[0][0]:
-            continue  # a lower sum rate cannot win, whatever its deviation
+        if math.isnan(total_rate) or (best is not None and total_rate < -best[0][0]):
+            continue  # a NaN or lower sum rate cannot win, whatever its deviation
         if n_users >= 2 and total_rate > 0:
             dev = deviation(rates, weights)
         else:
@@ -436,6 +443,8 @@ def exhaustive_sa_oracle(
         key = (-total_rate, dev, owners)
         if best is None or key < best[0]:
             best = (key, cand, rates)
+    if best is None:
+        raise AllocationError(f"all {examined} candidate assignments have a NaN sum rate")
     (_, cand, rates) = best
     return OracleResult(
         assignment=cand,

@@ -14,6 +14,7 @@ import concurrent.futures
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, get_args, get_origin, get_type_hints
 
@@ -278,20 +279,23 @@ SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # the most common cell, numpy floats included
+        return format(float(value), ".12g")
     if value is None:
         return ""
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):
-        return ";".join(_fmt(v) for v in value)
+        return ";".join([_fmt(v) for v in value])
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".12g")
 
 
 def _write_csv(rows, columns: tuple[str, ...], path) -> None:
+    cells = operator.attrgetter(*columns)
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(getattr(r, name)) for name in columns) for r in rows)
+    lines.extend(",".join(map(_fmt, cells(r))) for r in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -90,7 +90,8 @@ class OrderedGains:
     computed at most once per record and then read from the instance
     dict.  No lock guards the first read: the record is frozen and
     each statistic a pure function of it, so two threads that race
-    would only store equal values.
+    would only store equal values.  ``_for_spans`` builds many records
+    with these statistics already stored, computed for all at once.
     """
 
     values: np.ndarray
@@ -121,6 +122,29 @@ class OrderedGains:
     @_computed_once
     def log2_w(self) -> float:
         return float(np.log2(self.values[1:] / self.g_min).sum()) / self.size
+
+    @classmethod
+    def _for_spans(cls, g, subcarriers, owners, bounds) -> tuple[list[OrderedGains], np.ndarray]:
+        """Every user's record from ``_sorted_gains``, and every gain's water-filling term.
+
+        User k's record holds ``g[bounds[k]:bounds[k + 1]]``; no span may
+        be empty.  The terms (``_waterfill_terms`` against the owner's
+        g_min) and the ratios g / g_min are computed once for all gains,
+        and each record's v and e are sums over its own slice of them,
+        so size, g_min, v and e are stored equal to their first-read values.
+        """
+        g_min = g[bounds[:-1]]
+        base = g_min[owners]
+        terms = _waterfill_terms(g, base)
+        ratios = g / base
+        bounds = bounds.tolist()
+        records = []
+        for lo, hi, g0 in zip(bounds, bounds[1:], g_min.tolist()):
+            og = cls(values=g[lo:hi], subcarriers=subcarriers[lo:hi])
+            og.__dict__.update(size=hi - lo, g_min=g0, v=float(terms[lo + 1 : hi].sum()),
+                               e=float(ratios[lo:hi].sum()))
+            records.append(og)
+        return records, terms
 
     def without_weakest(self) -> OrderedGains:
         """The set with its weakest subcarrier dropped."""
@@ -238,14 +262,24 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return budgets, mask
 
 
+def _waterfill_terms(g, g0):
+    """Power that lifts a subcarrier of gain ``g`` from the water level of gain ``g0`` to its own."""
+    return (g - g0) / (g * g0)
+
+
 def _waterfill_v(g: np.ndarray) -> float:
     """Power that lifts every gain of the ascending ``g`` to the weakest one's water level."""
-    return float(((g[1:] - g[0]) / (g[1:] * g[0])).sum())
+    return float(_waterfill_terms(g[1:], g[0]).sum())
+
+
+def _water_level(budget: float, v: float, size: int) -> float:
+    """Power on the weakest of ``size`` active subcarriers when a budget is water-filled over them."""
+    return (budget - v) / size
 
 
 def _waterfill(budget: float, v: float, g: np.ndarray) -> np.ndarray:
     """Powers of a budget water-filled over the ascending active gains ``g`` with their ``v``."""
-    return (budget - v) / g.size + (g - g[0]) / (g * g[0])
+    return _water_level(budget, v, g.size) + _waterfill_terms(g, g[0])
 
 
 def _first_doubtful_start(budget: float, g: np.ndarray) -> int:
@@ -311,15 +345,38 @@ def prune_and_waterfill(
     return powers, start
 
 
-def _ordered_user_gains(assignment: Assignment, gains: np.ndarray) -> list[OrderedGains]:
-    out = []
+def _sorted_gains(assignment: Assignment, gains: np.ndarray):
+    """Every user's positive gains in one stable sort: (g, subcarriers, owners, bounds).
+
+    User k's gains are ``g[bounds[k]:bounds[k + 1]]``, ascending with
+    ties toward the lower subcarrier index, as a stable sort of that
+    user's gains alone would order them; ``subcarriers`` and ``owners``
+    hold each gain's subcarrier and user.  Zero, negative and NaN gains
+    are dropped; a user left with none raises InfeasibleError.
+    """
+    owner = assignment.subcarrier_owners  # per subcarrier
+    g = gains[owner, np.arange(owner.size)]
+    subcarriers = np.lexsort((g, owner))
+    g = g[subcarriers]
+    keep = g > 0
+    if np.count_nonzero(keep) < keep.size:
+        subcarriers, g = subcarriers[keep], g[keep]
+    owners = owner[subcarriers]  # per sorted gain
+    bounds = np.searchsorted(owners, np.arange(assignment.n_users + 1))
+    starts = bounds.tolist()
     for k in range(assignment.n_users):
-        subs = assignment.subcarriers_of(k)
-        try:
-            out.append(order_gains(gains[k, subs], subs))
-        except InfeasibleError:
-            raise InfeasibleError(f"user {k} has no positive-gain subcarrier") from None
-    return out
+        if starts[k] == starts[k + 1]:
+            raise InfeasibleError(f"user {k} has no positive-gain subcarrier")
+    return g, subcarriers, owners, bounds
+
+
+def _ordered_user_gains(assignment: Assignment, gains: np.ndarray) -> list[OrderedGains]:
+    g, subcarriers, _, bounds = _sorted_gains(assignment, gains)
+    bounds = bounds.tolist()
+    return [
+        OrderedGains(values=g[lo:hi], subcarriers=subcarriers[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _scatter(assignment: Assignment, per_user, n_users: int) -> np.ndarray:
@@ -354,24 +411,38 @@ def proposed_pa(
     Among users untouched by both the negative-budget repair and the
     water-filling prune loop, the linearised weighted rates
     sum(p * G) / weight agree to first order by construction.
+
+    All users are handled in one pass over the assignment's
+    subcarriers: one sort orders every user's gains, and the records'
+    statistics and water-filling terms are computed once for all of
+    them (``OrderedGains._for_spans``).  A user whose budget covers its
+    v keeps all its subcarriers and is water-filled with the others in
+    one step; only the rest go through ``prune_and_waterfill``.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    ordered = _ordered_user_gains(assignment, gains)
+    g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
+    ordered, terms = OrderedGains._for_spans(g, subcarriers, owners, bounds)
     alphas, betas = linear_coefficients(ordered, weights)
     budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
-    per_user = []
+    levels, short = [], []
+    for k, (og, budget) in enumerate(zip(ordered, budgets.tolist())):
+        fits = budget >= og.v
+        levels.append(_water_level(budget, og.v, og.size) if fits else 0.0)
+        if not fits:
+            short.append(k)
+    powers = np.array(levels)[owners] + terms
     pruned = np.zeros(assignment.n_users, dtype=int)
-    for k, og in enumerate(ordered):
-        p, n_pruned = prune_and_waterfill(budgets[k], og)
-        pruned[k] = n_pruned
-        per_user.append((og, p))
-    powers = _scatter(assignment, per_user, assignment.n_users)
-    _check_allocation(powers, total_power)
+    for k in short:
+        lo, hi = bounds[k], bounds[k + 1]
+        powers[lo:hi], pruned[k] = prune_and_waterfill(budgets[k], ordered[k])
+    out = np.zeros((assignment.n_users, assignment.grid.n_subcarriers))
+    out[owners, subcarriers] = powers
+    _check_allocation(out, total_power)
     return PowerAllocation(
         budgets=budgets,
-        powers=powers,
+        powers=out,
         repaired=repaired,
         pruned=pruned,
         singular_fallback=fallback,

@@ -3,10 +3,11 @@
 Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exceptions are
-``exact_pa_oracle_direct``, ``prune_and_waterfill_direct`` and
-``exhaustive_sa_oracle_direct``, earlier forms of the exact oracle, the
-prune loop and the SA oracle kept to pin their rewrites bit for bit;
-they share the package's helpers.
+``exact_pa_oracle_direct``, ``prune_and_waterfill_direct``,
+``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
+forms of the exact oracle, the prune loop, the proposed PA and the SA
+oracle kept to pin their rewrites bit for bit; they share the
+package's helpers.
 ``assignment_record`` and ``allocation_records`` are not oracles but
 the plain-text record formats the tests pin.
 """
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from chunkfair.assign import Assignment, OracleResult
-from chunkfair.errors import ConfigError, OracleConvergenceError
+from chunkfair.errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
 from chunkfair.metrics import deviation
 from chunkfair.power import (
     PowerAllocation,
@@ -27,7 +28,11 @@ from chunkfair.power import (
     _scatter,
     _waterfill,
     _waterfill_v,
+    linear_coefficients,
+    order_gains,
     prune_and_waterfill,
+    repair_negative_budgets,
+    solve_power_split,
 )
 
 
@@ -353,8 +358,47 @@ def prune_and_waterfill_direct(budget, ordered):
     return powers, start
 
 
+def proposed_pa_direct(assignment, gains, weights, total_power):
+    """The proposed PA as it was before its single pass: one record and one prune call per user.
+
+    Each user's subcarriers are found and sorted alone, and every user's
+    budget goes through ``prune_and_waterfill``.  ``power.proposed_pa``
+    must match it bit for bit.
+    """
+    gains = np.asarray(gains, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    ordered = []
+    for k in range(assignment.n_users):
+        subs = assignment.subcarriers_of(k)
+        try:
+            ordered.append(order_gains(gains[k, subs], subs))
+        except InfeasibleError:
+            raise InfeasibleError(f"user {k} has no positive-gain subcarrier") from None
+    alphas, betas = linear_coefficients(ordered, weights)
+    budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
+    budgets, repaired = repair_negative_budgets(budgets)
+    per_user = []
+    pruned = np.zeros(assignment.n_users, dtype=int)
+    for k, og in enumerate(ordered):
+        p, n_pruned = prune_and_waterfill(budgets[k], og)
+        pruned[k] = n_pruned
+        per_user.append((og, p))
+    powers = _scatter(assignment, per_user, assignment.n_users)
+    _check_allocation(powers, total_power)
+    return PowerAllocation(
+        budgets=budgets,
+        powers=powers,
+        repaired=repaired,
+        pruned=pruned,
+        singular_fallback=fallback,
+    )
+
+
 def exhaustive_sa_oracle_direct(weights, grid, pa_solver):
     """The SA oracle's search as it was before its lazy deviation: every candidate gets one.
+
+    A candidate whose sum rate is NaN is passed over, and a search with
+    no other candidate raises AllocationError.
 
     ``assign.exhaustive_sa_oracle`` must match it bit for bit.
     """
@@ -369,6 +413,8 @@ def exhaustive_sa_oracle_direct(weights, grid, pa_solver):
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())
+        if math.isnan(total_rate):
+            continue  # a NaN sum rate never wins
         if n_users >= 2 and total_rate > 0:
             dev = deviation(rates, weights)
         else:
@@ -376,6 +422,8 @@ def exhaustive_sa_oracle_direct(weights, grid, pa_solver):
         key = (-total_rate, dev, owners)
         if best is None or key < best[0]:
             best = (key, cand, rates)
+    if best is None:
+        raise AllocationError(f"all {examined} candidate assignments have a NaN sum rate")
     (_, cand, rates) = best
     return OracleResult(
         assignment=cand,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkfair import (
+    AllocationError,
     Assignment,
     ConfigError,
     InfeasibleError,
@@ -519,6 +520,25 @@ def test_oracle_deviation_tie_goes_to_the_smaller_owners():
     assert res.assignment.owners == (0, 1, 0)
     assert res.deviation == 0.5
     assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
+
+
+def test_oracle_passes_over_a_first_candidate_with_a_nan_sum_rate():
+    # (0, 0, 1) is the first covering map; NaN compares false both ways.
+    grid = build_grid(3, 1)
+    solver = _stub_solver({(0, 0, 1): (np.nan, 1.0)} | {
+        owners: (2.0, 2.0) for owners in [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)]
+    })
+    res = exhaustive_sa_oracle(np.ones(2), grid, solver)
+    assert res.assignment.owners == (0, 1, 0)
+    assert res.sum_rate == 4.0
+    assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
+
+
+def test_oracle_with_only_nan_sum_rates_raises():
+    grid = build_grid(3, 1)
+    for search in (exhaustive_sa_oracle, exhaustive_sa_oracle_direct):
+        with pytest.raises(AllocationError, match="all 6 candidate assignments have a NaN sum rate"):
+            search(np.ones(2), grid, lambda a: np.array([np.nan, 1.0]))
 
 
 def test_oracle_computes_deviation_only_for_candidates_that_can_win(monkeypatch, oracle_small_config):

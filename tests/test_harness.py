@@ -19,7 +19,7 @@ from chunkfair import (
     run_experiment,
 )
 from chunkfair.cli import main
-from chunkfair.harness import ROW_COLUMNS, emit_csv, emit_summary_csv
+from chunkfair.harness import ROW_COLUMNS, _fmt, emit_csv, emit_summary_csv
 
 DATA = Path(__file__).parent / "data"
 # The golden fixture is the output of `chunkfair run` on this config.
@@ -448,6 +448,15 @@ def test_emit_csv_round_trip_format(tmp_path):
     assert first[ROW_COLUMNS.index("trial")] == "0"
 
 
+@pytest.mark.parametrize("value, cell", [
+    (None, ""), ("proposed", "proposed"), (7, "7"), (True, "1"), (np.int64(7), "7"),
+    (1.0 / 3.0, "0.333333333333"), (np.float64(1e-20), "1e-20"), (np.float32(0.5), "0.5"),
+    ((0.25, np.float64(2.0)), "0.25;2"), ((), ""),
+])
+def test_csv_cell_of_every_value_kind(value, cell):
+    assert _fmt(value) == cell
+
+
 def test_golden_fixture_matches(tmp_path):
     out = tmp_path / "golden_rows.csv"
     assert main(["run", "--config", str(GOLDEN_CONFIG_PATH), "--out", str(out)]) == 0
@@ -494,18 +503,38 @@ PERFBENCH_WORKLOADS = runpy.run_path(
 )["WORKLOADS"]
 
 
-@pytest.mark.parametrize("name", sorted(PERFBENCH_WORKLOADS))
-def test_benchmark_workload_csv_bytes_are_pinned(tmp_path, name):
-    workload = PERFBENCH_WORKLOADS[name]
-    config = ExperimentConfig.from_dict(dict(workload.config, seed=workload.default_seed))
+# The same digests at seed 97531, the first input block of
+# ``perfbench/run.py --seed 97531``, a seed the benchmark does not pin.
+SEED_97531_DIGESTS = {
+    "multicell-ffr": ("02e7622131acf07b5b63d7be45a32f8abb7fc30eda5960a8a91063efca7c95cd",
+                      "e2cf283b4858dfeba5d9799892c472854b10c43a626240f0234ff90e5e340213"),
+    "oracle-small": ("ed70cafd172002096b295c30d754252d60692bde77d92af72b2908d541fde5f8",
+                     "c53bec46f00ccb89363a0734c6549c0bc5d1122da8ca5beefb693350281df19c"),
+    "single-sweep": ("f20ae0a3647f91f3ace4d462122540d7cd08bc8aad67dfce03871f55abc24690",
+                     "40fee61e3b1c78d8388a3eaf240f9ce04416bfe07c03b3d744ee9322c15d7125"),
+}
+
+
+def _workload_digests(tmp_path, name, seed):
+    config = ExperimentConfig.from_dict(dict(PERFBENCH_WORKLOADS[name].config, seed=seed))
     rows, summary = run_experiment(config)
     emit_csv(rows, tmp_path / "rows.csv")
     emit_summary_csv(summary, tmp_path / "rows.summary.csv")
-    digests = tuple(
+    return tuple(
         hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
         for f in ("rows.csv", "rows.summary.csv")
     )
-    assert digests == workload.digests
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_WORKLOADS))
+def test_benchmark_workload_csv_bytes_are_pinned(tmp_path, name):
+    workload = PERFBENCH_WORKLOADS[name]
+    assert _workload_digests(tmp_path, name, workload.default_seed) == workload.digests
+
+
+@pytest.mark.parametrize("name", sorted(SEED_97531_DIGESTS))
+def test_benchmark_workload_csv_bytes_are_pinned_at_seed_97531(tmp_path, name):
+    assert _workload_digests(tmp_path, name, 97531) == SEED_97531_DIGESTS[name]
 
 
 def test_benchmark_microbenchmarks_run_on_the_library():

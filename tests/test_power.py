@@ -41,6 +41,7 @@ from oracles import (
     exact_pa_oracle_direct,
     gauss_solve,
     proportional_budget_system,
+    proposed_pa_direct,
     prune_and_waterfill_direct,
     rates_direct,
 )
@@ -132,6 +133,33 @@ def test_record_computes_each_statistic_once(monkeypatch):
             assert getattr(rec, name) is first
             assert first == pytest.approx(expected, rel=1e-14, abs=0.0), name
         assert summed == [len(g)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_records_for_spans_store_their_first_read_statistics(seed):
+    rng = np.random.default_rng(seed)
+    n_users, n = int(rng.integers(1, 7)), int(rng.integers(8, 150))
+    grid = build_grid(n, 1)
+    owners = rng.permutation(np.arange(n) % n_users)
+    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+    gains = rng.exponential(size=(n_users, n)) * 10.0 ** rng.uniform(-8, 8)
+    gains[:, rng.integers(0, n, 3)] = 0.0  # dropped, or equal gains within a user
+    gains[0, :2] = gains[0, 2]
+    try:
+        g, subcarriers, owner_of, bounds = power._sorted_gains(assignment, gains)
+    except InfeasibleError:
+        pytest.skip("a user lost every subcarrier")
+    records, terms = OrderedGains._for_spans(g, subcarriers, owner_of, bounds)
+    for k, rec in enumerate(records):
+        fresh = order_gains(gains[k, assignment.subcarriers_of(k)], assignment.subcarriers_of(k))
+        assert rec.values.tolist() == fresh.values.tolist()
+        assert rec.subcarriers.tolist() == fresh.subcarriers.tolist()
+        for name in ("size", "g_min", "v", "e"):
+            assert name in vars(rec), name
+            assert type(vars(rec)[name]) is type(getattr(fresh, name)), name
+            assert vars(rec)[name] == getattr(fresh, name), name
+        lo, hi = bounds[k], bounds[k + 1]
+        assert terms[lo:hi].tolist() == power._waterfill_terms(fresh.values, fresh.g_min).tolist()
 
 
 def test_alpha_is_minus_one_for_identical_users():
@@ -383,8 +411,107 @@ def test_proposed_pa_sums_v_once_per_pruned_user(monkeypatch):
     assert len(calls) == 2
     assert sum(pruned.sum() for _, pruned in calls) > 100
     for count, pruned in calls:
-        # One v per user's gain record, then one re-sum per pruned user.
-        assert count <= pruned.size + np.count_nonzero(pruned)
+        # Every user's v comes from the one pass; a pruned user re-sums it once.
+        assert count <= np.count_nonzero(pruned)
+
+
+def _proposed_pa_instances(count=700, seed=43):
+    """Seeded inputs: K 1-8, N 1-200, SNR -200 to 30 dB, random, zero, near-equal and tied gains."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n_users = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 201))
+        grid = build_grid(n, int(rng.integers(1, max(1, n // n_users) + 1)))
+        owners = rng.integers(0, n_users, grid.n_chunks)
+        if grid.n_chunks >= n_users and i % 10:
+            owners[:n_users] = np.arange(n_users)
+            rng.shuffle(owners)
+        assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+        scale = 10.0 ** rng.uniform(-3, 3, (n_users, 1))
+        kind = i % 4
+        if kind == 0:
+            gains = rng.exponential(1.0, (n_users, n)) * scale
+        elif kind == 1:
+            gains = rng.exponential(1.0, (n_users, n)) * (rng.random((n_users, n)) < 0.7)
+        elif kind == 2:  # v below the rounding noise of its terms
+            gains = scale * (1.0 + 2.0**-52 * rng.integers(-3, 4, (n_users, n)))
+        else:
+            gains = scale * rng.integers(1, 4, (n_users, n))
+        weights = (1.0 + rng.integers(0, 4, n_users)) * 10.0 ** rng.integers(0, 2, n_users)
+        snr_db = float(rng.choice([-200.0, -70.0, -30.0, -10.0, 0.0, 10.0, 30.0]))
+        yield assignment, gains, weights, n * 10.0 ** (snr_db / 10.0)
+
+
+def _singular_split_instance():
+    """Two users whose weights make the budget system singular (1 - 1 / alpha = 0)."""
+    grid = build_grid(8, 2)
+    gains = np.vstack([np.linspace(1.0, 2.0, 8), np.linspace(1.0, 3.0, 8)])
+    assignment = static_sa(2, grid)
+    c1, c2 = (order_gains(gains[k, assignment.subcarriers_of(k)], assignment.subcarriers_of(k))
+              for k in range(2))
+    ratio = (c2.e * c1.size * c2.g_min) / (c1.e * c2.size * c1.g_min)
+    return assignment, gains, np.array([1.0, -ratio]), 8.0
+
+
+def _pa_outcome(solver, instance):
+    """Every allocation field's dtype, shape and bytes, or the error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            alloc = solver(*instance)
+    except ChunkfairError as exc:
+        return type(exc), str(exc)
+    arrays = (alloc.budgets, alloc.powers, alloc.pruned, alloc.repaired)
+    return (alloc.singular_fallback, *((a.dtype, a.shape, a.tobytes()) for a in arrays))
+
+
+def test_proposed_pa_matches_the_per_user_form_bit_for_bit():
+    instances = [
+        *_proposed_pa_instances(),
+        *(random_instance(seed, n_users=2, weights=(1.0, 1e5)) for seed in range(4)),
+        _singular_split_instance(),
+    ]
+    seen = {"pruned": 0, "repaired": 0, "fallback": 0, "errors": set()}
+    for instance in instances:
+        got = _pa_outcome(proposed_pa, instance)
+        assert got == _pa_outcome(proposed_pa_direct, instance)
+        if isinstance(got[0], type):
+            seen["errors"].add(got[0])
+            continue
+        alloc = proposed_pa(*instance)
+        seen["pruned"] += bool(alloc.pruned.any())
+        seen["repaired"] += bool(alloc.repaired.any())
+        seen["fallback"] += alloc.singular_fallback
+    assert seen["pruned"] > 100 and seen["repaired"] > 10 and seen["fallback"] >= 1
+    assert seen["errors"] == {InfeasibleError, AllocationError}
+
+
+def test_proposed_pa_sorts_once_and_prunes_only_short_budgets(monkeypatch):
+    # Each instance has users that prune and, for K > 1, users that do not.
+    instances = [random_instance(seed, n_users=k, n=64, weights=np.ones(k), total_power=total)
+                 for seed, k, total in ((0, 1, 1.0), (2, 2, 64.0), (1, 4, 64.0), (3, 8, 16.0))]
+    records = [[order_gains(gains[k, a.subcarriers_of(k)], a.subcarriers_of(k))
+                for k in range(a.n_users)] for a, gains, _, _ in instances]
+    calls = []
+    lexsort, argsort, prune = np.lexsort, np.argsort, power.prune_and_waterfill
+
+    def counted(name, sort):
+        return lambda *args, **kwargs: calls.append(name) or sort(*args, **kwargs)
+
+    def counted_prune(budget, ordered):
+        calls.append(("prune", float(budget)))
+        assert budget < ordered.v
+        return prune(budget, ordered)
+
+    monkeypatch.setattr(np, "lexsort", counted("sort", lexsort))
+    monkeypatch.setattr(np, "argsort", counted("sort", argsort))
+    monkeypatch.setattr(power, "prune_and_waterfill", counted_prune)
+    for instance, users in zip(instances, records):
+        calls.clear()
+        alloc = proposed_pa(*instance)
+        assert not alloc.repaired.any()  # the repair sorts the budgets
+        short = [("prune", float(b)) for b, c in zip(alloc.budgets, users) if not b >= c.v]
+        assert calls == ["sort", *short]
+        assert 0 < len(short) < max(2, len(users))
 
 
 # ------------------------------------------------------- end-to-end PA
