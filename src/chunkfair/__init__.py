@@ -68,6 +68,7 @@ from .power import (
     prune_and_waterfill,
     repair_negative_budgets,
     solve_power_split,
+    sum_rate_bound,
     uniform_pa,
     user_rates,
 )

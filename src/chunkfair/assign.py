@@ -8,7 +8,7 @@ arg-min scan break toward the lowest index so runs are reproducible.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,7 +111,7 @@ class Assignment:
         return (np.arange(self.n_users)[:, None] == np.asarray(self.owners)).astype(int)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComparisonCount:
     """Comparison tallies for the selection scans of a greedy assignment run.
 
@@ -119,7 +119,7 @@ class ComparisonCount:
     conventions: ``scanned`` adds s (one comparison per candidate
     examined) and ``strict`` adds s - 1 (comparisons beyond the first).
     The tallies depend only on (K, M) and the phase-one order, so the
-    schemes compute them in closed form.
+    schemes compute them in closed form, once per (K, M, order).
     """
 
     phase1_argmax_scanned: int = 0
@@ -194,10 +194,14 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _comparison_count(
     n_users: int, n_chunks: int, least_favoured_first: bool
 ) -> ComparisonCount:
     """Comparison counts of a greedy run; they depend on (K, M) only.
+
+    Memoised: the result is frozen, so every run of one (K, M, order)
+    shares it.
 
     With j users still pending in phase 1 (j = K, ..., 1), M - K + j
     chunks remain.  Least-favoured-first scans them once per pending
@@ -234,7 +238,7 @@ def _greedy_sa(
     weights: np.ndarray,
     grid: ChunkGrid,
     least_favoured_first: bool,
-) -> tuple[Assignment, ComparisonCount]:
+) -> Assignment:
     """Two-phase greedy assignment shared by the proposed and Shen schemes.
 
     Chunks are ranked by ``scores`` while users accumulate raw
@@ -307,8 +311,7 @@ def _greedy_sa(
         acc[k] += rate_rows[k][m]
         ratio[k] = acc[k] / w[k]
 
-    assignment = Assignment(grid=grid, owners=tuple(owners), n_users=n_users)
-    return assignment, _comparison_count(n_users, n_chunks, least_favoured_first)
+    return Assignment(grid=grid, owners=tuple(owners), n_users=n_users)
 
 
 def proposed_sa(
@@ -329,7 +332,8 @@ def proposed_sa(
     selection scans.
     """
     rates = np.asarray(rate_table, dtype=float)
-    return _greedy_sa(normalized_rates(rates), rates, weights, grid, least_favoured_first=True)
+    assignment = _greedy_sa(normalized_rates(rates), rates, weights, grid, least_favoured_first=True)
+    return assignment, _comparison_count(*rates.shape, True)
 
 
 def shen_sa(
@@ -347,7 +351,8 @@ def shen_sa(
     chunk-average rate.
     """
     rates = np.asarray(rate_table, dtype=float)
-    return _greedy_sa(rates, rates, weights, grid, least_favoured_first=False)
+    assignment = _greedy_sa(rates, rates, weights, grid, least_favoured_first=False)
+    return assignment, _comparison_count(*rates.shape, False)
 
 
 def static_sa(n_users: int, grid: ChunkGrid) -> Assignment:
@@ -385,6 +390,49 @@ class OracleResult:
 
 # Most candidate maps the exhaustive oracle enumerates; each costs one PA call.
 ORACLE_CAP = 1_000_000
+# Owner entries (maps x subcarriers) per block of candidates the oracle bounds at once.
+_BOUND_BLOCK = 2**16
+
+
+def _visit_order(n_users: int, grid: ChunkGrid, upper_bound):
+    """Every covering map's enumeration index and bound, in descending bound order.
+
+    Maps are enumerated as base-K numbers, most significant chunk first,
+    which is ``itertools.product``'s order; they are bounded in blocks of
+    ``_BOUND_BLOCK`` owner entries, so no list of all K**M maps is held.
+    A NaN bound reads as +inf, so it is visited first and never skips.
+    The sort is stable: equal bounds keep the enumeration order.
+    """
+    n_chunks = grid.n_chunks
+    place = n_users ** np.arange(n_chunks - 1, -1, -1)
+    step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
+    indices, bounds = [], []
+    for start in range(0, n_users**n_chunks, step):
+        index = np.arange(start, min(start + step, n_users**n_chunks))
+        owners = index[:, None] // place % n_users
+        covering = np.all([(owners == k).any(axis=1) for k in range(n_users)], axis=0)
+        block = np.asarray(upper_bound(owners[covering]), dtype=float)
+        if block.shape != (np.count_nonzero(covering),):
+            raise ConfigError(f"upper_bound returned shape {block.shape} for "
+                              f"{np.count_nonzero(covering)} maps")
+        indices.append(index[covering])
+        bounds.append(block)
+    bounds = np.concatenate(bounds)
+    bounds[np.isnan(bounds)] = math.inf
+    order = np.argsort(-bounds, kind="stable")
+    return np.concatenate(indices)[order].tolist(), bounds[order].tolist()
+
+
+def _no_bound(owners: np.ndarray) -> np.ndarray:
+    return np.full(len(owners), math.inf)
+
+
+def _owners_of(index: int, n_users: int, n_chunks: int) -> tuple[int, ...]:
+    """The chunk-to-user map with enumeration index ``index``: its base-K digits."""
+    owners = [0] * n_chunks
+    for m in range(n_chunks - 1, -1, -1):
+        index, owners[m] = divmod(index, n_users)
+    return tuple(owners)
 
 
 def exhaustive_sa_oracle(
@@ -392,6 +440,7 @@ def exhaustive_sa_oracle(
     grid: ChunkGrid,
     pa_solver,
     cap: int = ORACLE_CAP,
+    upper_bound=None,
 ) -> OracleResult:
     """Best assignment by brute force, for small instances only.
 
@@ -404,6 +453,18 @@ def exhaustive_sa_oracle(
     only those get their deviation computed; a NaN sum rate never wins,
     and if every candidate has one the search raises AllocationError.
 
+    Candidates are visited in descending ``upper_bound`` order (all
+    bounds are +inf without one, which is enumeration order), and the
+    search stops at the first bound below the best sum rate so far:
+    that candidate and every later one have a sum rate below the best,
+    so none can win.  The key (-sum rate, deviation, owners) is a total
+    order, so the winner and every field of the result are those of the
+    full search; ``candidates`` counts every covering map.  A candidate
+    that is not visited is not solved, so its PA error, if it has one,
+    is never raised; one that is visited raises as before.  A visited
+    candidate whose sum rate exceeds its bound raises AllocationError,
+    since the bound could then have skipped a winner.
+
     Parameters
     ----------
     weights : (K,) array
@@ -413,6 +474,10 @@ def exhaustive_sa_oracle(
         Maps an Assignment to the (K,) vector of achieved user rates.
     cap : int
         Upper bound on K**M candidate maps before enumeration starts.
+    upper_bound : callable, optional
+        Maps a (C, M) integer array of owner rows to (C,) values that no
+        sum rate ``pa_solver`` returns for those maps exceeds, such as
+        ``power.sum_rate_bound``; a NaN bound rules nothing out.
     """
     weights = np.asarray(weights, dtype=float)
     n_users = weights.size
@@ -425,15 +490,19 @@ def exhaustive_sa_oracle(
             f"{n_users}**{n_chunks} = {total} candidates exceeds cap {cap}"
         )
 
+    indices, bounds = _visit_order(n_users, grid, upper_bound or _no_bound)
     best = None
-    examined = 0
-    for owners in itertools.product(range(n_users), repeat=n_chunks):
-        if len(set(owners)) < n_users:
-            continue
-        examined += 1
+    for index, bound in zip(indices, bounds):
+        if best is not None and bound < -best[0][0]:
+            break  # visits run in descending bound order: no later candidate can win
+        owners = _owners_of(index, n_users, n_chunks)
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())
+        if total_rate > bound:
+            raise AllocationError(
+                f"sum rate {total_rate!r} of {owners} exceeds its upper bound {bound!r}"
+            )
         if math.isnan(total_rate) or (best is not None and total_rate < -best[0][0]):
             continue  # a NaN or lower sum rate cannot win, whatever its deviation
         if n_users >= 2 and total_rate > 0:
@@ -444,12 +513,12 @@ def exhaustive_sa_oracle(
         if best is None or key < best[0]:
             best = (key, cand, rates)
     if best is None:
-        raise AllocationError(f"all {examined} candidate assignments have a NaN sum rate")
+        raise AllocationError(f"all {len(indices)} candidate assignments have a NaN sum rate")
     (_, cand, rates) = best
     return OracleResult(
         assignment=cand,
         sum_rate=float(rates.sum()),
         deviation=best[0][1],
         rates=rates,
-        candidates=examined,
+        candidates=len(indices),
     )

@@ -27,6 +27,9 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     out = Path(args.out)
+    # numpy imports its random module on first use, inside the first channel
+    # draw; import it here so the printed time covers the run alone.
+    import numpy.random  # noqa: F401
     started = time.perf_counter()
     rows, summary = run_experiment(config, threads=args.threads)
     elapsed = time.perf_counter() - started

@@ -343,10 +343,12 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
     """Each (chunk size, SNR) point of one single-cell trial, as ``(chunk_size, snr_db, rates_of, None)``.
 
     A greedy or static SA runs once per point and its assignment, or its
-    error, serves every PA scheme; the exhaustive oracle searches per PA.
-    Each PA scheme solves each distinct assignment once per point, so an
-    oracle candidate that a heuristic also picked is not solved again.
-    A PA error is not kept: asking again raises it again.
+    error, serves every PA scheme; the exhaustive oracle searches per PA,
+    skipping the candidates that ``power.sum_rate_bound`` rules out, so
+    a skipped candidate's PA error never reaches a row.  Each PA scheme
+    solves each distinct assignment once per point, so an oracle
+    candidate that a heuristic also picked is not solved again.  A PA
+    error is not kept: asking again raises it again.
     """
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
@@ -373,7 +375,8 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
                     return solved[key]
 
                 if sa == "exhaustive-oracle":
-                    return assign.exhaustive_sa_oracle(weights, grid, pa_rates).rates
+                    bound = functools.partial(power.sum_rate_bound, grid, gains, total_power)
+                    return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
                 if sa not in assigned:
                     try:
                         assigned[sa] = assign.run_sa(sa, table, weights, grid)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from chunkfair import (
     AllocationError,
     Assignment,
+    ChunkfairError,
     ConfigError,
     InfeasibleError,
     OracleSizeError,
@@ -17,12 +19,15 @@ from chunkfair import (
     exact_pa_oracle,
     exhaustive_sa_oracle,
     normalized_rates,
+    proposed_pa,
     proposed_sa,
     realize_channel,
     run_experiment,
+    run_sa,
     shen_sa,
     static_sa,
     substream,
+    sum_rate_bound,
     uniform_pa,
     user_rates,
 )
@@ -363,6 +368,19 @@ def test_greedy_schemes_match_direct_references_at_workload_sizes(n_users, n_chu
         assert np.array_equal(scores, kept_scores) and np.array_equal(table, kept)
 
 
+def test_run_sa_builds_each_comparison_count_once_per_shape():
+    rng = np.random.default_rng(12)
+    weights, grid = np.array([1.0, 2.0, 1.0]), build_grid(9, 1)
+    tables = [rng.random((3, 9)) + 0.01 for _ in range(4)]
+    assign._comparison_count.cache_clear()
+    for table in tables:
+        for scheme, sa in (("proposed", proposed_sa), ("shen", shen_sa)):
+            assert run_sa(scheme, table, weights, grid) == sa(table, weights, grid)[0]
+    # one build per (K, M, phase-one order); every later run reuses it
+    assert assign._comparison_count.cache_info().misses == 2
+    assert proposed_sa(tables[0], weights, grid)[1] is proposed_sa(tables[1], weights, grid)[1]
+
+
 # ---------------------------------------------------------------- counters
 
 def test_counter_closed_forms_proposed():
@@ -553,6 +571,107 @@ def test_oracle_computes_deviation_only_for_candidates_that_can_win(monkeypatch,
     monkeypatch.setattr(assign, "deviation", counted)
     run_experiment(oracle_small_config)
     assert 24 <= len(calls) <= 167
+
+
+def _proposed_rates_solver(gains, weights, total_power):
+    def solver(assignment):
+        return user_rates(proposed_pa(assignment, gains, weights, total_power).powers, gains)
+
+    return solver
+
+
+@pytest.mark.parametrize("n_users", [2, 3])
+def test_bounded_oracle_returns_the_full_searchs_result(n_users):
+    # Every field, candidates included, under each PA, from -60 to +40 dB.
+    # Where the full search raises a PA error, the bounded one may skip
+    # it, so there is nothing to compare.
+    rng = np.random.default_rng(40 + n_users)
+    compared = 0
+    for instance in range(8):
+        n_chunks = int(rng.integers(n_users, 7))
+        chunk_size = int(rng.integers(1, 4))
+        n = n_chunks * chunk_size + int(rng.integers(0, chunk_size))
+        grid = build_grid(n, chunk_size)
+        gains = random_gains(n_users, n, seed=instance, taps=min(n, int(rng.integers(1, 5))))
+        weights = rng.uniform(0.5, 4.0, n_users)
+        total_power = n * 10.0 ** rng.uniform(-6.0, 4.0)
+        bound = functools.partial(sum_rate_bound, grid, gains, total_power)
+        for solver in (_uniform_rates_solver(gains, total_power),
+                       _proposed_rates_solver(gains, weights, total_power),
+                       _exact_rates_solver(gains, weights, total_power)):
+            try:
+                want = _oracle_bits(exhaustive_sa_oracle(weights, grid, solver))
+            except ChunkfairError:
+                continue
+            assert _oracle_bits(exhaustive_sa_oracle(weights, grid, solver, upper_bound=bound)) == want
+            compared += 1
+    assert compared >= 20
+
+
+def _stub_bound(bounds_by_owners):
+    def bound(owners):
+        return np.array([bounds_by_owners.get(tuple(row), 1.0) for row in owners.tolist()])
+
+    return bound
+
+
+# Over the six covering maps of three chunks and two users, (0, 1, 1)
+# wins with sum rate 4; every other map sums to 1.
+_STUB_RATES = {(0, 1, 1): (2.0, 2.0)}
+_STUB_BOUNDS = {(0, 1, 1): 5.0, (1, 0, 0): 4.5, (0, 0, 1): 3.9}
+
+
+def _recording_solver(rates_by_owners, failing=()):
+    solved = []
+
+    def solver(assignment):
+        solved.append(assignment.owners)
+        if assignment.owners in failing:
+            raise AllocationError(f"forced for {assignment.owners}")
+        return np.array(rates_by_owners.get(assignment.owners, (0.5, 0.5)))
+
+    return solver, solved
+
+
+def test_bounded_oracle_visits_by_descending_bound_and_stops_below_the_best():
+    grid = build_grid(3, 1)
+    solver, solved = _recording_solver(_STUB_RATES)
+    res = exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=_stub_bound(_STUB_BOUNDS))
+    # (1, 0, 0)'s bound 4.5 is not below the best sum 4, so it is solved;
+    # the search stops at the next bound, 3.9.
+    assert solved == [(0, 1, 1), (1, 0, 0)]
+    assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
+    assert res.candidates == 6
+
+
+def test_bounded_oracle_raises_a_visited_candidates_pa_error_but_not_a_skipped_ones():
+    grid = build_grid(3, 1)
+    want = exhaustive_sa_oracle(np.ones(2), grid, _recording_solver(_STUB_RATES)[0])
+    skipped, _ = _recording_solver(_STUB_RATES, failing={(0, 0, 1), (1, 1, 0)})
+    res = exhaustive_sa_oracle(np.ones(2), grid, skipped, upper_bound=_stub_bound(_STUB_BOUNDS))
+    assert _oracle_bits(res) == _oracle_bits(want)
+    visited, _ = _recording_solver(_STUB_RATES, failing={(1, 0, 0)})
+    with pytest.raises(AllocationError, match=r"forced for \(1, 0, 0\)"):
+        exhaustive_sa_oracle(np.ones(2), grid, visited, upper_bound=_stub_bound(_STUB_BOUNDS))
+    with pytest.raises(AllocationError, match="forced"):  # the full search solves every map
+        exhaustive_sa_oracle(np.ones(2), grid, skipped)
+
+
+def test_bounded_oracle_visits_a_nan_bound_first_and_never_skips_it():
+    grid = build_grid(3, 1)
+    solver, solved = _recording_solver(_STUB_RATES)
+    bounds = _STUB_BOUNDS | {(1, 1, 0): np.nan, (1, 0, 1): np.nan}
+    exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=_stub_bound(bounds))
+    assert solved == [(1, 0, 1), (1, 1, 0), (0, 1, 1), (1, 0, 0)]
+
+
+def test_bounded_oracle_rejects_a_bound_below_a_visited_sum_rate():
+    grid = build_grid(3, 1)
+    solver, _ = _recording_solver(_STUB_RATES)
+    with pytest.raises(AllocationError, match="exceeds its upper bound"):
+        exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=_stub_bound({(0, 1, 1): 3.5}))
+    with pytest.raises(ConfigError, match="shape"):
+        exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=lambda owners: np.ones(2))
 
 
 def test_oracle_cap_enforced():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chunkfair import (
     AllocationError,
@@ -28,6 +30,7 @@ from chunkfair import (
     solve_power_split,
     static_sa,
     substream,
+    sum_rate_bound,
     uniform_pa,
     user_rates,
 )
@@ -758,9 +761,11 @@ def test_exact_oracle_survives_a_wrong_newton_root(monkeypatch, misplace):
 
 def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch, oracle_small_config):
     # The oracle-small benchmark workload at its default seed.  Bisecting
-    # with every step evaluated took 129,944 budget evaluations here.  The
-    # 62 candidates of each of the 12 oracle searches are solved once each;
-    # the three heuristic assignments are among them and are not solved again.
+    # with every step evaluated took 129,944 budget evaluations for 780
+    # oracle calls here.  Of the 62 candidates of each of the 12 oracle
+    # searches, only those that the water-filling bound cannot rule out
+    # are solved, each once; the three heuristic assignments are solved
+    # once each whether or not the search visits them.
     counts = {"oracle": 0, "budgets": 0}
     oracle, level_budgets = power.exact_pa_oracle, power._level_budgets
 
@@ -775,8 +780,8 @@ def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch, orac
     monkeypatch.setattr(power, "exact_pa_oracle", counted_oracle)
     monkeypatch.setattr(power, "_level_budgets", counted_budgets)
     run_experiment(oracle_small_config)
-    assert counts["oracle"] == 744
-    assert counts["budgets"] <= 129_944 // 3
+    assert counts["oracle"] == 298
+    assert counts["budgets"] <= 129_944 * 298 // 780 // 3
 
 
 def test_budget_total_sums_in_ndarray_order():
@@ -796,3 +801,100 @@ def test_check_allocation_raises_instead_of_asserting():
         _check_allocation(np.array([[np.nan, 2.0], [1.0, 1.0]]), 4.0)
     with pytest.raises(AllocationError, match="conserve"):
         _check_allocation(np.array([[1.0, 1.0], [1.0, 0.5]]), 4.0)
+
+
+# ------------------------------------------------------- sum-rate bound
+
+_PA_RATES = {
+    "uniform": lambda a, gains, weights, p: uniform_pa(a, p),
+    "proposed": proposed_pa,
+    "exact-oracle": exact_pa_oracle,
+}
+
+
+def _bound_instance(seed, n_users, chunk_size, extra_chunks, remainder):
+    """Channels and one covering chunk map; the last chunk is longer when ``remainder`` > 0."""
+    n = chunk_size * (n_users + extra_chunks) + remainder % chunk_size
+    rng = np.random.default_rng(seed)
+    gains = np.empty((n_users, n))
+    for k in range(n_users):
+        profile = UserProfile(int(rng.integers(1, min(n, 4) + 1)))
+        gains[k] = realize_channel(profile, n, 1.0, substream(seed, 0, 0, k, 0)).gains
+    grid = build_grid(n, chunk_size)
+    owners = rng.permutation(np.resize(np.arange(n_users), grid.n_chunks))
+    weights = rng.uniform(0.5, 4.0, n_users)
+    return grid, gains, owners, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(1, 3),
+    chunk_size=st.integers(1, 4),
+    extra_chunks=st.integers(0, 3),
+    remainder=st.integers(0, 3),
+    snr_db=st.floats(-60.0, 40.0),
+    zero_gain=st.booleans(),
+)
+def test_sum_rate_bound_is_above_every_pa_sum_rate(
+    seed, n_users, chunk_size, extra_chunks, remainder, snr_db, zero_gain
+):
+    # A zero gain must raise no warning: pytest turns warnings into errors.
+    grid, gains, owners, weights = _bound_instance(seed, n_users, chunk_size, extra_chunks, remainder)
+    if zero_gain:
+        gains[owners[0], 0] = 0.0
+    total_power = grid.n_subcarriers * 10.0 ** (snr_db / 10.0)
+    bound = sum_rate_bound(grid, gains, total_power, owners[None, :])
+    assert bound.shape == (1,) and bound[0] > 0
+    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+    allocations = {}
+    if (gains[assignment.subcarrier_owners, np.arange(grid.n_subcarriers)] > 0).any():
+        allocations["widest water-filling"] = _widest_waterfill(assignment, gains, total_power)
+    for name, solve in _PA_RATES.items():
+        try:
+            allocations[name] = solve(assignment, gains, weights, total_power).powers
+        except ChunkfairError:
+            continue  # no allocation to bound, as at very low SNR
+    for name, powers in allocations.items():
+        total = float(user_rates(powers, gains).sum())
+        assert total <= bound[0], (name, total, bound[0])
+        if n_users == 1 and name != "uniform":
+            # One user's proportional-rate allocation is water-filling,
+            # so the bound is tight up to its float margin.
+            assert bound[0] <= total * (1.0 + 1e-9) + 1e-12, (name, total, bound[0])
+
+
+def _widest_waterfill(assignment, gains, total_power):
+    """Water-filling over the map's own gains, spending as much as ``_check_allocation`` accepts.
+
+    This allocation meets the bound closest: the bound is the water-filling
+    rate at P (1 + 1e-9), so only its float margin lies between them.
+    """
+    n = assignment.grid.n_subcarriers
+    owned = gains[assignment.subcarrier_owners, np.arange(n)]
+    ordered = order_gains(owned, np.arange(n))
+    for excess in (1e-9, 1e-9 - 1e-15, 1e-9 - 1e-14):
+        powers = np.zeros_like(gains)
+        powers[assignment.subcarrier_owners[ordered.subcarriers], ordered.subcarriers] = (
+            prune_and_waterfill(total_power * (1.0 + excess), ordered)[0]
+        )
+        try:
+            _check_allocation(powers, total_power)
+        except AllocationError:
+            continue
+        return powers
+    raise AssertionError("no water-filling allocation near the tolerance is accepted")
+
+
+def test_sum_rate_bound_of_a_map_with_a_nan_gain_is_nan():
+    grid, gains, owners, _ = _bound_instance(3, 2, 2, 2, 1)
+    rows = np.array([owners, 1 - owners])
+    gains[owners[0], 0] = np.nan  # owned by row 0 only
+    bound = sum_rate_bound(grid, gains, 10.0, rows)
+    assert np.isnan(bound[0]) and np.isfinite(bound[1])
+
+
+def test_sum_rate_bound_of_a_map_without_a_positive_gain_is_its_margin():
+    grid = build_grid(6, 2)
+    bound = sum_rate_bound(grid, np.zeros((2, 6)), 6.0, np.array([[0, 1, 0], [1, 1, 0]]))
+    assert bound.tolist() == [2.0**-50] * 2
