@@ -63,7 +63,6 @@ from .power import (
     PowerAllocation,
     exact_pa_oracle,
     linear_coefficients,
-    order_gains,
     proposed_pa,
     prune_and_waterfill,
     repair_negative_budgets,

@@ -100,15 +100,8 @@ class Assignment:
         per_subcarrier.flags.writeable = False
         object.__setattr__(self, "subcarrier_owners", per_subcarrier)
 
-    def subcarriers_of(self, user: int) -> np.ndarray:
-        return np.flatnonzero(self.subcarrier_owners == user)
-
     def subcarrier_counts(self) -> np.ndarray:
         return np.bincount(self.subcarrier_owners, minlength=self.n_users)
-
-    def indicator(self) -> np.ndarray:
-        """(K, M) 0/1 matrix; each column sums to one."""
-        return (np.arange(self.n_users)[:, None] == np.asarray(self.owners)).astype(int)
 
 
 @dataclass(frozen=True)
@@ -439,14 +432,14 @@ def exhaustive_sa_oracle(
     weights: np.ndarray,
     grid: ChunkGrid,
     pa_solver,
-    cap: int = ORACLE_CAP,
     upper_bound=None,
 ) -> OracleResult:
     """Best assignment by brute force, for small instances only.
 
     Enumerates every chunk-to-user map that covers all users (each user
     holds at least one chunk), evaluates the supplied power allocation
-    on each, and returns the candidate with the largest sum rate.  Ties
+    on each, and returns the candidate with the largest sum rate; more
+    than ``ORACLE_CAP`` maps (K**M) raise OracleSizeError first.  Ties
     break first toward the smallest rate-constraint deviation, then
     toward the lexicographically smallest owner vector.  Only a
     candidate whose sum rate is at least the best so far can win, so
@@ -472,8 +465,6 @@ def exhaustive_sa_oracle(
     grid : ChunkGrid
     pa_solver : callable
         Maps an Assignment to the (K,) vector of achieved user rates.
-    cap : int
-        Upper bound on K**M candidate maps before enumeration starts.
     upper_bound : callable, optional
         Maps a (C, M) integer array of owner rows to (C,) values that no
         sum rate ``pa_solver`` returns for those maps exceeds, such as
@@ -485,9 +476,9 @@ def exhaustive_sa_oracle(
     if n_chunks < n_users:
         raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
     total = n_users**n_chunks
-    if total > cap:
+    if total > ORACLE_CAP:
         raise OracleSizeError(
-            f"{n_users}**{n_chunks} = {total} candidates exceeds cap {cap}"
+            f"{n_users}**{n_chunks} = {total} candidates exceeds cap {ORACLE_CAP}"
         )
 
     indices, bounds = _visit_order(n_users, grid, upper_bound or _no_bound)

@@ -22,7 +22,6 @@ from .errors import AllocationError, ConfigError, InfeasibleError, OracleConverg
 __all__ = [
     "OrderedGains",
     "PowerAllocation",
-    "order_gains",
     "linear_coefficients",
     "solve_power_split",
     "repair_negative_budgets",
@@ -82,7 +81,7 @@ class _computed_once:
 
 @dataclass(frozen=True)
 class OrderedGains:
-    """One user's active gains sorted ascending, with the owning subcarrier indices.
+    """One user's active gains, sorted ascending.
 
     The set is non-empty and its weakest gain positive.  The water-filling
     statistics are computed on first use: ``v`` is the power consumed by
@@ -98,7 +97,6 @@ class OrderedGains:
     """
 
     values: np.ndarray
-    subcarriers: np.ndarray
 
     def __post_init__(self):
         if self.values.size == 0:
@@ -127,7 +125,7 @@ class OrderedGains:
         return float(np.log2(self.values[1:] / self.g_min).sum()) / self.size
 
     @classmethod
-    def _for_spans(cls, g, subcarriers, owners, bounds) -> tuple[list[OrderedGains], np.ndarray]:
+    def _for_spans(cls, g, owners, bounds) -> tuple[list[OrderedGains], np.ndarray]:
         """Every user's record from ``_sorted_gains``, and every gain's water-filling term.
 
         User k's record holds ``g[bounds[k]:bounds[k + 1]]``; no span may
@@ -143,7 +141,7 @@ class OrderedGains:
         bounds = bounds.tolist()
         records = []
         for lo, hi, g0 in zip(bounds, bounds[1:], g_min.tolist()):
-            og = cls(values=g[lo:hi], subcarriers=subcarriers[lo:hi])
+            og = cls(values=g[lo:hi])
             og.__dict__.update(size=hi - lo, g_min=g0, v=float(terms[lo + 1 : hi].sum()),
                                e=float(ratios[lo:hi].sum()))
             records.append(og)
@@ -151,7 +149,7 @@ class OrderedGains:
 
     def without_weakest(self) -> OrderedGains:
         """The set with its weakest subcarrier dropped."""
-        return OrderedGains(values=self.values[1:], subcarriers=self.subcarriers[1:])
+        return OrderedGains(values=self.values[1:])
 
 
 @dataclass(frozen=True)
@@ -163,15 +161,6 @@ class PowerAllocation:
     repaired: np.ndarray      # (K,) bool, touched by the negative-budget repair
     pruned: np.ndarray        # (K,) int, subcarriers zeroed by the budget loop
     singular_fallback: bool = False
-
-
-def order_gains(gains: np.ndarray, subcarriers: np.ndarray) -> OrderedGains:
-    """Sort one user's gains ascending (stably) with their subcarriers, dropping zero gains."""
-    gains = np.asarray(gains, dtype=float)
-    subcarriers = np.asarray(subcarriers, dtype=int)
-    order = np.argsort(gains, kind="stable")
-    order = order[gains[order] > 0]
-    return OrderedGains(values=gains[order], subcarriers=subcarriers[order])
 
 
 def linear_coefficients(
@@ -373,22 +362,6 @@ def _sorted_gains(assignment: Assignment, gains: np.ndarray):
     return g, subcarriers, owners, bounds
 
 
-def _ordered_user_gains(assignment: Assignment, gains: np.ndarray) -> list[OrderedGains]:
-    g, subcarriers, _, bounds = _sorted_gains(assignment, gains)
-    bounds = bounds.tolist()
-    return [
-        OrderedGains(values=g[lo:hi], subcarriers=subcarriers[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-
-
-def _scatter(assignment: Assignment, per_user, n_users: int) -> np.ndarray:
-    powers = np.zeros((n_users, assignment.grid.n_subcarriers))
-    for k, (og, p) in enumerate(per_user):
-        powers[k, og.subcarriers] = p
-    return powers
-
-
 def proposed_pa(
     assignment: Assignment,
     gains: np.ndarray,
@@ -425,7 +398,7 @@ def proposed_pa(
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
-    ordered, terms = OrderedGains._for_spans(g, subcarriers, owners, bounds)
+    ordered, terms = OrderedGains._for_spans(g, owners, bounds)
     alphas, betas = linear_coefficients(ordered, weights)
     budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
@@ -674,16 +647,20 @@ def exact_pa_oracle(
     it.  If a certificate fails, that side is evaluated in full, which
     is the plain bisection.  The budget array is built once, on the
     final pass, at the level the bisection settles on.
+
+    The records and the scatter are ``proposed_pa``'s: one sort of every
+    user's gains (``_sorted_gains``), and each user's powers written into
+    the top of its sorted span, since a prune drops the weakest gains.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    ordered = _ordered_user_gains(assignment, gains)
+    g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
+    ordered, _ = OrderedGains._for_spans(g, owners, bounds)
     n_users = assignment.n_users
     pruned = np.zeros(n_users, dtype=int)
-    max_prunes = sum(og.size for og in ordered)
     root = None
 
-    for _ in range(max_prunes + 1):
+    for _ in range(g.size + 1):
         fit = [
             (og.v, og.size / og.g_min, float(weights[k]), og.size, og.log2_w)
             for k, og in enumerate(ordered)
@@ -697,15 +674,15 @@ def exact_pa_oracle(
         budgets, violations, root = _solve_level(fit, total_power, floors, root)
         if not violations:
             budgets = np.array(budgets)
-            per_user = [
-                (og, _waterfill(max(budgets[k], og.v), og.v, og.values))
-                for k, og in enumerate(ordered)
-            ]
-            powers = _scatter(assignment, per_user, n_users)
-            _check_allocation(powers, total_power)
+            powers = np.zeros(g.size)  # pruned gains keep zero power
+            for k, (og, hi) in enumerate(zip(ordered, bounds[1:].tolist())):
+                powers[hi - og.size : hi] = _waterfill(max(budgets[k], og.v), og.v, og.values)
+            out = np.zeros((n_users, assignment.grid.n_subcarriers))
+            out[owners, subcarriers] = powers
+            _check_allocation(out, total_power)
             return PowerAllocation(
                 budgets=budgets,
-                powers=powers,
+                powers=out,
                 repaired=np.zeros(n_users, dtype=bool),
                 pruned=pruned,
             )

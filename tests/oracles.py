@@ -7,7 +7,9 @@ cannot hide in its own checker.  The exceptions are
 ``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
 forms of the exact oracle, the prune loop, the proposed PA and the SA
 oracle kept to pin their rewrites bit for bit; they share the
-package's helpers.
+package's helpers, except that the two PAs sort and scatter each
+user's gains alone (``order_gains_direct``, ``user_gains_direct`` and
+``scatter_direct``), as they did before the package's single sort.
 ``assignment_record`` and ``allocation_records`` are not oracles but
 the plain-text record formats the tests pin.
 """
@@ -22,14 +24,12 @@ from chunkfair.assign import Assignment, OracleResult
 from chunkfair.errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
 from chunkfair.metrics import deviation
 from chunkfair.power import (
+    OrderedGains,
     PowerAllocation,
     _check_allocation,
-    _ordered_user_gains,
-    _scatter,
     _waterfill,
     _waterfill_v,
     linear_coefficients,
-    order_gains,
     prune_and_waterfill,
     repair_negative_budgets,
     solve_power_split,
@@ -237,6 +237,35 @@ def allocation_records(alloc):
     return "\n".join(lines) + "\n"
 
 
+def order_gains_direct(gains, subcarriers):
+    """One user's gains sorted ascending alone (stably), dropping those not > 0: (record, subcarriers)."""
+    gains = np.asarray(gains, dtype=float)
+    subcarriers = np.asarray(subcarriers, dtype=int)
+    order = np.argsort(gains, kind="stable")
+    order = order[gains[order] > 0]
+    return OrderedGains(values=gains[order]), subcarriers[order]
+
+
+def user_gains_direct(assignment, gains):
+    """``order_gains_direct`` of each user's owned subcarriers, found and sorted one user at a time."""
+    records = []
+    for k in range(assignment.n_users):
+        subs = np.flatnonzero(assignment.subcarrier_owners == k)
+        try:
+            records.append(order_gains_direct(gains[k, subs], subs))
+        except InfeasibleError:
+            raise InfeasibleError(f"user {k} has no positive-gain subcarrier") from None
+    return records
+
+
+def scatter_direct(assignment, per_user):
+    """(K, N) powers from one (subcarriers, powers) pair per user; every other entry is zero."""
+    powers = np.zeros((assignment.n_users, assignment.grid.n_subcarriers))
+    for k, (subs, p) in enumerate(per_user):
+        powers[k, subs] = p
+    return powers
+
+
 def exact_pa_oracle_direct(
     assignment: Assignment,
     gains: np.ndarray,
@@ -267,7 +296,9 @@ def exact_pa_oracle_direct(
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    ordered = _ordered_user_gains(assignment, gains)
+    records = user_gains_direct(assignment, gains)
+    ordered = [og for og, _ in records]
+    subs = [subcarriers for _, subcarriers in records]
     n_users = assignment.n_users
     pruned = np.zeros(n_users, dtype=int)
     max_prunes = sum(og.size for og in ordered)
@@ -325,8 +356,8 @@ def exact_pa_oracle_direct(
             for k, og in enumerate(ordered):
                 p, extra = prune_and_waterfill(max(budgets[k], og.v), og)
                 pruned[k] += extra
-                per_user.append((og, p))
-            powers = _scatter(assignment, per_user, n_users)
+                per_user.append((subs[k], p))
+            powers = scatter_direct(assignment, per_user)
             _check_allocation(powers, total_power)
             return PowerAllocation(
                 budgets=budgets,
@@ -336,6 +367,7 @@ def exact_pa_oracle_direct(
             )
         for k in violations:
             ordered[k] = ordered[k].without_weakest()
+            subs[k] = subs[k][1:]
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")
 
@@ -367,23 +399,18 @@ def proposed_pa_direct(assignment, gains, weights, total_power):
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    ordered = []
-    for k in range(assignment.n_users):
-        subs = assignment.subcarriers_of(k)
-        try:
-            ordered.append(order_gains(gains[k, subs], subs))
-        except InfeasibleError:
-            raise InfeasibleError(f"user {k} has no positive-gain subcarrier") from None
+    records = user_gains_direct(assignment, gains)
+    ordered = [og for og, _ in records]
     alphas, betas = linear_coefficients(ordered, weights)
     budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
     per_user = []
     pruned = np.zeros(assignment.n_users, dtype=int)
-    for k, og in enumerate(ordered):
+    for k, (og, subs) in enumerate(records):
         p, n_pruned = prune_and_waterfill(budgets[k], og)
         pruned[k] = n_pruned
-        per_user.append((og, p))
-    powers = _scatter(assignment, per_user, assignment.n_users)
+        per_user.append((subs, p))
+    powers = scatter_direct(assignment, per_user)
     _check_allocation(powers, total_power)
     return PowerAllocation(
         budgets=budgets,

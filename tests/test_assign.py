@@ -207,8 +207,8 @@ def test_proposed_sa_partition_and_coverage():
         grid = build_grid(n, 1)
         rates = rng.random((n_users, n)) + 1e-6
         a, _ = proposed_sa(rates, rng.random(n_users) + 0.1, grid)
-        ind = a.indicator()
-        assert np.all(ind.sum(axis=0) == 1)
+        assert len(a.owners) == grid.n_chunks
+        assert set(a.owners) <= set(range(n_users))
         assert a.subcarrier_counts().sum() == n
         assert min(a.owners.count(k) for k in range(n_users)) >= 1
 
@@ -675,9 +675,10 @@ def test_bounded_oracle_rejects_a_bound_below_a_visited_sum_rate():
 
 
 def test_oracle_cap_enforced():
-    grid = build_grid(24, 1)
+    grid = build_grid(13, 1)
+    assert 3**13 > assign.ORACLE_CAP
     with pytest.raises(OracleSizeError):
-        exhaustive_sa_oracle(np.ones(3), grid, lambda a: np.zeros(3), cap=1000)
+        exhaustive_sa_oracle(np.ones(3), grid, lambda a: np.zeros(3))
 
 
 # ---------------------------------------------------------------- records
@@ -693,10 +694,7 @@ def test_assignment_subcarrier_owners_follow_grid():
     grid = build_grid(5, 2)  # chunk sizes 2 and 3
     a = Assignment(grid=grid, owners=(1, 0), n_users=3)
     assert a.subcarrier_owners.tolist() == [1, 1, 0, 0, 0]
-    assert a.subcarriers_of(0).tolist() == [2, 3, 4]
-    assert a.subcarriers_of(2).size == 0
     assert a.subcarrier_counts().tolist() == [3, 2, 0]
-    assert a.indicator().tolist() == [[0, 1], [1, 0], [0, 0]]
     same = Assignment(grid=grid, owners=(1, 0), n_users=3)
     assert a == same and hash(a) == hash(same)
     assert "subcarrier_owners" not in repr(a)

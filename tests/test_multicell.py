@@ -308,7 +308,8 @@ def test_multicell_sa_partitions_bands():
         if table is None:
             continue
         assignment = run_sa("proposed", table, sc.weights[users], grid)
-        assert np.all(assignment.indicator().sum(axis=0) == 1)
+        assert len(assignment.owners) == grid.n_chunks
+        assert set(assignment.owners) <= set(range(len(users)))
         owners = np.asarray(assignment.owners)
         for row, user in enumerate(users):
             assert rates[user] == table[row, owners == row].sum()

@@ -20,7 +20,6 @@ from chunkfair import (
     chunk_rates,
     exact_pa_oracle,
     linear_coefficients,
-    order_gains,
     proposed_pa,
     proposed_sa,
     prune_and_waterfill,
@@ -43,16 +42,17 @@ from oracles import (
     allocation_records,
     exact_pa_oracle_direct,
     gauss_solve,
+    order_gains_direct,
     proportional_budget_system,
     proposed_pa_direct,
     prune_and_waterfill_direct,
     rates_direct,
+    user_gains_direct,
 )
 
 
 def og(values):
-    values = np.asarray(values, dtype=float)
-    return order_gains(values, np.arange(values.size))
+    return order_gains_direct(values, np.arange(np.size(values)))[0]
 
 
 def random_instance(seed, n_users=4, n=64, taps=8, chunk_size=4,
@@ -97,13 +97,16 @@ def test_log_domain_w_matches_direct_product():
 
 def test_zero_gain_rejected_and_dropped():
     with pytest.raises(ConfigError):
-        OrderedGains(values=np.array([0.0, 1.0]), subcarriers=np.arange(2))
+        OrderedGains(values=np.array([0.0, 1.0]))
     with pytest.raises(InfeasibleError):
-        og([0.0, 0.0])
-    trimmed = og([0.0, 0.0, 1.0, 2.0])
-    assert trimmed.size == 2
-    assert trimmed.values[0] == 1.0
-    assert trimmed.subcarriers.tolist() == [2, 3]
+        OrderedGains(values=np.array([]))
+    assignment = Assignment(grid=build_grid(4, 1), owners=(0, 0, 0, 0), n_users=1)
+    with pytest.raises(InfeasibleError):
+        power._sorted_gains(assignment, np.zeros((1, 4)))
+    g, subcarriers, _, bounds = power._sorted_gains(assignment, np.array([[0.0, 2.0, 0.0, 1.0]]))
+    assert g.tolist() == [1.0, 2.0]
+    assert subcarriers.tolist() == [3, 1]
+    assert bounds.tolist() == [0, 2]
 
 
 def test_record_computes_each_statistic_once(monkeypatch):
@@ -115,10 +118,9 @@ def test_record_computes_each_statistic_once(monkeypatch):
         return waterfill_v(g)
 
     monkeypatch.setattr(power, "_waterfill_v", counted_v)
-    record = order_gains(np.random.default_rng(3).exponential(size=9), np.arange(9))
+    record = og(np.random.default_rng(3).exponential(size=9))
     weaker = record.without_weakest()
     assert weaker.values.tolist() == record.values[1:].tolist()
-    assert weaker.subcarriers.tolist() == record.subcarriers[1:].tolist()
     for rec in (record, weaker):
         summed.clear()
         g = [float(x) for x in rec.values]
@@ -152,16 +154,15 @@ def test_records_for_spans_store_their_first_read_statistics(seed):
         g, subcarriers, owner_of, bounds = power._sorted_gains(assignment, gains)
     except InfeasibleError:
         pytest.skip("a user lost every subcarrier")
-    records, terms = OrderedGains._for_spans(g, subcarriers, owner_of, bounds)
-    for k, rec in enumerate(records):
-        fresh = order_gains(gains[k, assignment.subcarriers_of(k)], assignment.subcarriers_of(k))
+    records, terms = OrderedGains._for_spans(g, owner_of, bounds)
+    for k, (rec, (fresh, subs)) in enumerate(zip(records, user_gains_direct(assignment, gains))):
+        lo, hi = bounds[k], bounds[k + 1]
         assert rec.values.tolist() == fresh.values.tolist()
-        assert rec.subcarriers.tolist() == fresh.subcarriers.tolist()
+        assert subcarriers[lo:hi].tolist() == subs.tolist()
         for name in ("size", "g_min", "v", "e"):
             assert name in vars(rec), name
             assert type(vars(rec)[name]) is type(getattr(fresh, name)), name
             assert vars(rec)[name] == getattr(fresh, name), name
-        lo, hi = bounds[k], bounds[k + 1]
         assert terms[lo:hi].tolist() == power._waterfill_terms(fresh.values, fresh.g_min).tolist()
 
 
@@ -450,8 +451,7 @@ def _singular_split_instance():
     grid = build_grid(8, 2)
     gains = np.vstack([np.linspace(1.0, 2.0, 8), np.linspace(1.0, 3.0, 8)])
     assignment = static_sa(2, grid)
-    c1, c2 = (order_gains(gains[k, assignment.subcarriers_of(k)], assignment.subcarriers_of(k))
-              for k in range(2))
+    (c1, _), (c2, _) = user_gains_direct(assignment, gains)
     ratio = (c2.e * c1.size * c2.g_min) / (c1.e * c2.size * c1.g_min)
     return assignment, gains, np.array([1.0, -ratio]), 8.0
 
@@ -492,8 +492,7 @@ def test_proposed_pa_sorts_once_and_prunes_only_short_budgets(monkeypatch):
     # Each instance has users that prune and, for K > 1, users that do not.
     instances = [random_instance(seed, n_users=k, n=64, weights=np.ones(k), total_power=total)
                  for seed, k, total in ((0, 1, 1.0), (2, 2, 64.0), (1, 4, 64.0), (3, 8, 16.0))]
-    records = [[order_gains(gains[k, a.subcarriers_of(k)], a.subcarriers_of(k))
-                for k in range(a.n_users)] for a, gains, _, _ in instances]
+    records = [[rec for rec, _ in user_gains_direct(a, gains)] for a, gains, _, _ in instances]
     calls = []
     lexsort, argsort, prune = np.lexsort, np.argsort, power.prune_and_waterfill
 
@@ -597,7 +596,7 @@ def test_exact_oracle_single_user_matches_waterfill():
     gains = np.empty((1, 16))
     gains[0] = realize_channel(UserProfile(4), 16, 1.0, substream(8, 0, 0, 0, 0)).gains
     alloc = exact_pa_oracle(a, gains, np.array([1.0]), 4.0)
-    direct, _ = prune_and_waterfill(4.0, order_gains(gains[0], np.arange(16)))
+    direct, _ = prune_and_waterfill(4.0, og(gains[0]))
     assert abs(alloc.powers.sum() - 4.0) <= 1e-9
     assert np.allclose(np.sort(alloc.powers[0]), np.sort(direct), atol=1e-9)
 
@@ -704,10 +703,12 @@ def _random_oracle_instances(count=400, seed=31):
 
 
 def _edge_oracle_instances():
-    """Inputs that reach the oracle's errors and its certificate's guards."""
+    """Inputs that reach the oracle's errors, its certificate's guards and its dropped gains."""
     grid = build_grid(8, 2)
     flat = np.ones((2, 8))
     ramp = np.vstack([np.ones(8), np.linspace(1.0, 2.0, 8)])
+    holed = np.vstack([np.linspace(0.5, 4.0, 8), np.linspace(2.0, 1.0, 8)])
+    holed[0, 1], holed[1, 6] = 0.0, math.nan  # one owned gain each that the sort drops
     for gains, weights, total_power in (
         (flat, (1e100, 2e100), 8.0),  # the bisection runs out of steps
         (ramp, (1e80, 3e80), 8.0),
@@ -715,6 +716,7 @@ def _edge_oracle_instances():
         (ramp, (0.0, 1.0), 8.0),  # a budget that does not grow with the level
         (ramp, (1e-300, 1.0), 8.0),
         (ramp, (1.0, 3.0), 1e-300),  # the budgets cannot conserve the power
+        (holed, (1.0, 3.0), 0.5),  # both users also prune their weakest kept gain
     ):
         yield static_sa(2, grid), gains, np.array(weights), total_power
 
@@ -872,10 +874,10 @@ def _widest_waterfill(assignment, gains, total_power):
     """
     n = assignment.grid.n_subcarriers
     owned = gains[assignment.subcarrier_owners, np.arange(n)]
-    ordered = order_gains(owned, np.arange(n))
+    ordered, subcarriers = order_gains_direct(owned, np.arange(n))
     for excess in (1e-9, 1e-9 - 1e-15, 1e-9 - 1e-14):
         powers = np.zeros_like(gains)
-        powers[assignment.subcarrier_owners[ordered.subcarriers], ordered.subcarriers] = (
+        powers[assignment.subcarrier_owners[subcarriers], subcarriers] = (
             prune_and_waterfill(total_power * (1.0 + excess), ordered)[0]
         )
         try:

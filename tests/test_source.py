@@ -43,6 +43,25 @@ def test_all_lists_exactly_the_public_top_level_names():
     assert checked
 
 
+def test_every_exported_name_is_read_by_the_package_or_the_benchmark():
+    # A name that only tests read is test scaffolding, not library surface.
+    # Its definition and its exports (``__all__``, ``from .x import``) read nothing.
+    read = set()
+    for path in [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = [
+        f"{path.stem}.{name}"
+        for path in SOURCES
+        for name in getattr(importlib.import_module(f"chunkfair.{path.stem}"), "__all__", ())
+        if name not in read
+    ]
+    assert unread == []
+
+
 def _readme_section(title: str) -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
