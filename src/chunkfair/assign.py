@@ -379,9 +379,11 @@ class OracleResult:
     deviation: float
     rates: np.ndarray
     candidates: int = 0
+    solved: int = 0
 
 
-# Most candidate maps the exhaustive oracle enumerates; each costs one PA call.
+# Most candidate maps the exhaustive oracle enumerates; each is bounded, and
+# only those whose bound does not rule them out are solved by the PA.
 ORACLE_CAP = 1_000_000
 # Owner entries (maps x subcarriers) per block of candidates the oracle bounds at once.
 _BOUND_BLOCK = 2**16
@@ -451,8 +453,9 @@ def exhaustive_sa_oracle(
     search stops at the first bound below the best sum rate so far:
     that candidate and every later one have a sum rate below the best,
     so none can win.  The key (-sum rate, deviation, owners) is a total
-    order, so the winner and every field of the result are those of the
-    full search; ``candidates`` counts every covering map.  A candidate
+    order, so the winner and every field of the result but ``solved``
+    are those of the full search; ``candidates`` counts every covering
+    map and ``solved`` the maps handed to ``pa_solver``.  A candidate
     that is not visited is not solved, so its PA error, if it has one,
     is never raised; one that is visited raises as before.  A visited
     candidate whose sum rate exceeds its bound raises AllocationError,
@@ -483,9 +486,11 @@ def exhaustive_sa_oracle(
 
     indices, bounds = _visit_order(n_users, grid, upper_bound or _no_bound)
     best = None
+    solved = 0
     for index, bound in zip(indices, bounds):
         if best is not None and bound < -best[0][0]:
             break  # visits run in descending bound order: no later candidate can win
+        solved += 1
         owners = _owners_of(index, n_users, n_chunks)
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
@@ -512,4 +517,5 @@ def exhaustive_sa_oracle(
         deviation=best[0][1],
         rates=rates,
         candidates=len(indices),
+        solved=solved,
     )

@@ -46,11 +46,13 @@ __all__ = [
 ]
 
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
-# Each PA scheme reads its ``power`` function when called, so a wrapper set there takes effect.
+# Each PA scheme: its solver, which reads its ``power`` function when called, so a
+# wrapper set there takes effect; and whether its rates are proportional to the
+# rate weights, which lets the exhaustive oracle bound its sum rates more tightly.
 _PA = {
-    "proposed": lambda a, gains, weights, p: power.proposed_pa(a, gains, weights, p),
-    "uniform": lambda a, gains, weights, p: power.uniform_pa(a, p),
-    "exact-oracle": lambda a, gains, weights, p: power.exact_pa_oracle(a, gains, weights, p),
+    "proposed": (lambda a, gains, weights, p: power.proposed_pa(a, gains, weights, p), False),
+    "uniform": (lambda a, gains, weights, p: power.uniform_pa(a, p), False),
+    "exact-oracle": (lambda a, gains, weights, p: power.exact_pa_oracle(a, gains, weights, p), True),
 }
 PA_SCHEMES = tuple(_PA)
 SCENARIOS = ("single-cell", "multi-cell", "multi-cell-no-FFR")
@@ -345,7 +347,11 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
     A greedy or static SA runs once per point and its assignment, or its
     error, serves every PA scheme; the exhaustive oracle searches per PA,
     skipping the candidates that ``power.sum_rate_bound`` rules out, so
-    a skipped candidate's PA error never reaches a row.  Each PA scheme
+    a skipped candidate's PA error never reaches a row.  The bound is
+    unconstrained water-filling, which holds for every PA; for a PA that
+    ``_PA`` flags as giving rates proportional to the rate weights (the
+    exact oracle), it also takes the weights, a tighter bound that holds
+    only for such a PA.  Each PA scheme
     solves each distinct assignment once per point, so an oracle
     candidate that a heuristic also picked is not solved again.  A PA
     error is not kept: asking again raises it again.
@@ -365,17 +371,20 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
             solved = {}  # (PA name, owners) -> that assignment's rates under that PA
 
             def rates_of(sa, pa):
+                solve, proportional = _PA[pa]
+
                 def pa_rates(assignment):
                     key = (pa, assignment.owners)
                     if key not in solved:
-                        alloc = _PA[pa](assignment, gains, weights, total_power)
+                        alloc = solve(assignment, gains, weights, total_power)
                         rates = power.user_rates(alloc.powers, gains)
                         rates.flags.writeable = False  # every row and search that asks shares it
                         solved[key] = rates
                     return solved[key]
 
                 if sa == "exhaustive-oracle":
-                    bound = functools.partial(power.sum_rate_bound, grid, gains, total_power)
+                    bound = functools.partial(power.sum_rate_bound, grid, gains, total_power,
+                                              weights=weights if proportional else None)
                     return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
                 if sa not in assigned:
                     try:

@@ -582,11 +582,13 @@ def _proposed_rates_solver(gains, weights, total_power):
 
 @pytest.mark.parametrize("n_users", [2, 3])
 def test_bounded_oracle_returns_the_full_searchs_result(n_users):
-    # Every field, candidates included, under each PA, from -60 to +40 dB.
-    # Where the full search raises a PA error, the bounded one may skip
-    # it, so there is nothing to compare.
+    # Every field but ``solved``, candidates included, under each PA with
+    # the water-filling bound and under the exact solver also with the
+    # rate-weighted one, from -60 to +40 dB.  Where the full search raises
+    # a PA error, a bounded one may skip it, so there is nothing to compare.
     rng = np.random.default_rng(40 + n_users)
     compared = 0
+    exact_solved = {"water-filling": 0, "weighted": 0}  # maps the exact solver solves
     for instance in range(8):
         n_chunks = int(rng.integers(n_users, 7))
         chunk_size = int(rng.integers(1, 4))
@@ -596,16 +598,25 @@ def test_bounded_oracle_returns_the_full_searchs_result(n_users):
         weights = rng.uniform(0.5, 4.0, n_users)
         total_power = n * 10.0 ** rng.uniform(-6.0, 4.0)
         bound = functools.partial(sum_rate_bound, grid, gains, total_power)
-        for solver in (_uniform_rates_solver(gains, total_power),
-                       _proposed_rates_solver(gains, weights, total_power),
-                       _exact_rates_solver(gains, weights, total_power)):
+        weighted = functools.partial(bound, weights=weights)
+        exact = _exact_rates_solver(gains, weights, total_power)
+        for solver, bounds in ((_uniform_rates_solver(gains, total_power), [bound]),
+                               (_proposed_rates_solver(gains, weights, total_power), [bound]),
+                               (exact, [bound, weighted])):
             try:
-                want = _oracle_bits(exhaustive_sa_oracle(weights, grid, solver))
+                full = exhaustive_sa_oracle(weights, grid, solver)
             except ChunkfairError:
                 continue
-            assert _oracle_bits(exhaustive_sa_oracle(weights, grid, solver, upper_bound=bound)) == want
+            assert full.solved == full.candidates
+            for name, upper_bound in zip(("water-filling", "weighted"), bounds):
+                res = exhaustive_sa_oracle(weights, grid, solver, upper_bound=upper_bound)
+                assert _oracle_bits(res) == _oracle_bits(full)
+                assert 1 <= res.solved <= res.candidates
+                if solver is exact:
+                    exact_solved[name] += res.solved
             compared += 1
     assert compared >= 20
+    assert exact_solved["weighted"] < exact_solved["water-filling"]
 
 
 def _stub_bound(bounds_by_owners):
@@ -641,7 +652,7 @@ def test_bounded_oracle_visits_by_descending_bound_and_stops_below_the_best():
     # the search stops at the next bound, 3.9.
     assert solved == [(0, 1, 1), (1, 0, 0)]
     assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(np.ones(2), grid, solver))
-    assert res.candidates == 6
+    assert res.candidates == 6 and res.solved == 2
 
 
 def test_bounded_oracle_raises_a_visited_candidates_pa_error_but_not_a_skipped_ones():

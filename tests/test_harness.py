@@ -431,6 +431,31 @@ def test_proposed_pa_failures_at_low_snr_are_pinned():
     }
 
 
+def _csv_bytes(rows, path):
+    emit_csv(rows, path)
+    return path.read_bytes()
+
+
+def test_only_the_exact_oracles_search_uses_the_rate_weighted_bound(monkeypatch, tmp_path):
+    # The rate-weighted bound holds only for rates proportional to the
+    # weights, so the proposed and uniform PAs' searches must keep the
+    # water-filling bound, whose rows are those of a search that solves
+    # every candidate.  Flagged as proportional, their searches meet sum
+    # rates above the weighted bound and fail rows.
+    from chunkfair import assign
+
+    config = tiny_config(n_subcarriers=12, chunk_sizes=[2], snr_db=[-10.0, 0.0, 20.0], trials=6,
+                         sa_schemes=["proposed", "exhaustive-oracle"], pa_schemes=["proposed", "uniform"])
+    bounded = _csv_bytes(run_experiment(config)[0], tmp_path / "bounded.csv")
+    search = assign.exhaustive_sa_oracle
+    with monkeypatch.context() as m:
+        m.setattr(assign, "exhaustive_sa_oracle",
+                  lambda weights, grid, pa_solver, upper_bound: search(weights, grid, pa_solver))
+        assert _csv_bytes(run_experiment(config)[0], tmp_path / "full.csv") == bounded
+    monkeypatch.setattr(harness, "_PA", {name: (solve, True) for name, (solve, _) in harness._PA.items()})
+    assert b"exceeds its upper bound" in _csv_bytes(run_experiment(config)[0], tmp_path / "flagged.csv")
+
+
 def test_oracle_rows_at_minus_60_db_fail_only_from_visited_candidates():
     # Some candidates' proposed PA fails to conserve power here.  A search
     # that solved every candidate failed trials 2, 3, 5, 9, 10 and 12; in

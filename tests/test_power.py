@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chunkfair import (
@@ -767,7 +767,9 @@ def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch, orac
     # oracle calls here.  Of the 62 candidates of each of the 12 oracle
     # searches, only those that the water-filling bound cannot rule out
     # are solved, each once; the three heuristic assignments are solved
-    # once each whether or not the search visits them.
+    # once each whether or not the search visits them.  The exact-oracle
+    # searches use the rate-weighted bound, which rules out all but 17
+    # of their 744 candidates.
     counts = {"oracle": 0, "budgets": 0}
     oracle, level_budgets = power.exact_pa_oracle, power._level_budgets
 
@@ -782,8 +784,8 @@ def test_exact_oracle_evaluates_a_third_of_the_bisection_steps(monkeypatch, orac
     monkeypatch.setattr(power, "exact_pa_oracle", counted_oracle)
     monkeypatch.setattr(power, "_level_budgets", counted_budgets)
     run_experiment(oracle_small_config)
-    assert counts["oracle"] == 298
-    assert counts["budgets"] <= 129_944 * 298 // 780 // 3
+    assert counts["oracle"] == 41
+    assert counts["budgets"] <= 129_944 * 41 // 780 // 3
 
 
 def test_budget_total_sums_in_ndarray_order():
@@ -866,6 +868,61 @@ def test_sum_rate_bound_is_above_every_pa_sum_rate(
             assert bound[0] <= total * (1.0 + 1e-9) + 1e-12, (name, total, bound[0])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(1, 3),
+    chunk_size=st.integers(1, 4),
+    extra_chunks=st.integers(0, 3),
+    remainder=st.integers(0, 3),
+    snr_db=st.floats(-60.0, 40.0),
+    zero_gain=st.booleans(),
+)
+# Single users at low SNR whose exact sum rate exceeds the priced
+# water-fill without its float margins by 1e-16 to 2e-9 relative.
+@example(seed=909, n_users=1, chunk_size=3, extra_chunks=2, remainder=1, snr_db=-53.88, zero_gain=False)
+@example(seed=1452, n_users=1, chunk_size=2, extra_chunks=3, remainder=3, snr_db=-55.59, zero_gain=False)
+@example(seed=2055, n_users=1, chunk_size=3, extra_chunks=1, remainder=3, snr_db=-59.5, zero_gain=False)
+def test_weighted_sum_rate_bound_is_above_the_exact_oracles_sum_rate(
+    seed, n_users, chunk_size, extra_chunks, remainder, snr_db, zero_gain
+):
+    grid, gains, owners, weights = _bound_instance(seed, n_users, chunk_size, extra_chunks, remainder)
+    if zero_gain:
+        gains[owners[0], 0] = 0.0
+    total_power = grid.n_subcarriers * 10.0 ** (snr_db / 10.0)
+    bound = sum_rate_bound(grid, gains, total_power, owners[None, :], weights=weights)
+    assert bound.shape == (1,) and bound[0] <= sum_rate_bound(grid, gains, total_power, owners[None, :])[0]
+    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=n_users)
+    try:
+        powers = exact_pa_oracle(assignment, gains, weights, total_power).powers
+    except ChunkfairError:
+        return  # no allocation to bound, as at very low SNR
+    total = float(user_rates(powers, gains).sum())
+    assert total <= bound[0], (total, bound[0])
+    if n_users == 1:
+        assert bound[0] <= total * (1.0 + 1e-9) + 1e-12, (total, bound[0])
+
+
+def test_weighted_sum_rate_bound_is_tight_where_the_unweighted_one_is_not():
+    # N = 12, L = 2, rate weights 1 and 2, 0 dB: the rate constraint binds,
+    # so water-filling overstates the exact oracle's sum rate by 1.2%; the
+    # price updates bring the bound within 1e-4 of it.
+    grid, gains, owners, _ = _bound_instance(5, 2, 2, 4, 0)
+    weights = np.array([1.0, 2.0])
+    assignment = Assignment(grid=grid, owners=tuple(owners.tolist()), n_users=2)
+    exact = float(user_rates(exact_pa_oracle(assignment, gains, weights, 12.0).powers, gains).sum())
+    loose = sum_rate_bound(grid, gains, 12.0, owners[None, :])[0]
+    tight = sum_rate_bound(grid, gains, 12.0, owners[None, :], weights=weights)[0]
+    assert exact <= tight < exact * (1.0 + 1e-4) and loose > exact * 1.01
+
+
+def test_weighted_sum_rate_bound_rejects_bad_weights():
+    grid, gains, owners, _ = _bound_instance(3, 2, 2, 2, 1)
+    for weights in ([1.0], [1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [1.0, np.nan]):
+        with pytest.raises(ConfigError, match="rate weights"):
+            sum_rate_bound(grid, gains, 10.0, owners[None, :], weights=np.array(weights))
+
+
 def _widest_waterfill(assignment, gains, total_power):
     """Water-filling over the map's own gains, spending as much as ``_check_allocation`` accepts.
 
@@ -889,11 +946,12 @@ def _widest_waterfill(assignment, gains, total_power):
 
 
 def test_sum_rate_bound_of_a_map_with_a_nan_gain_is_nan():
-    grid, gains, owners, _ = _bound_instance(3, 2, 2, 2, 1)
+    grid, gains, owners, weights = _bound_instance(3, 2, 2, 2, 1)
     rows = np.array([owners, 1 - owners])
     gains[owners[0], 0] = np.nan  # owned by row 0 only
-    bound = sum_rate_bound(grid, gains, 10.0, rows)
-    assert np.isnan(bound[0]) and np.isfinite(bound[1])
+    for bound in (sum_rate_bound(grid, gains, 10.0, rows),
+                  sum_rate_bound(grid, gains, 10.0, rows, weights=weights)):
+        assert np.isnan(bound[0]) and np.isfinite(bound[1])
 
 
 def test_sum_rate_bound_of_a_map_without_a_positive_gain_is_its_margin():
