@@ -40,20 +40,6 @@ _SINGULAR_REL_TOL = 1e-12
 _ORACLE_REL_TOL = 1e-12
 _ORACLE_MAX_DOUBLINGS = 200
 _ORACLE_MAX_BISECTIONS = 200
-# The bisection's decisions are certified with a margin of
-# _ORACLE_SLACK * (K + 8) * (|total| + 2 * sum(n / g_min)) on a total of
-# K budgets.  The plain-float total strays from one that rises with the
-# level by under 2**-50 * (1.5 + K / 8) times that scale: ``2.0 **`` is
-# taken to be within 2 ulp of the power, and every other operation and
-# addition rounds once.  A certificate needs twice that, one per side.
-_ORACLE_SLACK = 2.0**-50
-_NEWTON_MAX_STEPS = 60
-# A prune pass skips its bisection only if that bisection cannot run out
-# of steps: from [0, top] to a level above lo it halves at most
-# log2(top / lo) + 1 times and then settles inside one binade in about
-# 57 steps, so a span below 2**100 stays within _ORACLE_MAX_BISECTIONS.
-_ORACLE_SKIP_SPAN = 2.0**100
-_LN2 = math.log(2.0)
 # prune_and_waterfill's certified start: the relative margin per gain,
 # and the smallest g_min**2 its range guard admits (the least normal float).
 _START_SLACK = 8.0 * 2.0**-52
@@ -476,89 +462,8 @@ def _total(budgets: list[float]) -> float:
     return total
 
 
-def _float_slack(value: float, scale: float, n_terms: int) -> float:
-    """Float error bound of a sum of ``n_terms`` budgets whose n / g_min sum to ``scale``."""
-    return _ORACLE_SLACK * (n_terms + 8) * (abs(value) + 2.0 * scale)
-
-
-def _newton_root(
-    fit: list[tuple], total_power: float, t_top: float, t: float
-) -> tuple[float, float] | None:
-    """Newton's root of the budget total below ``t_top``, with the total's slope there.
-
-    The total is C + S(t), where C = sum(v - n / g_min) and S is a sum of
-    positive exponentials of t, so ln S is convex in t.  Newton on
-    ln S(t) = ln(P - C) therefore lands at or above the root after its
-    first step and then falls to it monotonically; steps are clamped to
-    the bracket top, and a level whose S overflows, far above the root,
-    is halved.  It stops once the step left could move the total
-    by less than an eighth of the tolerance.  The result only places the
-    window that ``_solve_level`` certifies, so it needs no exact
-    arithmetic.  Returns None when no certificate could hold: a weight
-    that is negative or NaN (the total must rise with t), a non-positive
-    n / g_min or P - C, a flat total, or no convergence in
-    ``_NEWTON_MAX_STEPS`` steps.
-    """
-    target = total_power
-    lines = []  # S(t) = sum(exp(a_k t + b_k))
-    for v, scale, weight, n, log2_w in fit:
-        if not (weight >= 0 and scale > 0):
-            return None
-        target -= v - scale
-        lines.append((_LN2 * weight / n, math.log(scale) - _LN2 * log2_w))
-    if not target > 0:
-        return None
-    ln_target = math.log(target)
-    a_max = max(a for a, _ in lines)
-    settle = 0.25 * _ORACLE_REL_TOL * total_power / target
-    t = min(t, t_top)
-    for _ in range(_NEWTON_MAX_STEPS):
-        s = ds = 0.0  # S / (P - C) and its derivative
-        try:
-            for a, b in lines:
-                e = math.exp(a * t + b - ln_target)
-                s += e
-                ds += a * e
-        except OverflowError:
-            t *= 0.5
-            continue
-        if not ds > 0:
-            return None
-        step = math.log(s) * s / ds
-        t = min(t - step, t_top)
-        # The step left after this one is at most a_max / 2 * step**2.
-        if not a_max * ds / s * step * step > settle:
-            break
-    else:
-        return None
-    slope = target * ds
-    return (t, slope) if slope > 0 else None
-
-
-def _solve_level(
-    fit: list[tuple], total_power: float, floors: list[float], warm: float | None
-):
-    """One prune pass's budgets, bit for bit those at the plain-float bisection's level.
-
-    The bracket doublings run exactly.  Newton then finds the root, from
-    ``warm`` (the previous pass's root) or from the bracket top, and two
-    exact totals certify a window [lo, hi] around it:
-    total(lo) < P - tol - err and total(hi) > P + tol + err, where err
-    (``_float_slack``) bounds how far the float total strays from a
-    monotone one.  Every level at or below lo then takes the bisection's
-    upward branch and every level at or above hi its downward one, so the
-    bisection's midpoint sequence is replayed with budgets evaluated only
-    inside the window.  An end whose certificate fails leaves its side
-    unknown; with both failing the loop is the plain bisection.
-
-    Returns (budgets, violations, root): the users below their floors and
-    Newton's root for the next pass.  When both ends hold and the budgets
-    at lo and hi put every user on the same side of its floor, with err to
-    spare, the budgets at the bisection's level would too; if some user is
-    below its floor, the pass is decided without the replay and budgets is
-    None.  Otherwise budgets is the list at the bisection's level and
-    violations compares it with the floors.
-    """
+def _solve_level(fit: list[tuple], total_power: float) -> list[float]:
+    """One prune pass's budgets at the bisected rate level; see ``exact_pa_oracle``."""
     t_hi = 1.0
     for _ in range(_ORACLE_MAX_DOUBLINGS):
         if _total(_level_budgets(fit, t_hi)) > total_power:
@@ -567,59 +472,24 @@ def _solve_level(
     else:
         raise OracleConvergenceError("failed to bracket the rate level")
     tol = _ORACLE_REL_TOL * total_power
-    known_lo, known_hi = -math.inf, math.inf
-    root = _newton_root(fit, total_power, t_hi, t_hi if warm is None else warm)
-    if root is not None:
-        root, slope = root
-        scale_sum = sum(scale for _, scale, *_ in fit)
-        err = _float_slack(total_power, scale_sum, len(fit))
-        half = 2.0 * (tol + err) / slope + 8.0 * math.ulp(root)
-        lo, hi = root - half, root + half
-        at_lo, at_hi = _level_budgets(fit, lo), _level_budgets(fit, hi)
-        total = _total(at_lo)
-        if total + _float_slack(total, scale_sum, len(fit)) < total_power - tol:
-            known_lo = lo
-        total = _total(at_hi)
-        if total - _float_slack(total, scale_sum, len(fit)) > total_power + tol:
-            known_hi = hi
-        if 0.0 < known_lo and known_hi < math.inf and t_hi <= known_lo * _ORACLE_SKIP_SPAN:
-            violations = []
-            for k, floor in enumerate(floors):
-                scale = fit[k][1]
-                if at_hi[k] + _float_slack(at_hi[k], scale, 1) < floor:
-                    violations.append(k)
-                elif not at_lo[k] - _float_slack(at_lo[k], scale, 1) >= floor:
-                    break  # this user's decision can change inside the window
-            else:
-                if violations:
-                    return None, violations, root
     t_lo = 0.0
     for _ in range(_ORACLE_MAX_BISECTIONS):
         t = 0.5 * (t_lo + t_hi)
         if not t_lo < t < t_hi:
             # The bracket holds two adjacent floats and cannot move.
-            budgets = min(
+            return min(
                 (_level_budgets(fit, t_lo), _level_budgets(fit, t_hi)),
                 key=lambda b: abs(_total(b) - total_power),
             )
-            break
-        if t <= known_lo:
-            resid = -math.inf  # certified below P - tol
-        elif t >= known_hi:
-            resid = math.inf  # certified above P + tol
-        else:
-            budgets = _level_budgets(fit, t)
-            resid = _total(budgets) - total_power
+        budgets = _level_budgets(fit, t)
+        resid = _total(budgets) - total_power
         if abs(resid) <= tol:
-            break
+            return budgets
         if resid > 0:
             t_hi = t
         else:
             t_lo = t
-    else:
-        resid = _total(_level_budgets(fit, t)) - total_power
-        raise OracleConvergenceError(f"bisection residual {resid:g} did not reach {tol:g}")
-    return budgets, [k for k, floor in enumerate(floors) if budgets[k] < floor], root
+    raise OracleConvergenceError(f"bisection residual {resid:g} did not reach {tol:g}")
 
 
 def exact_pa_oracle(
@@ -642,17 +512,10 @@ def exact_pa_oracle(
     weakest subcarrier is dropped, its statistics are recomputed and the
     level re-solved, iterating to a fixpoint.
 
-    The result is bit-identical to bisecting with every step evaluated
-    as plain floats summed in ``ndarray.sum()``'s order, but most steps
-    are not evaluated (``_solve_level``): a Newton root, warm-started
-    from the previous pass, places a window whose two ends are certified
-    with exact totals and a float-error margin; outside it the
-    bisection's branch is known, so only steps inside are evaluated.
-    A pass whose window ends agree, with margin, on which users to
-    prune is decided without the bisection; only the final pass replays
-    it.  If a certificate fails, that side is evaluated in full, which
-    is the plain bisection.  The budget array is built once, on the
-    final pass, at the level the bisection settles on.
+    Every step evaluates the budgets as plain floats (``_level_budgets``)
+    summed in ``ndarray.sum()``'s order (``_total``), which is faster
+    than a numpy array at a few users and gives the same bits.  The
+    budget array is built once, on the final pass.
 
     The records and the scatter are ``proposed_pa``'s: one sort of every
     user's gains (``_sorted_gains``), and each user's powers written into
@@ -664,20 +527,20 @@ def exact_pa_oracle(
     ordered, _ = OrderedGains._for_spans(g, owners, bounds)
     n_users = assignment.n_users
     pruned = np.zeros(n_users, dtype=int)
-    root = None
 
     for _ in range(g.size + 1):
         fit = [
             (og.v, og.size / og.g_min, float(weights[k]), og.size, og.log2_w)
             for k, og in enumerate(ordered)
         ]
+        budgets = _solve_level(fit, total_power)
         # A budget below its floor prunes the user's weakest subcarrier;
         # a single-subcarrier user is never pruned.
-        floors = [
-            og.v - 1e-12 * max(og.v, total_power) if og.size > 1 else -math.inf
-            for og in ordered
+        violations = [
+            k
+            for k, (og, budget) in enumerate(zip(ordered, budgets))
+            if og.size > 1 and budget < og.v - 1e-12 * max(og.v, total_power)
         ]
-        budgets, violations, root = _solve_level(fit, total_power, floors, root)
         if not violations:
             budgets = np.array(budgets)
             powers = np.zeros(g.size)  # pruned gains keep zero power

@@ -2,14 +2,15 @@
 
 Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
-cannot hide in its own checker.  The exceptions are
-``exact_pa_oracle_direct``, ``prune_and_waterfill_direct``,
+cannot hide in its own checker.  The exceptions pin the package bit
+for bit: ``exact_pa_oracle_direct``, the exact oracle's bisection with
+a numpy budget array, and ``prune_and_waterfill_direct``,
 ``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
-forms of the exact oracle, the prune loop, the proposed PA and the SA
-oracle kept to pin their rewrites bit for bit; they share the
-package's helpers, except that the two PAs sort and scatter each
-user's gains alone (``order_gains_direct``, ``user_gains_direct`` and
-``scatter_direct``), as they did before the package's single sort.
+forms of the prune loop, the proposed PA and the SA oracle kept to pin
+their rewrites.  They share the package's helpers, except that the two
+PAs sort and scatter each user's gains alone (``order_gains_direct``,
+``user_gains_direct`` and ``scatter_direct``), as they did before the
+package's single sort.
 ``assignment_record`` and ``allocation_records`` are not oracles but
 the plain-text record formats the tests pin.
 """
@@ -271,28 +272,27 @@ def exact_pa_oracle_direct(
     gains: np.ndarray,
     weights: np.ndarray,
     total_power: float,
-    rel_tol: float = 1e-12,
-    max_doublings: int = 200,
-    max_bisections: int = 200,
 ) -> PowerAllocation:
-    """The exact oracle as it was before its plain-float bisection.
+    """The exact oracle's bisection with a numpy budget array at every step.
 
-    Kept as it was, apart from reading each user's statistics from its
-    gain record: each bracket and bisection step builds the budget array
-    and sums it with numpy.  ``power.exact_pa_oracle`` must match it bit
-    for bit.
+    The same bracket doublings and bisection as ``power.exact_pa_oracle``,
+    but each step builds the budget array and sums it with numpy, so it
+    pins the rounding of ``power._level_budgets`` and the summation order
+    of ``power._total``; the oracle must match it bit for bit.  It reads
+    each user's statistics from its gain record.
 
     Water-filling inside each user makes its rate a closed-form,
     strictly increasing function of its budget; inverting it at a common
     weighted-rate level t gives
     P_k(t) = v_k + (n_k / g_min,k) * (2**(w_k t / n_k) / W_k - 1),
     and the level is bisected until the budgets sum to the total power
-    within ``rel_tol``.  If the bracket shrinks to two adjacent floats
-    first, no level meets ``rel_tol``; the bracket end whose budgets sum
-    closer to the total power is taken instead.  Whenever the solution
-    would drive a user's budget below its v_k, that user's weakest
-    subcarrier is dropped and the level re-solved, iterating to a
-    fixpoint.
+    within 1e-12 relative, in at most 200 bracket doublings and 200
+    bisection steps.  If the bracket shrinks to two adjacent floats
+    first, no level meets that tolerance; the bracket end whose budgets
+    sum closer to the total power is taken instead.  Whenever the
+    solution would drive a user's budget below its v_k, that user's
+    weakest subcarrier is dropped and the level re-solved, iterating to
+    a fixpoint.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -315,7 +315,7 @@ def exact_pa_oracle_direct(
             )
 
         t_hi = 1.0
-        for _ in range(max_doublings):
+        for _ in range(200):
             if budget_at(t_hi).sum() > total_power:
                 break
             t_hi *= 2.0
@@ -323,7 +323,7 @@ def exact_pa_oracle_direct(
             raise OracleConvergenceError("failed to bracket the rate level")
         t_lo = 0.0
         budgets = budget_at(t_hi)
-        for _ in range(max_bisections):
+        for _ in range(200):
             t = 0.5 * (t_lo + t_hi)
             if not t_lo < t < t_hi:
                 # The bracket holds two adjacent floats and cannot move.
@@ -334,7 +334,7 @@ def exact_pa_oracle_direct(
                 break
             budgets = budget_at(t)
             resid = budgets.sum() - total_power
-            if abs(resid) <= rel_tol * total_power:
+            if abs(resid) <= 1e-12 * total_power:
                 break
             if resid > 0:
                 t_hi = t
@@ -343,7 +343,7 @@ def exact_pa_oracle_direct(
         else:
             raise OracleConvergenceError(
                 f"bisection residual {budgets.sum() - total_power:g} "
-                f"did not reach {rel_tol * total_power:g}"
+                f"did not reach {1e-12 * total_power:g}"
             )
 
         violations = [
