@@ -323,10 +323,11 @@ def _row(config, trial, sa, pa, chunk_size, snr_db, weights, rates_of, edge) -> 
     except ChunkfairError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
         return row
-    row.rates = tuple(float(r) for r in rates)
-    row.min_rate = float(rates.min())
+    values = rates.tolist()
+    row.rates = tuple(values)
+    row.min_rate = metrics._min(values)
     row.min_weighted_rate = metrics.min_weighted_rate(rates, weights)
-    row.sum_rate = float(rates.sum())
+    row.sum_rate = metrics._total(values)
     row.deviation = _deviation_or_none(rates, weights)
     if edge is not None and edge.size:
         row.min_edge_rate = float(rates[edge].min())

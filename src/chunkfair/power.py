@@ -18,6 +18,7 @@ import numpy as np
 
 from .assign import Assignment, ChunkGrid
 from .errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
+from .metrics import _total
 
 __all__ = [
     "OrderedGains",
@@ -193,27 +194,27 @@ def solve_power_split(
     betas: np.ndarray,
     total_power: float,
     weights: np.ndarray,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[list[float], bool]:
     """Closed-form solution of the budget system; returns (budgets, fell_back).
 
     P_1 = (P_T - sum(beta/alpha)) / (1 - sum(1/alpha)) and
     P_k = (beta_k - P_1) / alpha_k.  A (near-)singular denominator falls
     back to budgets proportional to the rate weights.  With one user
-    both sums are empty and P_1 is the total power.
+    both sums are empty and P_1 is the total power.  The budgets are a
+    list of plain floats, equal bit for bit to the same formulas on
+    numpy arrays: sums go through ``_total``, and 1 / (+-0.0) is +-inf.
     """
-    weights = np.asarray(weights, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    betas = np.asarray(betas, dtype=float)
-    inv = 1.0 / alphas
-    denom = 1.0 - inv.sum()
-    if abs(denom) < _SINGULAR_REL_TOL * max(1.0, np.abs(inv).sum()):
-        return total_power * weights / weights.sum(), True
-    p1 = (total_power - (betas * inv).sum()) / denom
-    rest = (betas - p1) * inv
-    return np.concatenate(([p1], rest)), False
+    alphas, betas, weights = (np.asarray(a, dtype=float).tolist() for a in (alphas, betas, weights))
+    inv = [1.0 / a if a else math.copysign(math.inf, a) for a in alphas]
+    denom = 1.0 - _total(inv)
+    if abs(denom) < _SINGULAR_REL_TOL * max(1.0, _total([abs(x) for x in inv])):
+        weight_total = _total(weights)
+        return [total_power * w / weight_total for w in weights], True
+    p1 = (total_power - _total([b * x for b, x in zip(betas, inv)])) / denom
+    return [p1] + [(b - p1) * x for b, x in zip(betas, inv)], False
 
 
-def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def repair_negative_budgets(budgets) -> tuple[list[float], np.ndarray]:
     """Average the worst-off budgets until no budget is negative.
 
     If any budget is negative, budgets are sorted ascending (ties by
@@ -221,14 +222,18 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     sum is non-negative; every group member then receives the group
     average.  Rounding can leave every sorted partial sum negative while
     the total is not; the group is then every user, sharing the total.
-    Returns (budgets, group_mask); the total is preserved.  A negative
-    total cannot be repaired and raises AllocationError: the split gives
-    one only through float cancellation, at very low SNR.
+    Returns (budgets as a list of floats, group_mask); the total is
+    preserved.  A negative total cannot be repaired and raises
+    AllocationError: the split gives one only through float
+    cancellation, at very low SNR.  Budgets that need no repair (none
+    negative or NaN) are checked in plain floats; a repair runs on an
+    array.
     """
-    budgets = np.asarray(budgets, dtype=float).copy()
-    mask = np.zeros(budgets.size, dtype=bool)
-    if budgets.min() >= 0:
+    budgets = list(map(float, budgets))
+    mask = np.zeros(len(budgets), dtype=bool)
+    if all(b >= 0 for b in budgets):
         return budgets, mask
+    budgets = np.array(budgets)
     if budgets.sum() < 0:
         raise AllocationError("total budget must be non-negative for repair")
     order = np.argsort(budgets, kind="stable")
@@ -243,7 +248,7 @@ def repair_negative_budgets(budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray
     group = order[:count]
     budgets[group] = partial / count
     mask[group] = True
-    return budgets, mask
+    return budgets.tolist(), mask
 
 
 def _waterfill_terms(g, g0):
@@ -385,7 +390,8 @@ def proposed_pa(
     statistics and water-filling terms are computed once for all of
     them (``OrderedGains._for_spans``).  A user whose budget covers its
     v keeps all its subcarriers and is water-filled with the others in
-    one step; only the rest go through ``prune_and_waterfill``.
+    one step; only the rest go through ``prune_and_waterfill``.  The
+    budgets stay a list of plain floats until the result is built.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -395,7 +401,7 @@ def proposed_pa(
     budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
     budgets, repaired = repair_negative_budgets(budgets)
     levels, short = [], []
-    for k, (og, budget) in enumerate(zip(ordered, budgets.tolist())):
+    for k, (og, budget) in enumerate(zip(ordered, budgets)):
         fits = budget >= og.v
         levels.append(_water_level(budget, og.v, og.size) if fits else 0.0)
         if not fits:
@@ -409,7 +415,7 @@ def proposed_pa(
     out[owners, subcarriers] = powers
     _check_allocation(out, total_power)
     return PowerAllocation(
-        budgets=budgets,
+        budgets=np.array(budgets),
         powers=out,
         repaired=repaired,
         pruned=pruned,
@@ -450,16 +456,6 @@ def _level_budgets(fit: list[tuple], t: float) -> list[float]:
             growth = math.inf
         budgets.append(v + scale * (growth - 1.0))
     return budgets
-
-
-def _total(budgets: list[float]) -> float:
-    """``ndarray.sum()`` of the budgets: numpy sums fewer than 8 terms in order."""
-    if len(budgets) >= 8:
-        return float(np.sum(budgets))
-    total = 0.0
-    for b in budgets:
-        total += b
-    return total
 
 
 def _solve_level(fit: list[tuple], total_power: float) -> list[float]:

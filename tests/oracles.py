@@ -4,15 +4,19 @@ Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exceptions pin the package bit
 for bit: ``exact_pa_oracle_direct``, the exact oracle's bisection with
-a numpy budget array, and ``prune_and_waterfill_direct``,
+a numpy budget array; ``solve_power_split_direct``,
+``repair_negative_budgets_direct``, ``deviation_direct`` and
+``min_weighted_rate_direct``, the numpy-array forms of the budget
+split, its repair and the row metrics, which the package computes in
+plain floats; and ``prune_and_waterfill_direct``,
 ``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
 forms of the prune loop, the proposed PA and the SA oracle kept to pin
 their rewrites.  They share the package's helpers, except that the two
 PAs sort and scatter each user's gains alone (``order_gains_direct``,
 ``user_gains_direct`` and ``scatter_direct``), as they did before the
 package's single sort.
-``assignment_record`` and ``allocation_records`` are not oracles but
-the plain-text record formats the tests pin.
+``assignment_record``, ``allocation_records`` and ``float_reprs`` are
+not oracles but the plain-text record formats the tests pin.
 """
 
 import cmath
@@ -22,7 +26,13 @@ import math
 import numpy as np
 
 from chunkfair.assign import Assignment, OracleResult
-from chunkfair.errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
+from chunkfair.errors import (
+    AllocationError,
+    ConfigError,
+    InfeasibleError,
+    OracleConvergenceError,
+    UndefinedMetricError,
+)
 from chunkfair.metrics import deviation
 from chunkfair.power import (
     OrderedGains,
@@ -32,8 +42,6 @@ from chunkfair.power import (
     _waterfill_v,
     linear_coefficients,
     prune_and_waterfill,
-    repair_negative_budgets,
-    solve_power_split,
 )
 
 
@@ -80,7 +88,7 @@ def rates_direct(powers, gains):
     return out / n
 
 
-def deviation_direct(rates, weights):
+def deviation_elementwise(rates, weights):
     """Elementwise re-evaluation of the rate-constraint deviation."""
     total_r = float(sum(rates))
     total_w = float(sum(weights))
@@ -89,6 +97,35 @@ def deviation_direct(rates, weights):
         num += abs(r / total_r - w / total_w)
     denom = 2.0 - 2.0 * min(w / total_w for w in weights)
     return num / denom
+
+
+def deviation_direct(rates, weights):
+    """``metrics.deviation`` on numpy arrays, as it was before its plain-float form; it must match bit for bit."""
+    rates = np.asarray(rates, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if rates.size < 2:
+        raise UndefinedMetricError("deviation needs at least two users")
+    total_rate = rates.sum()
+    if not total_rate > 0:
+        raise UndefinedMetricError("deviation undefined for zero total rate")
+    weight_shares = weights / weights.sum()
+    rate_shares = rates / total_rate
+    denom = 2.0 - 2.0 * weight_shares.min()
+    if not denom > 0:
+        raise UndefinedMetricError("deviation denominator is zero")
+    return float(np.abs(rate_shares - weight_shares).sum() / denom)
+
+
+def min_weighted_rate_direct(rates, weights):
+    """``metrics.min_weighted_rate`` on numpy arrays, as it was before its plain-float form."""
+    rates = np.asarray(rates, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    return float((rates / weights).min())
+
+
+def float_reprs(values):
+    """Each value's round-trip repr: equal lists hold equal floats bit for bit, -0.0 included, NaNs alike."""
+    return [repr(float(v)) for v in np.asarray(values, dtype=float).ravel()]
 
 
 def proportional_budget_system(coeff_list, weights, total_power):
@@ -116,6 +153,43 @@ def proportional_budget_system(coeff_list, weights, total_power):
             + (ck.e - ck.size) / weights[k]
         )
     return a, b
+
+
+def solve_power_split_direct(alphas, betas, total_power, weights):
+    """``power.solve_power_split`` on numpy arrays, as it was before its plain-float form."""
+    weights = np.asarray(weights, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    betas = np.asarray(betas, dtype=float)
+    inv = 1.0 / alphas
+    denom = 1.0 - inv.sum()
+    if abs(denom) < 1e-12 * max(1.0, np.abs(inv).sum()):
+        return total_power * weights / weights.sum(), True
+    p1 = (total_power - (betas * inv).sum()) / denom
+    rest = (betas - p1) * inv
+    return np.concatenate(([p1], rest)), False
+
+
+def repair_negative_budgets_direct(budgets):
+    """``power.repair_negative_budgets`` on numpy arrays, as it was before its plain-float check."""
+    budgets = np.asarray(budgets, dtype=float).copy()
+    mask = np.zeros(budgets.size, dtype=bool)
+    if budgets.min() >= 0:
+        return budgets, mask
+    if budgets.sum() < 0:
+        raise AllocationError("total budget must be non-negative for repair")
+    order = np.argsort(budgets, kind="stable")
+    partial = budgets[order[0]]
+    count = 1
+    while partial < 0:
+        if count == budgets.size:
+            partial = budgets.sum()
+            break
+        partial += budgets[order[count]]
+        count += 1
+    group = order[:count]
+    budgets[group] = partial / count
+    mask[group] = True
+    return budgets, mask
 
 
 def _pick_direct(values, candidates, largest):
@@ -278,7 +352,7 @@ def exact_pa_oracle_direct(
     The same bracket doublings and bisection as ``power.exact_pa_oracle``,
     but each step builds the budget array and sums it with numpy, so it
     pins the rounding of ``power._level_budgets`` and the summation order
-    of ``power._total``; the oracle must match it bit for bit.  It reads
+    of ``metrics._total``; the oracle must match it bit for bit.  It reads
     each user's statistics from its gain record.
 
     Water-filling inside each user makes its rate a closed-form,
@@ -393,17 +467,18 @@ def prune_and_waterfill_direct(budget, ordered):
 def proposed_pa_direct(assignment, gains, weights, total_power):
     """The proposed PA as it was before its single pass: one record and one prune call per user.
 
-    Each user's subcarriers are found and sorted alone, and every user's
-    budget goes through ``prune_and_waterfill``.  ``power.proposed_pa``
-    must match it bit for bit.
+    Each user's subcarriers are found and sorted alone, the budgets are
+    split and repaired on numpy arrays, and every user's budget goes
+    through ``prune_and_waterfill``.  ``power.proposed_pa`` must match
+    it bit for bit.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     records = user_gains_direct(assignment, gains)
     ordered = [og for og, _ in records]
     alphas, betas = linear_coefficients(ordered, weights)
-    budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
-    budgets, repaired = repair_negative_budgets(budgets)
+    budgets, fallback = solve_power_split_direct(alphas, betas, total_power, weights)
+    budgets, repaired = repair_negative_budgets_direct(budgets)
     per_user = []
     pruned = np.zeros(assignment.n_users, dtype=int)
     for k, (og, subs) in enumerate(records):

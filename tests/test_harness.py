@@ -695,11 +695,12 @@ def test_no_scheme_beats_the_oracle_on_sum_rate_under_any_pa():
 def test_every_traced_library_function_is_read_from_its_module_when_called(monkeypatch):
     # A profiler that wraps these module attributes sees every call only if
     # the harness looks each one up on its module when it runs a row.
-    from chunkfair import assign, multicell, power
+    from chunkfair import assign, metrics, multicell, power
 
     traced = [(power, name) for name in ("proposed_pa", "uniform_pa", "exact_pa_oracle", "user_rates")]
     traced += [(assign, name) for name in ("proposed_sa", "shen_sa", "static_sa", "exhaustive_sa_oracle")]
     traced += [(multicell, name) for name in ("build_scenario", "multicell_sa")]
+    traced += [(metrics, name) for name in ("deviation", "min_weighted_rate", "mean_ci")]
     reached = set()
     for module, name in traced:
         def counting(*args, _fn=getattr(module, name), _name=f"{module.__name__}.{name}", **kw):

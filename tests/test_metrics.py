@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chunkfair import UndefinedMetricError, deviation, mean_ci, min_weighted_rate
+from chunkfair.metrics import _min, _total
 
-from oracles import deviation_direct
+from oracles import deviation_direct, deviation_elementwise, float_reprs, min_weighted_rate_direct
 
 
 def test_deviation_zero_when_proportional():
@@ -22,7 +23,7 @@ def test_deviation_matches_elementwise_oracle():
     w = np.array([1.0, 1.0, 4.0, 4.0])
     for _ in range(100):
         r = rng.random(4) + 1e-9
-        assert abs(deviation(r, w) - deviation_direct(r, w)) < 1e-14
+        assert abs(deviation(r, w) - deviation_elementwise(r, w)) < 1e-14
 
 
 def test_deviation_undefined_cases():
@@ -80,6 +81,41 @@ def test_min_weighted_rate():
         r = rng.random(6)
         w = rng.random(6) + 0.1
         assert min_weighted_rate(r, w) == min(a / b for a, b in zip(r, w))
+
+
+def _metric_outcome(metric, rates, weights):
+    try:
+        with np.errstate(all="ignore"):
+            return float_reprs(metric(rates, weights))
+    except UndefinedMetricError as exc:
+        return str(exc)
+
+
+def test_row_metrics_match_their_array_forms_bit_for_bit():
+    # K 1-12 puts the sums on both sides of numpy's 8-term switch to pairwise.
+    rng = np.random.default_rng(17)
+    raised = set()
+    for n_users in range(1, 13):
+        for i in range(300):
+            rates = rng.exponential(1.0, n_users) * 10.0 ** rng.uniform(-6, 3)
+            weights = rng.random(n_users) + 0.1
+            if i % 4 == 1:  # a zero total, from zeros of either sign
+                rates = rng.choice([0.0, -0.0], n_users)
+            elif i % 4 == 2:
+                rates[rng.random(n_users) < 0.3] = rng.choice([0.0, -0.0, np.nan, np.inf])
+            elif i % 4 == 3:
+                weights[rng.random(n_users) < 0.2] = np.nan
+            for metric, reference in ((deviation, deviation_direct),
+                                      (min_weighted_rate, min_weighted_rate_direct)):
+                got = _metric_outcome(metric, rates, weights)
+                assert got == _metric_outcome(reference, rates, weights)
+                if isinstance(got, str):
+                    raised.add(got)
+            # the row's min_rate and sum_rate
+            assert float_reprs(_min(rates.tolist())) == float_reprs(rates.min())
+            assert float_reprs(_total(rates.tolist())) == float_reprs(rates.sum())
+    assert raised == {"deviation needs at least two users", "deviation undefined for zero total rate",
+                      "deviation denominator is zero"}
 
 
 def test_mean_ci():

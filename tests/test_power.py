@@ -35,18 +35,21 @@ from chunkfair import (
 )
 from chunkfair import power
 from chunkfair.assign import Assignment
-from chunkfair.metrics import deviation
-from chunkfair.power import _check_allocation, _total
+from chunkfair.metrics import _total, deviation
+from chunkfair.power import _check_allocation
 
 from oracles import (
     allocation_records,
     exact_pa_oracle_direct,
+    float_reprs,
     gauss_solve,
     order_gains_direct,
     proportional_budget_system,
     proposed_pa_direct,
     prune_and_waterfill_direct,
     rates_direct,
+    repair_negative_budgets_direct,
+    solve_power_split_direct,
     user_gains_direct,
 )
 
@@ -211,7 +214,7 @@ def test_coefficients_match_independent_derivation():
 
 def test_split_single_user():
     budgets, fb = solve_power_split(np.empty(0), np.empty(0), 5.0, np.array([1.0]))
-    assert budgets.tolist() == [5.0]
+    assert budgets == [5.0]
     assert not fb
 
 
@@ -239,14 +242,14 @@ def test_split_conserves_total():
         betas = rng.normal(size=k - 1)
         total = float(rng.random() * 10 + 0.1)
         budgets, _ = solve_power_split(alphas, betas, total, np.ones(k))
-        assert abs(budgets.sum() - total) <= 1e-9 * total
+        assert abs(np.sum(budgets) - total) <= 1e-9 * total
 
 
 # ------------------------------------------------------- repair
 
 def test_repair_untouched_when_positive():
     budgets, mask = repair_negative_budgets(np.array([1.0, 2.0]))
-    assert budgets.tolist() == [1.0, 2.0]
+    assert budgets == [1.0, 2.0]
     assert not mask.any()
 
 
@@ -267,7 +270,7 @@ def test_repair_partial_group():
     # group grows {-1}, {-1, 2}: sum 1 >= 0 -> both get 0.5
     assert np.allclose(budgets, [5.0, 0.5, 0.5, 4.0])
     assert mask.tolist() == [False, True, True, False]
-    assert abs(budgets.sum() - 10.0) < 1e-12
+    assert abs(np.sum(budgets) - 10.0) < 1e-12
 
 
 def test_repair_when_rounding_keeps_every_sorted_sum_negative():
@@ -277,8 +280,8 @@ def test_repair_when_rounding_keeps_every_sorted_sum_negative():
                     0.9814267495931386])
     fixed, mask = repair_negative_budgets(raw)
     assert mask.all()
-    assert fixed.min() >= 0.0
-    assert np.all(fixed == raw.sum() / raw.size)
+    assert min(fixed) >= 0.0
+    assert fixed == [raw.sum() / raw.size] * raw.size
 
 
 def test_repair_preserves_total_and_nonnegativity():
@@ -287,8 +290,50 @@ def test_repair_preserves_total_and_nonnegativity():
         raw = rng.normal(size=rng.integers(2, 9))
         raw = raw - raw.mean() + 1.0 / raw.size  # total fixed at 1 > 0
         fixed, _ = repair_negative_budgets(raw)
-        assert fixed.min() >= 0.0
-        assert abs(fixed.sum() - raw.sum()) <= 1e-12
+        assert min(fixed) >= 0.0
+        assert abs(np.sum(fixed) - raw.sum()) <= 1e-12
+
+
+def _split_outcome(solver, *args):
+    """A split's or repair's (budgets, flag) as ``float_reprs`` and a list, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            budgets, flag = solver(*args)
+    except ChunkfairError as exc:
+        return type(exc), str(exc)
+    return float_reprs(budgets), np.asarray(flag).tolist()
+
+
+def test_split_and_repair_match_their_array_forms_bit_for_bit():
+    # K 2-12 puts the sums on both sides of numpy's 8-term switch to pairwise.
+    rng = np.random.default_rng(5)
+    splits = [(np.array([-0.0, -2.0]), np.array([1.0, 2.0]), 4.0, np.ones(3)),  # 1 / -0.0 = -inf
+              (np.array([np.nan, -2.0]), np.array([1.0, 2.0]), 4.0, np.ones(3))]
+    repairs = []
+    for n_users in range(2, 13):
+        for _ in range(40):
+            splits.append((-(10.0 ** rng.uniform(-3, 3, n_users - 1)),
+                           rng.normal(size=n_users - 1) * 10.0 ** rng.uniform(-3, 3, n_users - 1),
+                           float(10.0 ** rng.uniform(-6, 3)), rng.random(n_users) + 0.1))
+        # sum(1 / alpha) = 1 within rounding: the singular fallback
+        splits.append((np.full(n_users - 1, n_users - 1.0), rng.normal(size=n_users - 1), 10.0,
+                       rng.random(n_users) + 0.1))
+        for _ in range(100):
+            budgets = rng.normal(size=n_users) + rng.uniform(-0.5, 1.0)
+            budgets[rng.random(n_users) < 0.1] = rng.choice([-0.0, 0.0, np.nan])
+            repairs.append(budgets)
+    seen = {"fallback": 0, "repaired": 0, "raised": 0}
+    for args in splits:
+        got = _split_outcome(solve_power_split, *args)
+        assert got == _split_outcome(solve_power_split_direct, *args)
+        seen["fallback"] += got[1]
+        repairs.append(solve_power_split(*args)[0])
+    for budgets in repairs:
+        got = _split_outcome(repair_negative_budgets, budgets)
+        assert got == _split_outcome(repair_negative_budgets_direct, budgets)
+        seen["raised"] += got[0] is AllocationError
+        seen["repaired"] += got[0] is not AllocationError and any(got[1])
+    assert seen["fallback"] >= 11 and seen["repaired"] > 100 and seen["raised"] > 10
 
 
 # ------------------------------------------------------- waterfill
@@ -762,12 +807,15 @@ def test_oracle_small_makes_41_exact_oracle_calls(monkeypatch, oracle_small_conf
 
 
 def test_budget_total_sums_in_ndarray_order():
-    # numpy sums 8 or more terms pairwise, so an in-order sum differs there.
+    # numpy adds fewer than 8 terms in order and 8 or more pairwise.  Every
+    # digest rests on that order: if an installed numpy changes it, fail here.
     rng = np.random.default_rng(11)
-    for n_users in range(1, 17):
+    for n in range(1, 21):
         for _ in range(200):
-            budgets = list(rng.standard_normal(n_users) * 10.0 ** rng.integers(-6, 6, n_users))
-            assert _total(budgets) == np.array(budgets).sum()
+            xs = (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20, 20, n)).tolist()
+            assert _total(xs) == float(np.array(xs).sum())
+        for xs in ([-0.0] * n, [0.0] * (n - 1) + [-0.0]):
+            assert float_reprs(_total(xs)) == float_reprs(np.array(xs).sum())
 
 
 def test_check_allocation_raises_instead_of_asserting():
