@@ -368,35 +368,40 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
         for snr_db in config.snr_db:
             total_power = config.total_power(snr_db)
             table = assign.chunk_rates(gains, grid, total_power / n)
-            assigned = {}  # SA name -> its assignment or its error
-            solved = {}  # (PA name, owners) -> that assignment's rates under that PA
+            yield chunk_size, snr_db, _single_cell_rates(grid, gains, weights, total_power, table), None
 
-            def rates_of(sa, pa):
-                solve, proportional = _PA[pa]
 
-                def pa_rates(assignment):
-                    key = (pa, assignment.owners)
-                    if key not in solved:
-                        alloc = solve(assignment, gains, weights, total_power)
-                        rates = power.user_rates(alloc.powers, gains)
-                        rates.flags.writeable = False  # every row and search that asks shares it
-                        solved[key] = rates
-                    return solved[key]
+def _single_cell_rates(grid, gains, weights, total_power, table):
+    """``rates_of(sa, pa)`` of one single-cell point; see ``_single_cell_points``."""
+    assigned = {}  # SA name -> its assignment or its error
+    solved = {}  # (PA name, owners) -> that assignment's rates under that PA
 
-                if sa == "exhaustive-oracle":
-                    bound = functools.partial(power.sum_rate_bound, grid, gains, total_power,
-                                              weights=weights if proportional else None)
-                    return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
-                if sa not in assigned:
-                    try:
-                        assigned[sa] = assign.run_sa(sa, table, weights, grid)
-                    except ChunkfairError as exc:
-                        assigned[sa] = exc
-                if isinstance(assigned[sa], ChunkfairError):
-                    raise assigned[sa]
-                return pa_rates(assigned[sa])
+    def rates_of(sa, pa):
+        solve, proportional = _PA[pa]
 
-            yield chunk_size, snr_db, rates_of, None
+        def pa_rates(assignment):
+            key = (pa, assignment.owners)
+            if key not in solved:
+                alloc = solve(assignment, gains, weights, total_power)
+                rates = power.user_rates(alloc.powers, gains)
+                rates.flags.writeable = False  # every row and search that asks shares it
+                solved[key] = rates
+            return solved[key]
+
+        if sa == "exhaustive-oracle":
+            bound = functools.partial(power.sum_rate_bound, grid, gains, total_power,
+                                      weights=weights if proportional else None)
+            return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
+        if sa not in assigned:
+            try:
+                assigned[sa] = assign.run_sa(sa, table, weights, grid)
+            except ChunkfairError as exc:
+                assigned[sa] = exc
+        if isinstance(assigned[sa], ChunkfairError):
+            raise assigned[sa]
+        return pa_rates(assigned[sa])
+
+    return rates_of
 
 
 def _multi_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarray):
@@ -409,20 +414,20 @@ def _multi_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarray
     ffr = config.scenario == "multi-cell"
     drawn = multicell.build_scenario(config.chunk_params[0], config.seed, trial)
     for params in config.chunk_params:
-        scenario = replace(drawn, params=params)
+        yield params.chunk_size, None, _multi_cell_rates(replace(drawn, params=params), ffr), drawn.edge_users
 
-        def rates_of(sa, pa):
-            return (multicell.multicell_sa if ffr else multicell.reuse1_baseline)(scenario, sa)
 
-        yield params.chunk_size, None, rates_of, drawn.edge_users
+def _multi_cell_rates(scenario, ffr: bool):
+    """``rates_of(sa, pa)`` of one multi-cell point, with or without FFR."""
+
+    def rates_of(sa, pa):
+        return (multicell.multicell_sa if ffr else multicell.reuse1_baseline)(scenario, sa)
+
+    return rates_of
 
 
 def _trial_rows(config: ExperimentConfig, trial: int) -> list[ResultRow]:
-    """All rows of one trial: one per sweep point, SA scheme and PA scheme.
-
-    Each point's ``rates_of`` is used up before the next point is asked
-    for, because the points' closures read their generator's loop variables.
-    """
+    """All rows of one trial: one per sweep point, SA scheme and PA scheme."""
     weights = np.asarray(config.rate_weights, dtype=float)
     points = _single_cell_points if config.scenario == "single-cell" else _multi_cell_points
     return [

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assign import ChunkGrid, build_grid, chunk_rates, run_sa
-from .channel import STREAM_CHANNEL, STREAM_PLACEMENT, UserProfile, frequency_response, generate_taps, substream
+from .channel import (STREAM_CHANNEL, STREAM_PLACEMENT, UserProfile, frequency_response, generate_taps,
+                      subcarrier_gains, substream)
 from .errors import ConfigError, InfeasibleError
 
 __all__ = [
@@ -314,7 +315,7 @@ def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None
             for cell in missing
         ])
         h = frequency_response(taps, params.n_subcarriers)
-        scenario._gains[k, missing] = h.real**2 + h.imag**2
+        scenario._gains[k, missing] = subcarrier_gains(h, 1.0)
         scenario._drawn[k, missing] = True
 
 

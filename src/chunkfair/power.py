@@ -55,67 +55,37 @@ _DUAL_EXPONENTS = np.array([0.125, 0.5, 1.0])
 _DUAL_STEP_CAP = 2.0**10
 
 
-class _computed_once:
-    """A lazily computed attribute, stored in the instance dict on first read.
-
-    ``functools.cached_property`` without the lock that Python 3.11 takes
-    on every first read; see ``OrderedGains``.
-    """
-
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class OrderedGains:
-    """One user's active gains, sorted ascending.
+    """One user's active gains, sorted ascending, with their water-filling statistics.
 
-    The set is non-empty and its weakest gain positive.  The water-filling
-    statistics are computed on first use: ``v`` is the power consumed by
-    equalising the water level across the set when the weakest subcarrier
-    gets zero power, ``e`` the sum of gains relative to the weakest, and
-    ``log2_w`` the log2 of the geometric-mean gain ratio (kept in the log
-    domain so long gain vectors cannot overflow the product).  Each is
-    computed at most once per record and then read from the instance
-    dict.  No lock guards the first read: the record is frozen and
-    each statistic a pure function of it, so two threads that race
-    would only store equal values.  ``_for_spans`` builds many records
-    with these statistics already stored, computed for all at once.
+    The set is non-empty and its weakest gain positive.  ``size`` and
+    ``g_min`` are its length and weakest gain, ``v`` is the power
+    consumed by equalising the water level across the set when the
+    weakest subcarrier gets zero power, and ``e`` the sum of gains
+    relative to the weakest.  Every field is set at construction:
+    ``of`` builds one record, ``_for_spans`` every user's at once.
     """
 
     values: np.ndarray
+    size: int
+    g_min: float
+    v: float
+    e: float
 
-    def __post_init__(self):
-        if self.values.size == 0:
+    @classmethod
+    def of(cls, values: np.ndarray) -> OrderedGains:
+        """The record of the ascending gains ``values``.
+
+        Raises InfeasibleError on an empty set and ConfigError on a
+        non-positive weakest gain.
+        """
+        if values.size == 0:
             raise InfeasibleError("user has no subcarriers")
-        if not self.values[0] > 0:
+        if not values[0] > 0:
             raise ConfigError("active set needs a positive weakest gain")
-
-    @_computed_once
-    def size(self) -> int:
-        return int(self.values.size)
-
-    @_computed_once
-    def g_min(self) -> float:
-        return float(self.values[0])
-
-    @_computed_once
-    def v(self) -> float:
-        return _waterfill_v(self.values)
-
-    @_computed_once
-    def e(self) -> float:
-        return float((self.values / self.g_min).sum())
-
-    @_computed_once
-    def log2_w(self) -> float:
-        return float(np.log2(self.values[1:] / self.g_min).sum()) / self.size
+        g_min = float(values[0])
+        return cls(values, values.size, g_min, _waterfill_v(values), float((values / g_min).sum()))
 
     @classmethod
     def _for_spans(cls, g, owners, bounds) -> tuple[list[OrderedGains], np.ndarray]:
@@ -125,24 +95,18 @@ class OrderedGains:
         be empty.  The terms (``_waterfill_terms`` against the owner's
         g_min) and the ratios g / g_min are computed once for all gains,
         and each record's v and e are sums over its own slice of them,
-        so size, g_min, v and e are stored equal to their first-read values.
+        equal to the fields ``of`` computes.
         """
         g_min = g[bounds[:-1]]
         base = g_min[owners]
         terms = _waterfill_terms(g, base)
         ratios = g / base
         bounds = bounds.tolist()
-        records = []
-        for lo, hi, g0 in zip(bounds, bounds[1:], g_min.tolist()):
-            og = cls(values=g[lo:hi])
-            og.__dict__.update(size=hi - lo, g_min=g0, v=float(terms[lo + 1 : hi].sum()),
-                               e=float(ratios[lo:hi].sum()))
-            records.append(og)
+        records = [
+            cls(g[lo:hi], hi - lo, g0, float(terms[lo + 1 : hi].sum()), float(ratios[lo:hi].sum()))
+            for lo, hi, g0 in zip(bounds, bounds[1:], g_min.tolist())
+        ]
         return records, terms
-
-    def without_weakest(self) -> OrderedGains:
-        """The set with its weakest subcarrier dropped."""
-        return OrderedGains(values=self.values[1:])
 
 
 @dataclass(frozen=True)
@@ -359,6 +323,14 @@ def _sorted_gains(assignment: Assignment, gains: np.ndarray):
     return g, subcarriers, owners, bounds
 
 
+def _scatter(assignment: Assignment, owners, subcarriers, powers, total_power: float) -> np.ndarray:
+    """The (K, N) allocation of the powers of ``_sorted_gains``' gains, checked by ``_check_allocation``."""
+    out = np.zeros((assignment.n_users, assignment.grid.n_subcarriers))
+    out[owners, subcarriers] = powers
+    _check_allocation(out, total_power)
+    return out
+
+
 def proposed_pa(
     assignment: Assignment,
     gains: np.ndarray,
@@ -411,12 +383,9 @@ def proposed_pa(
     for k in short:
         lo, hi = bounds[k], bounds[k + 1]
         powers[lo:hi], pruned[k] = prune_and_waterfill(budgets[k], ordered[k])
-    out = np.zeros((assignment.n_users, assignment.grid.n_subcarriers))
-    out[owners, subcarriers] = powers
-    _check_allocation(out, total_power)
     return PowerAllocation(
         budgets=np.array(budgets),
-        powers=out,
+        powers=_scatter(assignment, owners, subcarriers, powers, total_power),
         repaired=repaired,
         pruned=pruned,
         singular_fallback=fallback,
@@ -442,7 +411,8 @@ def uniform_pa(assignment: Assignment, total_power: float) -> PowerAllocation:
 def _level_budgets(fit: list[tuple], t: float) -> list[float]:
     """Per-user budgets P_k(t) at rate level t, in plain floats.
 
-    ``fit`` holds one (v, n / g_min, weight, n, log2_w) tuple per user.
+    ``fit`` holds one (v, n / g_min, weight, n, log2_w) tuple per user
+    (``_level_fit``).
     Each budget is the float numpy gives for the same formula on float64
     scalars, so the operation order must stay as written (folding
     ``weight / n`` changes the rounding); a power that overflows is inf,
@@ -488,6 +458,16 @@ def _solve_level(fit: list[tuple], total_power: float) -> list[float]:
     raise OracleConvergenceError(f"bisection residual {resid:g} did not reach {tol:g}")
 
 
+def _level_fit(g: np.ndarray, weight: float) -> tuple:
+    """One user's (v, n / g_min, weight, n, log2_w) for ``_level_budgets``, from its ascending active gains.
+
+    log2_w is the log2 of the geometric-mean gain ratio g / g_min, kept
+    in the log domain so that long gain vectors cannot overflow the product.
+    """
+    n, g_min = g.size, float(g[0])
+    return _waterfill_v(g), n / g_min, weight, n, float(np.log2(g[1:] / g_min).sum()) / n
+
+
 def exact_pa_oracle(
     assignment: Assignment,
     gains: np.ndarray,
@@ -513,47 +493,40 @@ def exact_pa_oracle(
     than a numpy array at a few users and gives the same bits.  The
     budget array is built once, on the final pass.
 
-    The records and the scatter are ``proposed_pa``'s: one sort of every
-    user's gains (``_sorted_gains``), and each user's powers written into
-    the top of its sorted span, since a prune drops the weakest gains.
+    One sort orders every user's gains (``_sorted_gains``, as in
+    ``proposed_pa``).  A prune drops the weakest gains, so each user's
+    active gains are the top of its sorted span: its statistics
+    (``_level_fit``) are computed from that top, and its powers written
+    into it.
     """
     gains = np.asarray(gains, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(weights, dtype=float).tolist()
     g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
-    ordered, _ = OrderedGains._for_spans(g, owners, bounds)
-    n_users = assignment.n_users
-    pruned = np.zeros(n_users, dtype=int)
+    ends = bounds[1:].tolist()
+    fit = [_level_fit(g[lo:hi], w) for lo, hi, w in zip(bounds.tolist(), ends, weights)]
 
     for _ in range(g.size + 1):
-        fit = [
-            (og.v, og.size / og.g_min, float(weights[k]), og.size, og.log2_w)
-            for k, og in enumerate(ordered)
-        ]
         budgets = _solve_level(fit, total_power)
         # A budget below its floor prunes the user's weakest subcarrier;
         # a single-subcarrier user is never pruned.
         violations = [
             k
-            for k, (og, budget) in enumerate(zip(ordered, budgets))
-            if og.size > 1 and budget < og.v - 1e-12 * max(og.v, total_power)
+            for k, ((v, _, _, n, _), budget) in enumerate(zip(fit, budgets))
+            if n > 1 and budget < v - 1e-12 * max(v, total_power)
         ]
         if not violations:
-            budgets = np.array(budgets)
             powers = np.zeros(g.size)  # pruned gains keep zero power
-            for k, (og, hi) in enumerate(zip(ordered, bounds[1:].tolist())):
-                powers[hi - og.size : hi] = _waterfill(max(budgets[k], og.v), og.v, og.values)
-            out = np.zeros((n_users, assignment.grid.n_subcarriers))
-            out[owners, subcarriers] = powers
-            _check_allocation(out, total_power)
+            for (v, _, _, n, _), budget, hi in zip(fit, budgets, ends):
+                powers[hi - n : hi] = _waterfill(max(budget, v), v, g[hi - n : hi])
             return PowerAllocation(
-                budgets=budgets,
-                powers=out,
-                repaired=np.zeros(n_users, dtype=bool),
-                pruned=pruned,
+                budgets=np.array(budgets),
+                powers=_scatter(assignment, owners, subcarriers, powers, total_power),
+                repaired=np.zeros(assignment.n_users, dtype=bool),
+                pruned=np.diff(bounds) - [n for _, _, _, n, _ in fit],
             )
         for k in violations:
-            ordered[k] = ordered[k].without_weakest()
-            pruned[k] += 1
+            _, _, weight, n, _ = fit[k]
+            fit[k] = _level_fit(g[ends[k] - n + 1 : ends[k]], weight)
     raise OracleConvergenceError("prune fixpoint did not terminate")
 
 

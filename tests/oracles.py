@@ -318,7 +318,7 @@ def order_gains_direct(gains, subcarriers):
     subcarriers = np.asarray(subcarriers, dtype=int)
     order = np.argsort(gains, kind="stable")
     order = order[gains[order] > 0]
-    return OrderedGains(values=gains[order]), subcarriers[order]
+    return OrderedGains.of(gains[order]), subcarriers[order]
 
 
 def user_gains_direct(assignment, gains):
@@ -353,7 +353,9 @@ def exact_pa_oracle_direct(
     but each step builds the budget array and sums it with numpy, so it
     pins the rounding of ``power._level_budgets`` and the summation order
     of ``metrics._total``; the oracle must match it bit for bit.  It reads
-    each user's statistics from its gain record.
+    each user's v, size and g_min from its gain record, and computes
+    log2_w, the log2 of the geometric-mean gain ratio, from the record's
+    gains.
 
     Water-filling inside each user makes its rate a closed-form,
     strictly increasing function of its budget; inverting it at a common
@@ -378,12 +380,14 @@ def exact_pa_oracle_direct(
     max_prunes = sum(og.size for og in ordered)
 
     for _ in range(max_prunes + 1):
+        log2_w = [float(np.log2(c.values[1:] / c.g_min).sum()) / c.size for c in ordered]
+
         def budget_at(t: float) -> np.ndarray:
             return np.array(
                 [
                     c.v
                     + (c.size / c.g_min)
-                    * (2.0 ** (weights[k] * t / c.size - c.log2_w) - 1.0)
+                    * (2.0 ** (weights[k] * t / c.size - log2_w[k]) - 1.0)
                     for k, c in enumerate(ordered)
                 ]
             )
@@ -440,7 +444,7 @@ def exact_pa_oracle_direct(
                 pruned=pruned,
             )
         for k in violations:
-            ordered[k] = ordered[k].without_weakest()
+            ordered[k] = OrderedGains.of(ordered[k].values[1:])
             subs[k] = subs[k][1:]
             pruned[k] += 1
     raise OracleConvergenceError("prune fixpoint did not terminate")

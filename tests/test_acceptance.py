@@ -130,7 +130,7 @@ def test_criterion_01_linear_split_matches_dense_solve():
         if not 16 <= total <= 128:
             continue
         coeffs = [
-            OrderedGains(values=np.sort(rng.lognormal(0.0, 1.0, s)))
+            OrderedGains.of(np.sort(rng.lognormal(0.0, 1.0, s)))
             for s in sizes
         ]
         weights = rng.random(k) + 0.2
@@ -168,7 +168,7 @@ def test_criterion_02_water_level_identity():
     for _ in range(1000):
         size = int(rng.integers(1, 64))
         gains = np.sort(rng.lognormal(0.0, 1.0, size)) + 1e-3
-        og = OrderedGains(values=gains)
+        og = OrderedGains.of(gains)
         v = og.v
         budget = float(rng.random() * (2.0 * v + 5.0))
         powers, _ = prune_and_waterfill(budget, og)

@@ -275,6 +275,21 @@ def test_single_cell_assigns_once_per_sweep_point(monkeypatch):
     assert len(rows) == 8 * 3 * 3 and not any(r.error for r in rows)
 
 
+@pytest.mark.parametrize("name", ["single_cell_sweep.json", "multicell_ffr.json"])
+def test_materialised_points_give_the_rates_of_points_consumed_in_order(name):
+    config = ExperimentConfig.from_file(Path(__file__).parents[1] / "configs" / name)
+    weights = np.asarray(config.rate_weights, dtype=float)
+    points = harness._single_cell_points if config.scenario == "single-cell" else harness._multi_cell_points
+
+    def rates(rates_of):
+        return [rates_of(sa, pa).tolist() for sa in config.sa_schemes for pa in config.pa_schemes]
+
+    in_order = [rates(rates_of) for _, _, rates_of, _ in points(config, 0, weights)]
+    held = list(points(config, 0, weights))
+    assert len(held) == 5 and len({repr(r) for r in in_order}) == 5
+    assert [rates(rates_of) for _, _, rates_of, _ in held] == in_order
+
+
 def test_failed_assignment_writes_one_error_row_per_pa_scheme(monkeypatch):
     calls = _counting_run_sa(monkeypatch, fail=("shen",))
     config = tiny_config(sa_schemes=["proposed", "shen"], pa_schemes=["proposed", "uniform"])

@@ -75,34 +75,38 @@ def random_instance(seed, n_users=4, n=64, taps=8, chunk_size=4,
 
 # ------------------------------------------------------- coefficients
 
+def log2_w(values):
+    """The exact oracle's log2 of the geometric-mean gain ratio of the ascending ``values``."""
+    return power._level_fit(np.asarray(values, dtype=float), 1.0)[4]
+
+
 def test_coefficients_flat_gains():
     c = og([2.0, 2.0, 2.0])
     assert c.v == 0.0
     assert c.e == 3.0
-    assert 2.0**c.log2_w == 1.0
+    assert 2.0**log2_w(c.values) == 1.0
 
 
 def test_coefficients_hand_value():
     c = og([1.0, 2.0])
     assert abs(c.v - 0.5) < 1e-15
     assert abs(c.e - 3.0) < 1e-15
-    assert abs(2.0**c.log2_w - np.sqrt(2.0)) < 1e-15
+    assert abs(2.0**log2_w(c.values) - np.sqrt(2.0)) < 1e-15
 
 
 def test_log_domain_w_matches_direct_product():
     rng = np.random.default_rng(0)
     for _ in range(20):
         gains = np.sort(rng.lognormal(0.0, 1.5, size=50))
-        c = og(gains)
         direct = np.prod(gains[1:] / gains[0]) ** (1.0 / gains.size)
-        assert abs(2.0**c.log2_w - direct) <= 1e-12 * direct
+        assert abs(2.0**log2_w(gains) - direct) <= 1e-12 * direct
 
 
 def test_zero_gain_rejected_and_dropped():
     with pytest.raises(ConfigError):
-        OrderedGains(values=np.array([0.0, 1.0]))
+        OrderedGains.of(np.array([0.0, 1.0]))
     with pytest.raises(InfeasibleError):
-        OrderedGains(values=np.array([]))
+        OrderedGains.of(np.array([]))
     assignment = Assignment(grid=build_grid(4, 1), owners=(0, 0, 0, 0), n_users=1)
     with pytest.raises(InfeasibleError):
         power._sorted_gains(assignment, np.zeros((1, 4)))
@@ -112,35 +116,20 @@ def test_zero_gain_rejected_and_dropped():
     assert bounds.tolist() == [0, 2]
 
 
-def test_record_computes_each_statistic_once(monkeypatch):
-    summed = []
-    waterfill_v = power._waterfill_v
-
-    def counted_v(g):
-        summed.append(g.size)
-        return waterfill_v(g)
-
-    monkeypatch.setattr(power, "_waterfill_v", counted_v)
+def test_record_and_oracle_statistics_match_exact_sums():
     record = og(np.random.default_rng(3).exponential(size=9))
-    weaker = record.without_weakest()
-    assert weaker.values.tolist() == record.values[1:].tolist()
-    for rec in (record, weaker):
-        summed.clear()
-        g = [float(x) for x in rec.values]
-        direct = {
-            "size": len(g),
-            "g_min": g[0],
-            "v": math.fsum((x - g[0]) / (x * g[0]) for x in g[1:]),
-            "e": math.fsum(x / g[0] for x in g),
-            "log2_w": math.fsum(math.log2(x / g[0]) for x in g[1:]) / len(g),
-        }
-        for name, expected in direct.items():
-            first = getattr(rec, name)
-            # Stored on the record, so no later read computes it again.
-            assert vars(rec)[name] is first
-            assert getattr(rec, name) is first
-            assert first == pytest.approx(expected, rel=1e-14, abs=0.0), name
-        assert summed == [len(g)]
+    for rec in (record, OrderedGains.of(record.values[1:])):
+        g = rec.values.tolist()
+        assert (rec.size, rec.g_min) == (len(g), g[0])
+        assert type(rec.size) is int and type(rec.g_min) is float
+        exact_v = math.fsum((x - g[0]) / (x * g[0]) for x in g[1:])
+        assert rec.v == pytest.approx(exact_v, rel=1e-14, abs=0.0)
+        assert rec.e == pytest.approx(math.fsum(x / g[0] for x in g), rel=1e-14, abs=0.0)
+        # The exact oracle's per-user tuple agrees with the record.
+        v, scale, weight, n, w = power._level_fit(rec.values, 2.5)
+        assert (v, scale, weight, n) == (rec.v, rec.size / rec.g_min, 2.5, rec.size)
+        exact_w = math.fsum(math.log2(x / g[0]) for x in g[1:]) / len(g)
+        assert w == pytest.approx(exact_w, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -163,9 +152,9 @@ def test_records_for_spans_store_their_first_read_statistics(seed):
         assert rec.values.tolist() == fresh.values.tolist()
         assert subcarriers[lo:hi].tolist() == subs.tolist()
         for name in ("size", "g_min", "v", "e"):
-            assert name in vars(rec), name
-            assert type(vars(rec)[name]) is type(getattr(fresh, name)), name
-            assert vars(rec)[name] == getattr(fresh, name), name
+            # Summed over the batched terms, equal to the fields one record computes.
+            assert type(getattr(rec, name)) is type(getattr(fresh, name)), name
+            assert getattr(rec, name) == getattr(fresh, name), name
         assert terms[lo:hi].tolist() == power._waterfill_terms(fresh.values, fresh.g_min).tolist()
 
 
@@ -427,8 +416,8 @@ def test_prune_matches_the_stepwise_loop_bit_for_bit():
     ([1e-320, 1e-319, 2.0, 3.0], 1.0, 2),
 ])
 def test_prune_outside_the_certified_range_steps_one_at_a_time(gains, budget, pruned):
-    ordered = og(gains)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ordered = og(gains)
         got = prune_and_waterfill(budget, ordered)
         want = prune_and_waterfill_direct(budget, ordered)
     assert got[1] == want[1] == pruned
@@ -676,6 +665,27 @@ def test_exact_oracle_fairness_survives_pruning():
         dev = deviation(rates, weights)
         assert dev < 1e-6
         assert alloc.powers.min() >= 0.0
+
+
+def test_exact_oracle_prune_recomputes_only_the_pruned_users_statistics(monkeypatch):
+    sizes, level_fit = [], power._level_fit
+
+    def counted(g, weight):
+        sizes.append(g.size)
+        return level_fit(g, weight)
+
+    monkeypatch.setattr(power, "_level_fit", counted)
+    pruning = 0
+    for seed in range(5):
+        assignment, gains, weights, total_power = random_instance(seed, total_power=0.64)
+        sizes.clear()
+        alloc = exact_pa_oracle(assignment, gains, weights, total_power)
+        spans = assignment.subcarrier_counts().tolist()  # every gain is positive
+        # One tuple per user, then one per dropped subcarrier.
+        assert sizes[: len(spans)] == spans
+        assert len(sizes) == len(spans) + alloc.pruned.sum()
+        pruning += bool(alloc.pruned.any())
+    assert pruning == 5
 
 
 def test_exact_oracle_takes_closer_end_of_a_collapsed_bracket():

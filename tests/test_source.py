@@ -24,6 +24,15 @@ def test_package_holds_no_assert_statements():
     assert found == []
 
 
+def test_every_module_parses_at_the_supported_python_floor():
+    # Newer syntax would break the oldest Python that pyproject.toml admits.
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    paths = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py"))]
+    assert floor and len(paths) > len(SOURCES)
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor[1])))
+
+
 def test_all_lists_exactly_the_public_top_level_names():
     checked = 0
     for path in SOURCES:
