@@ -324,7 +324,7 @@ def _sorted_gains(assignment: Assignment, gains: np.ndarray):
 
 
 def _scatter(assignment: Assignment, owners, subcarriers, powers, total_power: float) -> np.ndarray:
-    """The (K, N) allocation of the powers of ``_sorted_gains``' gains, checked by ``_check_allocation``."""
+    """The (K, N) allocation with ``powers`` at (``owners``, ``subcarriers``), checked by ``_check_allocation``."""
     out = np.zeros((assignment.n_users, assignment.grid.n_subcarriers))
     out[owners, subcarriers] = powers
     _check_allocation(out, total_power)
@@ -396,13 +396,9 @@ def uniform_pa(assignment: Assignment, total_power: float) -> PowerAllocation:
     """Equal power on every subcarrier: p = P_T / N."""
     n = assignment.grid.n_subcarriers
     per_sc = total_power / n
-    powers = np.zeros((assignment.n_users, n))
-    powers[assignment.subcarrier_owners, np.arange(n)] = per_sc
-    budgets = assignment.subcarrier_counts() * per_sc
-    _check_allocation(powers, total_power)
     return PowerAllocation(
-        budgets=budgets.astype(float),
-        powers=powers,
+        budgets=assignment.subcarrier_counts() * per_sc,
+        powers=_scatter(assignment, assignment.subcarrier_owners, np.arange(n), per_sc, total_power),
         repaired=np.zeros(assignment.n_users, dtype=bool),
         pruned=np.zeros(assignment.n_users, dtype=int),
     )
@@ -551,8 +547,8 @@ def _priced_waterfill(g, r, price, budget):
     mu price g is not above 1.
     """
     order = np.argsort(r / price, axis=1)
-    rows = np.arange(g.shape[0])[:, None]
-    levels = (budget + r[rows, order].cumsum(axis=1)) / price[rows, order].cumsum(axis=1)
+    order += np.arange(0, g.size, g.shape[1])[:, None]  # flat indices: one take beats a 2-D gather
+    levels = (budget + r.take(order).cumsum(axis=1)) / price.take(order).cumsum(axis=1)
     mu = levels.min(axis=1) * (1.0 + (2 * g.shape[1] + 2) * 2.0**-52)
     y = np.multiply(mu[:, None] * price, g, out=np.zeros(g.shape), where=g > 0)
     return np.log2(y, out=np.zeros(g.shape), where=y > 1.0)
@@ -574,15 +570,13 @@ def sum_rate_bound(
     only for ``exact_pa_oracle``'s powers: see "Rate weights" below.  A
     row with a NaN owned gain gets NaN.
 
-    The bound is unconstrained water-filling over the map's own gains.
-    With each row's 1/g sorted ascending and S_a the sum of its first a,
-    every prefix level mu_a = (P + S_a) / a is at or above the
-    water-filling level, since sum_n (mu_a - 1/g_n)^+ >= P; the active
-    prefix attains it, so the level is the smallest mu_a.  Any mu at or
-    above it gives V(mu) = (1/N) sum_n max(0, log2(mu g_n)), at least
-    the water-filling rate at power P, which no allocation of at most P
-    beats.  Zero and negative gains add nothing; a reciprocal that
-    overflows to inf only drops its prefixes from the minimum.
+    The bound is unconstrained water-filling over the map's own gains:
+    ``_priced_waterfill`` at unit prices, whose level is the least prefix
+    level (P + S_a) / a, with S_a the sum of a row's a smallest 1/g.
+    Any mu at or above it gives V(mu) = (1/N) sum_n max(0, log2(mu g_n)),
+    at least the water-filling rate at power P, which no allocation of
+    at most P beats.  Zero and negative gains add nothing; a reciprocal
+    that overflows to inf only drops its prefixes from the minimum.
 
     The margin, with u = 2**-53 and ``np.log2`` taken to be within 4 ulp
     (8 u relative), to first order in u:
@@ -593,10 +587,11 @@ def sum_rate_bound(
       The bound is taken at P' = P (1 + 1e-9), rounded to within 2 u;
       the water-filling rate is concave in the power and 0 at 0, so
       the rest costs a relative (K N + 4) u.
-    - Level.  The reciprocals, the N in-order adds, the add of P' and
-      the divide leave the float mu_a under the exact one by at most
-      (N + 2) u relative; mu is raised by the exact factor
-      1 + (N + 2) 2**-52, which covers that and its own rounding.
+    - Level.  Unit prices sum to exact integers, so the reciprocals,
+      the N in-order adds, the add of P' and the divide leave the float
+      mu_a under the exact one by at most (N + 2) u relative; mu is
+      raised by the exact factor 1 + (2 N + 2) 2**-52, which covers that
+      and its own rounding.
     - The bound's rounding.  fl(mu g) is within u of mu g, which moves
       log2 by at most 1.5 u absolute, also where it masks a term at
       1; log2 adds 8 u relative, the row sum of N non-negative terms
@@ -676,14 +671,10 @@ def sum_rate_bound(
     if grid.chunk_size > 1:
         owners = np.repeat(owners, grid.chunk_sizes(), axis=1)
     g = gains[owners, np.arange(n)]
-    positive = g > 0
     budget = total_power * (1.0 + _POWER_REL_TOL)
     with np.errstate(over="ignore"):
-        r = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=positive)
-        levels = (budget + np.sort(r, axis=1, kind="stable").cumsum(axis=1)) / np.arange(1, n + 1)
-        mu = levels.min(axis=1) * (1.0 + (n + 2) * 2.0**-52)
-        y = np.multiply(mu[:, None], g, out=np.zeros(g.shape), where=positive)
-        terms = np.log2(y, out=np.zeros(g.shape), where=y > 1.0)
+        r = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=g > 0)
+        terms = _priced_waterfill(g, r, np.ones(g.shape), budget)
         bound = terms.sum(axis=1) / n * (1.0 + (n_users * n + 2 * n + n_users + 32) * 2.0**-52) + 2.0**-50
         if weights is not None:
             bound = np.fmin(bound, _priced_bound(g, r, terms, owners, weights, total_power, budget))

@@ -92,10 +92,9 @@ def test_grid_chunk_sizes_built_once_and_read_only():
 
 
 def test_grid_rejects_bad_sizes():
-    with pytest.raises(ConfigError):
-        build_grid(8, 0)
-    with pytest.raises(ConfigError):
-        build_grid(8, 9)
+    for n, l in ((8, 0), (8, 9), (0, 1)):
+        with pytest.raises(ConfigError):
+            build_grid(n, l)
 
 
 @settings(max_examples=200, deadline=None)
@@ -142,6 +141,8 @@ def test_chunk_rates_zero_cases():
     assert np.all(chunk_rates(np.ones((2, 8)), grid, 0.0) == 0.0)
     with pytest.raises(ConfigError):
         chunk_rates(np.ones((2, 8)), grid, -1.0)
+    with pytest.raises(ConfigError, match="7 columns"):
+        chunk_rates(np.ones((2, 7)), grid, 1.0)
 
 
 def test_normalized_rates_examples():
@@ -379,6 +380,11 @@ def test_run_sa_builds_each_comparison_count_once_per_shape():
     # one build per (K, M, phase-one order); every later run reuses it
     assert assign._comparison_count.cache_info().misses == 2
     assert proposed_sa(tables[0], weights, grid)[1] is proposed_sa(tables[1], weights, grid)[1]
+
+
+def test_run_sa_rejects_an_unknown_scheme():
+    with pytest.raises(ConfigError, match="unknown SA scheme 'greedy'"):
+        run_sa("greedy", np.ones((2, 4)), np.ones(2), build_grid(4, 1))
 
 
 # ---------------------------------------------------------------- counters
@@ -690,6 +696,11 @@ def test_oracle_cap_enforced():
     assert 3**13 > assign.ORACLE_CAP
     with pytest.raises(OracleSizeError):
         exhaustive_sa_oracle(np.ones(3), grid, lambda a: np.zeros(3))
+
+
+def test_oracle_rejects_more_users_than_chunks():
+    with pytest.raises(InfeasibleError):
+        exhaustive_sa_oracle(np.ones(3), build_grid(4, 2), lambda a: np.zeros(3))
 
 
 # ---------------------------------------------------------------- records

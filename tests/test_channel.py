@@ -79,6 +79,11 @@ def test_substreams_differ_across_path():
         assert not np.array_equal(base, other)
 
 
+def test_substream_rejects_a_negative_path_entry():
+    with pytest.raises(ConfigError, match="non-negative"):
+        substream(42, 0, -1, 3, 0)
+
+
 @pytest.mark.parametrize("seed, path", [
     (0, (0, 0, 0, 0)),
     (42, (0, 7, 0, 3)),

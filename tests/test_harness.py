@@ -748,10 +748,11 @@ def test_cli_validate_and_run(tmp_path, capsys):
         "snr_db": [0.0],
     }), encoding="utf-8")
     assert main(["validate", "--config", str(config_path)]) == 0
-    out = tmp_path / "rows.csv"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-    assert out.exists()
-    assert out.with_suffix(".summary.csv").exists()
+    # A .csv suffix gives way to .summary.csv; any other name gets it appended.
+    for name, summary in (("rows.csv", "rows.summary.csv"), ("rows.out", "rows.out.summary.csv")):
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).exists()
+        assert (tmp_path / summary).exists()
 
 
 _CLOCK_PROBE = """
@@ -816,6 +817,12 @@ def _probe_id(value):
 
 
 @pytest.mark.parametrize("base, change", [
+    (SMALL_MULTI_CELL, {"scenario": "nope"}),
+    (SINGLE_CELL, {"seed": -1}),
+    (SINGLE_CELL, {"n_users": 0, "tap_counts": [], "rate_weights": []}),
+    (SINGLE_CELL, {"rate_weights": [1.0]}),
+    (SINGLE_CELL, {"chunk_sizes": []}),
+    (SMALL_MULTI_CELL, {"sa_schemes": ["exhaustive-oracle"]}),
     (SMALL_MULTI_CELL, {"chunk_sizes": [0]}),
     (SMALL_MULTI_CELL, {"chunk_sizes": [-2]}),
     (SMALL_MULTI_CELL, {"chunk_sizes": [1000]}),

@@ -91,6 +91,11 @@ def test_placement_radial_distribution():
     assert abs(frac - 0.25) < 0.01
 
 
+def test_placement_rejects_fewer_than_one_user():
+    with pytest.raises(ConfigError, match="n_users must be >= 1"):
+        place_users(0, 1.0, substream(99, 1, 0))
+
+
 def test_placement_group_tags_follow_tau():
     all_centre = build_scenario(small_params(centre_radius_fraction=1.0), 1, 0)
     assert all_centre.is_centre.all()
@@ -136,6 +141,12 @@ def test_scenario_params_reject_chunk_size_outside_one_to_n():
         with pytest.raises(ConfigError, match=r"chunk_size must be in \[1, 128\]"):
             small_params(n_subcarriers=128, chunk_size=chunk_size)
     assert small_params(n_subcarriers=128, chunk_size=128).chunk_size == 128
+
+
+def test_scenario_params_reject_a_list_of_the_wrong_length():
+    for lists in ({"tap_counts": (4, 8, 4)}, {"rate_weights": (1.0,) * 5}):
+        with pytest.raises(ConfigError, match="one entry per user"):
+            small_params(**lists)
 
 
 # ---------------------------------------------------------------- gap factor

@@ -164,6 +164,13 @@ def test_alpha_is_minus_one_for_identical_users():
     assert abs(alphas[0] + 1.0) < 1e-14
 
 
+def test_coefficients_need_one_weight_per_user():
+    c = og([1.0, 2.0, 4.0])
+    for weights in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ConfigError, match="one gain set per user"):
+            linear_coefficients([c, c], np.array(weights))
+
+
 def test_beta_zero_for_identical_flat_users():
     c = og([3.0, 3.0, 3.0, 3.0])
     alphas, betas = linear_coefficients([c, c], np.array([2.0, 2.0]))
@@ -348,6 +355,8 @@ def test_waterfill_two_gain_trace():
 def test_waterfill_zero_budget():
     p, pruned = prune_and_waterfill(0.0, og([0.5, 1.0, 2.0]))
     assert np.all(p == 0.0)
+    with pytest.raises(ConfigError, match="budget must be >= 0"):
+        prune_and_waterfill(-1e-300, og([0.5, 1.0, 2.0]))
 
 
 def test_water_level_identity_random():
@@ -945,6 +954,23 @@ def test_weighted_sum_rate_bound_is_tight_where_the_unweighted_one_is_not():
     loose = sum_rate_bound(grid, gains, 12.0, owners[None, :])[0]
     tight = sum_rate_bound(grid, gains, 12.0, owners[None, :], weights=weights)[0]
     assert exact <= tight < exact * (1.0 + 1e-4) and loose > exact * 1.01
+
+
+def test_block_bounds_equal_each_maps_own_bound():
+    # The oracle bounds blocks of maps; a row must not depend on the rows beside it.
+    rng = np.random.default_rng(23)
+    for seed in range(60):
+        n_users = int(rng.integers(1, 4))
+        grid, gains, _, weights = _bound_instance(seed, n_users, int(rng.integers(1, 4)),
+                                                  int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+        if seed % 3 == 0:
+            gains[0, 0] = 0.0
+        rows = rng.integers(0, n_users, size=(int(rng.integers(2, 9)), grid.n_chunks))
+        total_power = grid.n_subcarriers * 10.0 ** rng.uniform(-6.0, 4.0)
+        for w in (None, weights):
+            block = sum_rate_bound(grid, gains, total_power, rows, weights=w)
+            alone = [sum_rate_bound(grid, gains, total_power, row[None, :], weights=w) for row in rows]
+            assert block.tobytes() == np.concatenate(alone).tobytes(), (seed, w)
 
 
 def test_weighted_sum_rate_bound_rejects_bad_weights():

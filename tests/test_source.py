@@ -76,6 +76,12 @@ def _readme_section(title: str) -> str:
     return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
+def test_readme_layout_names_every_module():
+    layout = _readme_section("Layout")
+    named = set(re.findall(r"^- `src/chunkfair/(\w+\.py)`", layout, flags=re.M))
+    assert named == {path.name for path in SOURCES} - {"__init__.py"}
+
+
 def test_readme_names_exactly_the_config_keys_and_commands():
     # Every documented key and command exists, and every one that exists is documented.
     section = _readme_section("Config format")
