@@ -389,45 +389,38 @@ ORACLE_CAP = 1_000_000
 _BOUND_BLOCK = 2**16
 
 
-def _visit_order(n_users: int, grid: ChunkGrid, upper_bound):
-    """Every covering map's enumeration index and bound, in descending bound order.
+def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray, np.ndarray]:
+    """Every covering map's owner row and bound, in descending bound order.
 
     Maps are enumerated as base-K numbers, most significant chunk first,
-    which is ``itertools.product``'s order; they are bounded in blocks of
-    ``_BOUND_BLOCK`` owner entries, so no list of all K**M maps is held.
-    A NaN bound reads as +inf, so it is visited first and never skips.
-    The sort is stable: equal bounds keep the enumeration order.
+    which is ``itertools.product``'s order, and bounded in blocks of
+    ``_BOUND_BLOCK`` owner entries.  Each block keeps its covering rows
+    as uint8 (every K that ``ORACLE_CAP`` admits fits), one byte per
+    owner entry.  Without ``upper_bound`` every bound is +inf.  A NaN
+    bound reads as +inf, so it is visited first and never skips.  The
+    sort is stable: equal bounds keep the enumeration order.
+    Returns the (C, M) rows and their (C,) bounds.
     """
     n_chunks = grid.n_chunks
     place = n_users ** np.arange(n_chunks - 1, -1, -1)
     step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
-    indices, bounds = [], []
+    rows, bounds = [], []
     for start in range(0, n_users**n_chunks, step):
-        index = np.arange(start, min(start + step, n_users**n_chunks))
-        owners = index[:, None] // place % n_users
-        covering = np.all([(owners == k).any(axis=1) for k in range(n_users)], axis=0)
-        block = np.asarray(upper_bound(owners[covering]), dtype=float)
-        if block.shape != (np.count_nonzero(covering),):
-            raise ConfigError(f"upper_bound returned shape {block.shape} for "
-                              f"{np.count_nonzero(covering)} maps")
-        indices.append(index[covering])
+        owners = np.arange(start, min(start + step, n_users**n_chunks))[:, None] // place % n_users
+        owners = owners[np.all([(owners == k).any(axis=1) for k in range(n_users)], axis=0)]
+        if upper_bound is None:
+            block = np.full(len(owners), math.inf)
+        else:
+            block = np.asarray(upper_bound(owners), dtype=float)
+            if block.shape != (len(owners),):
+                raise ConfigError(f"upper_bound returned shape {block.shape} for "
+                                  f"{len(owners)} maps")
+        rows.append(owners.astype(np.uint8))
         bounds.append(block)
     bounds = np.concatenate(bounds)
     bounds[np.isnan(bounds)] = math.inf
     order = np.argsort(-bounds, kind="stable")
-    return np.concatenate(indices)[order].tolist(), bounds[order].tolist()
-
-
-def _no_bound(owners: np.ndarray) -> np.ndarray:
-    return np.full(len(owners), math.inf)
-
-
-def _owners_of(index: int, n_users: int, n_chunks: int) -> tuple[int, ...]:
-    """The chunk-to-user map with enumeration index ``index``: its base-K digits."""
-    owners = [0] * n_chunks
-    for m in range(n_chunks - 1, -1, -1):
-        index, owners[m] = divmod(index, n_users)
-    return tuple(owners)
+    return np.concatenate(rows)[order], bounds[order]
 
 
 def exhaustive_sa_oracle(
@@ -484,14 +477,14 @@ def exhaustive_sa_oracle(
             f"{n_users}**{n_chunks} = {total} candidates exceeds cap {ORACLE_CAP}"
         )
 
-    indices, bounds = _visit_order(n_users, grid, upper_bound or _no_bound)
+    rows, bounds = _visit_order(n_users, grid, upper_bound)
     best = None
     solved = 0
-    for index, bound in zip(indices, bounds):
+    for row, bound in zip(rows, map(float, bounds)):
         if best is not None and bound < -best[0][0]:
             break  # visits run in descending bound order: no later candidate can win
         solved += 1
-        owners = _owners_of(index, n_users, n_chunks)
+        owners = tuple(row.tolist())
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())
@@ -509,13 +502,13 @@ def exhaustive_sa_oracle(
         if best is None or key < best[0]:
             best = (key, cand, rates)
     if best is None:
-        raise AllocationError(f"all {len(indices)} candidate assignments have a NaN sum rate")
+        raise AllocationError(f"all {len(rows)} candidate assignments have a NaN sum rate")
     (_, cand, rates) = best
     return OracleResult(
         assignment=cand,
         sum_rate=float(rates.sum()),
         deviation=best[0][1],
         rates=rates,
-        candidates=len(indices),
+        candidates=len(rows),
         solved=solved,
     )

@@ -86,12 +86,15 @@ class ExperimentConfig(multicell.LinkBudget):
     ``chunk_sizes`` instead, always use uniform power, and read the
     link-budget keys inherited from ``multicell.LinkBudget``.
 
-    Construction checks the config: first as a whole (keys the scenario
-    does not read must keep their defaults), then by building what a run
-    builds.  Rules about single inputs (weights, chunk sizes, geometry,
-    target BER, link budget) live in the constructors the run uses and
-    raise their ``ConfigError`` here, so every config that constructs
-    runs.  A multi-cell check keeps what it built as ``chunk_params``.
+    Construction checks the config: first each field's JSON kind (a
+    list becomes a tuple), so a config built in Python or by
+    ``dataclasses.replace`` passes the same check as a JSON file; then
+    as a whole (keys the scenario does not read must keep their
+    defaults); then by building what a run builds.  Rules about single
+    inputs (weights, chunk sizes, geometry, target BER, link budget)
+    live in the constructors the run uses and raise their
+    ``ConfigError`` here, so every config that constructs runs.  A
+    multi-cell check keeps what it built as ``chunk_params``.
     """
 
     scenario: str
@@ -114,26 +117,6 @@ class ExperimentConfig(multicell.LinkBudget):
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        data = dict(data)
-        hints = get_type_hints(cls)
-        problems = []
-        for f in fields(cls):
-            if f.name not in data:
-                continue
-            value, kind = data[f.name], hints[f.name]
-            if get_origin(kind) is tuple:
-                kind = get_args(kind)[0]
-                if isinstance(value, (list, tuple)) and all(_is_json_kind(v, kind) for v in value):
-                    data[f.name] = tuple(value)
-                    continue
-                expected = "a list of " + _JSON_KINDS[kind][1]
-            elif _is_json_kind(value, kind):
-                continue
-            else:
-                expected = _JSON_KINDS[kind][0]
-            problems.append(f"{f.name} must be {expected}, got {value!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
         try:
             return cls(**data)
         except TypeError as exc:
@@ -149,8 +132,25 @@ class ExperimentConfig(multicell.LinkBudget):
         return cls.from_dict(data)
 
     def __post_init__(self):
-        single_cell = self.scenario == "single-cell"
+        hints = get_type_hints(type(self))
         problems = []
+        for f in fields(self):
+            value, kind = getattr(self, f.name), hints[f.name]
+            if get_origin(kind) is tuple:
+                kind = get_args(kind)[0]
+                if isinstance(value, (list, tuple)) and all(_is_json_kind(v, kind) for v in value):
+                    object.__setattr__(self, f.name, tuple(value))
+                    continue
+                expected = "a list of " + _JSON_KINDS[kind][1]
+            elif _is_json_kind(value, kind):
+                continue
+            else:
+                expected = _JSON_KINDS[kind][0]
+            problems.append(f"{f.name} must be {expected}, got {value!r}")
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+        single_cell = self.scenario == "single-cell"
         if self.scenario not in SCENARIOS:
             problems.append(f"scenario must be one of {SCENARIOS}")
         if self.trials < 1:
@@ -180,7 +180,7 @@ class ExperimentConfig(multicell.LinkBudget):
             problems.append("single-cell runs need at least one snr_db point")
         if not single_cell and "exhaustive-oracle" in self.sa_schemes:
             problems.append("exhaustive oracle is only available single-cell")
-        if not single_cell and tuple(self.pa_schemes) != ("uniform",):
+        if not single_cell and self.pa_schemes != ("uniform",):
             problems.append("multi-cell runs use uniform power only")
         if any(tap_count > self.n_subcarriers for tap_count in self.tap_counts):
             problems.append(f"tap counts {list(self.tap_counts)} must not exceed n_subcarriers")
@@ -285,7 +285,9 @@ def _fmt(value) -> str:
         return format(float(value), ".12g")
     if value is None:
         return ""
-    if isinstance(value, str):
+    if isinstance(value, str):  # quoted only if it holds a comma, a quote or a line break
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, tuple):
         return ";".join([_fmt(v) for v in value])

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -689,6 +691,33 @@ def test_bounded_oracle_rejects_a_bound_below_a_visited_sum_rate():
         exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=_stub_bound({(0, 1, 1): 3.5}))
     with pytest.raises(ConfigError, match="shape"):
         exhaustive_sa_oracle(np.ones(2), grid, solver, upper_bound=lambda owners: np.ones(2))
+
+
+@pytest.mark.parametrize("n_users,n_chunks", [(2, 8), (3, 6)])
+def test_oracle_search_spans_several_bound_blocks(n_users, n_chunks):
+    # 512 subcarriers per chunk leave room for few maps in each block of
+    # _BOUND_BLOCK owner entries: 16 blocks of 16 maps for K = 2, M = 8,
+    # and 35 of 21 for K = 3, M = 6, the last one short.
+    grid = build_grid(512 * n_chunks, 512)
+    step = assign._BOUND_BLOCK // grid.n_subcarriers
+    assert 1 < step < n_users**n_chunks
+    table = np.random.default_rng(n_chunks).random((n_users, n_chunks))
+
+    def rates_of(owners):
+        return np.array([table[k][np.array(owners) == k].sum() for k in range(n_users)])
+
+    solver, solved = _recording_solver({
+        owners: rates_of(owners) for owners in itertools.product(range(n_users), repeat=n_chunks)
+    })
+    weights = np.arange(1.0, n_users + 1)
+    res = exhaustive_sa_oracle(weights, grid, solver)
+    covering = [owners for owners in itertools.product(range(n_users), repeat=n_chunks)
+                if len(set(owners)) == n_users]
+    assert solved == covering
+    assert res.candidates == res.solved == sum(
+        (-1) ** j * math.comb(n_users, j) * (n_users - j) ** n_chunks for j in range(n_users + 1)
+    )
+    assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(weights, grid, solver))
 
 
 def test_oracle_cap_enforced():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -23,7 +24,7 @@ from chunkfair import (
     run_experiment,
 )
 from chunkfair.cli import main
-from chunkfair.harness import ROW_COLUMNS, _fmt, emit_csv, emit_summary_csv
+from chunkfair.harness import ROW_COLUMNS, SUMMARY_COLUMNS, _fmt, emit_csv, emit_summary_csv
 
 DATA = Path(__file__).parent / "data"
 # The golden fixture is the output of `chunkfair run` on this config.
@@ -111,12 +112,24 @@ def test_config_per_user_lists_checked():
 @pytest.mark.parametrize("change, message", [
     ({"trials": 0}, "trials must be >= 1"),
     ({"target_ber": 3.0}, "do not read"),
-], ids=["trials", "target_ber"])
+    ({"chunk_sizes": (1.5,)}, r"chunk_sizes must be a list of integers, got \(1\.5,\)"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+], ids=["trials", "target_ber", "chunk_sizes-kind", "seed-kind", "trials-kind"])
 def test_config_is_checked_when_constructed(change, message):
     base = tiny_config()
     data = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**data | change)
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(base, **change)
+
+
+def test_config_built_in_python_keeps_lists_as_tuples():
+    config = dataclasses.replace(tiny_config(), chunk_sizes=[2, 4], sa_schemes=["proposed", "shen"])
+    assert config.chunk_sizes == (2, 4) and config.sa_schemes == ("proposed", "shen")
+    assert config == tiny_config(chunk_sizes=[2, 4], sa_schemes=["proposed", "shen"])
+    assert hash(config) == hash(tiny_config(chunk_sizes=(2, 4), sa_schemes=("proposed", "shen")))
 
 
 def test_config_from_file_and_bad_json(tmp_path):
@@ -541,18 +554,51 @@ def test_emit_csv_round_trip_format(tmp_path):
     rows, _ = run_experiment(config)
     path = tmp_path / "rows.csv"
     emit_csv(rows, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].split(",") == list(ROW_COLUMNS)
+    lines = _csv_lines(path)
+    assert lines[0] == list(ROW_COLUMNS)
     assert len(lines) == 1 + len(rows)
-    first = lines[1].split(",")
+    first = lines[1]
     assert first[0] == "single-cell"
     assert first[ROW_COLUMNS.index("trial")] == "0"
+
+
+def _csv_lines(path):
+    """Each line of a CSV file as its list of cells, quoting undone."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_row_csv_quotes_an_error_that_holds_a_comma(monkeypatch, tmp_path):
+    # Flagged as proportional, the proposed and uniform PAs' oracle searches
+    # fail rows with "sum rate ... of (0, 1, 0, 1, 0, 1) exceeds its upper
+    # bound ...", a message with commas in it.
+    config = tiny_config(n_subcarriers=12, chunk_sizes=[2], snr_db=[-10.0, 0.0, 20.0], trials=6,
+                         sa_schemes=["proposed", "exhaustive-oracle"], pa_schemes=["proposed", "uniform"])
+    monkeypatch.setattr(harness, "_PA", {name: (solve, True) for name, (solve, _) in harness._PA.items()})
+    rows, _ = run_experiment(config)
+    emit_csv(rows, tmp_path / "rows.csv")
+    lines = _csv_lines(tmp_path / "rows.csv")
+    assert lines[0] == list(ROW_COLUMNS)
+    assert [len(line) for line in lines] == [len(ROW_COLUMNS)] * (1 + len(rows))
+    assert [line[-1] for line in lines[1:]] == [r.error for r in rows]
+    assert any("," in r.error for r in rows)
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("golden_rows.csv", ROW_COLUMNS), ("golden_rows.summary.csv", SUMMARY_COLUMNS),
+], ids=["rows", "summary"])
+def test_golden_csv_lines_have_their_headers_width(name, columns):
+    lines = _csv_lines(DATA / name)
+    assert lines[0] == list(columns)
+    assert len(lines) > 1 and all(len(line) == len(columns) for line in lines)
 
 
 @pytest.mark.parametrize("value, cell", [
     (None, ""), ("proposed", "proposed"), (7, "7"), (True, "1"), (np.int64(7), "7"),
     (1.0 / 3.0, "0.333333333333"), (np.float64(1e-20), "1e-20"), (np.float32(0.5), "0.5"),
     ((0.25, np.float64(2.0)), "0.25;2"), ((), ""),
+    ('AllocationError: x of (0, 1) is "off"', '"AllocationError: x of (0, 1) is ""off"""'),
+    ("a\nb", '"a\nb"'), ("a\rb", '"a\rb"'),
 ])
 def test_csv_cell_of_every_value_kind(value, cell):
     assert _fmt(value) == cell
