@@ -68,6 +68,12 @@ _JSON_KINDS = {
 }
 
 
+@functools.cache
+def _type_hints(cls) -> dict:
+    """``get_type_hints(cls)``, resolved once per class: a config's field kinds never change."""
+    return get_type_hints(cls)
+
+
 def _is_json_kind(value, kind) -> bool:
     """Whether a JSON value has the field type: booleans are never numbers."""
     if isinstance(value, bool):
@@ -132,7 +138,7 @@ class ExperimentConfig(multicell.LinkBudget):
         return cls.from_dict(data)
 
     def __post_init__(self):
-        hints = get_type_hints(type(self))
+        hints = _type_hints(type(self))
         problems = []
         for f in fields(self):
             value, kind = getattr(self, f.name), hints[f.name]

@@ -34,7 +34,6 @@ __all__ = [
     "sum_rate_bound",
 ]
 
-_SINGULAR_REL_TOL = 1e-12
 # exact_pa_oracle's stopping rule: the budgets must sum to the total power
 # within this relative tolerance, in at most this many bracket doublings
 # and bisection steps per prune pass.
@@ -117,102 +116,99 @@ class PowerAllocation:
     powers: np.ndarray        # (K, N)
     repaired: np.ndarray      # (K,) bool, touched by the negative-budget repair
     pruned: np.ndarray        # (K,) int, subcarriers zeroed by the budget loop
+    # Always False: the split has no fallback.  Kept only for perfbench's tracer, which reads it.
     singular_fallback: bool = False
 
 
-def linear_coefficients(
-    ordered: list[OrderedGains],
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row parameters (alpha_k, beta_k) of the linearised budget system.
+def _rate_weights(weights, n_users: int) -> list[float]:
+    """The rate weights as plain floats; ConfigError unless one positive finite weight per user."""
+    values = np.asarray(weights, dtype=float)
+    listed = values.tolist()
+    if values.shape != (n_users,) or not all(0.0 < w < math.inf for w in listed):
+        raise ConfigError(f"need {n_users} positive finite rate weights, got {values}")
+    return listed
+
+
+def linear_coefficients(ordered: list[OrderedGains], weights) -> tuple[list[float], list[float]]:
+    """Row parameters (alpha_k, beta_k) of the linearised budget system, as lists of floats.
 
     Row k (k = 2..K) reads P_1 + alpha_k * P_k = beta_k and encodes that
     user k's linearised rate over its weight equals user 1's.  Entry 0
-    of each returned array corresponds to user 2.
+    of each returned list corresponds to user 2.  The weights need one
+    positive finite entry per record (``_rate_weights``), so every
+    alpha_k is negative, or -0.0, -inf or NaN under over- and underflow.
     """
-    weights = np.asarray(weights, dtype=float)
-    n_users = len(ordered)
-    if n_users != weights.size:
-        raise ConfigError("one gain set per user required")
+    weights = _rate_weights(weights, len(ordered))
     c1 = ordered[0]
-    alphas = np.empty(n_users - 1)
-    betas = np.empty(n_users - 1)
-    for k in range(1, n_users):
-        ck = ordered[k]
-        wr = weights[0] / weights[k]
+    alphas, betas = [], []
+    for ck, wk in zip(ordered[1:], weights[1:]):
+        wr = weights[0] / wk
         alpha = -wr * (ck.e * c1.size * ck.g_min) / (c1.e * ck.size * c1.g_min)
-        beta = (
+        alphas.append(alpha)
+        betas.append(
             wr * ck.e * c1.size / (c1.e * c1.g_min)
             - wr * c1.size * ck.size / (c1.e * c1.g_min)
             + alpha * ck.v
             + (c1.size / c1.g_min) * (c1.size / c1.e - 1.0)
             + c1.v
         )
-        alphas[k - 1] = alpha
-        betas[k - 1] = beta
     return alphas, betas
 
 
-def solve_power_split(
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    total_power: float,
-    weights: np.ndarray,
-) -> tuple[list[float], bool]:
-    """Closed-form solution of the budget system; returns (budgets, fell_back).
+def solve_power_split(alphas: list[float], betas: list[float], total_power: float) -> list[float]:
+    """Closed-form solution of the budget system, as a list of floats.
 
     P_1 = (P_T - sum(beta/alpha)) / (1 - sum(1/alpha)) and
-    P_k = (beta_k - P_1) / alpha_k.  A (near-)singular denominator falls
-    back to budgets proportional to the rate weights.  With one user
-    both sums are empty and P_1 is the total power.  The budgets are a
-    list of plain floats, equal bit for bit to the same formulas on
-    numpy arrays: sums go through ``_total``, and 1 / (+-0.0) is +-inf.
+    P_k = (beta_k - P_1) / alpha_k.  With one user both sums are empty
+    and P_1 is the total power.  Every alpha from ``linear_coefficients``
+    is at most 0 or NaN, so 1 - sum(1/alpha) is at least 1, or +-inf or
+    NaN, and never 0; a positive alpha raises ConfigError.  The budgets
+    equal the same formulas on numpy arrays bit for bit: sums go through
+    ``_total``, and 1 / (+-0.0) is +-inf.
     """
-    alphas, betas, weights = (np.asarray(a, dtype=float).tolist() for a in (alphas, betas, weights))
+    if any(a > 0 for a in alphas):
+        raise ConfigError(f"budget system needs non-positive alphas, got {alphas}")
     inv = [1.0 / a if a else math.copysign(math.inf, a) for a in alphas]
-    denom = 1.0 - _total(inv)
-    if abs(denom) < _SINGULAR_REL_TOL * max(1.0, _total([abs(x) for x in inv])):
-        weight_total = _total(weights)
-        return [total_power * w / weight_total for w in weights], True
-    p1 = (total_power - _total([b * x for b, x in zip(betas, inv)])) / denom
-    return [p1] + [(b - p1) * x for b, x in zip(betas, inv)], False
+    p1 = (total_power - _total([b * x for b, x in zip(betas, inv)])) / (1.0 - _total(inv))
+    return [p1] + [(b - p1) * x for b, x in zip(betas, inv)]
 
 
 def repair_negative_budgets(budgets) -> tuple[list[float], np.ndarray]:
     """Average the worst-off budgets until no budget is negative.
 
-    If any budget is negative, budgets are sorted ascending (ties by
-    user index) and the group grows from the smallest until its partial
-    sum is non-negative; every group member then receives the group
-    average.  Rounding can leave every sorted partial sum negative while
-    the total is not; the group is then every user, sharing the total.
-    Returns (budgets as a list of floats, group_mask); the total is
-    preserved.  A negative total cannot be repaired and raises
-    AllocationError: the split gives one only through float
-    cancellation, at very low SNR.  Budgets that need no repair (none
-    negative or NaN) are checked in plain floats; a repair runs on an
-    array.
+    If any budget is negative (or NaN), budgets are sorted ascending
+    (ties by user index, NaN last) and the group grows from the smallest
+    until its partial sum is non-negative; every group member then
+    receives the group average.  Rounding can leave every sorted partial
+    sum negative while the total is not; the group is then every user,
+    sharing the total.  Returns (budgets as a list of floats,
+    group_mask); the total is preserved.  A negative total cannot be
+    repaired and raises AllocationError: the split gives one only
+    through float cancellation, at very low SNR.  Runs in plain floats,
+    totals summed in numpy's order (``_total``).
     """
     budgets = list(map(float, budgets))
     mask = np.zeros(len(budgets), dtype=bool)
     if all(b >= 0 for b in budgets):
         return budgets, mask
-    budgets = np.array(budgets)
-    if budgets.sum() < 0:
+    total = _total(budgets)
+    if total < 0:
         raise AllocationError("total budget must be non-negative for repair")
-    order = np.argsort(budgets, kind="stable")
+    users = range(len(budgets))
+    order = sorted((k for k in users if budgets[k] == budgets[k]), key=budgets.__getitem__)
+    order += [k for k in users if budgets[k] != budgets[k]]
     partial = budgets[order[0]]
     count = 1
     while partial < 0:
-        if count == budgets.size:
-            partial = budgets.sum()
+        if count == len(budgets):
+            partial = total
             break
         partial += budgets[order[count]]
         count += 1
-    group = order[:count]
-    budgets[group] = partial / count
-    mask[group] = True
-    return budgets.tolist(), mask
+    for k in order[:count]:
+        budgets[k] = partial / count
+        mask[k] = True
+    return budgets, mask
 
 
 def _waterfill_terms(g, g0):
@@ -298,15 +294,20 @@ def prune_and_waterfill(
     return powers, start
 
 
-def _sorted_gains(assignment: Assignment, gains: np.ndarray):
+def _sorted_gains(assignment: Assignment, gains):
     """Every user's positive gains in one stable sort: (g, subcarriers, owners, bounds).
 
     User k's gains are ``g[bounds[k]:bounds[k + 1]]``, ascending with
     ties toward the lower subcarrier index, as a stable sort of that
     user's gains alone would order them; ``subcarriers`` and ``owners``
     hold each gain's subcarrier and user.  Zero, negative and NaN gains
-    are dropped; a user left with none raises InfeasibleError.
+    are dropped; a user left with none raises InfeasibleError.  A gain
+    table that is not (K, N) raises ConfigError.
     """
+    gains = np.asarray(gains, dtype=float)
+    shape = (assignment.n_users, assignment.grid.n_subcarriers)
+    if gains.shape != shape:
+        raise ConfigError(f"gains must be a {shape} table, got {gains.shape}")
     owner = assignment.subcarrier_owners  # per subcarrier
     g = gains[owner, np.arange(owner.size)]
     subcarriers = np.lexsort((g, owner))
@@ -365,13 +366,10 @@ def proposed_pa(
     one step; only the rest go through ``prune_and_waterfill``.  The
     budgets stay a list of plain floats until the result is built.
     """
-    gains = np.asarray(gains, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
     ordered, terms = OrderedGains._for_spans(g, owners, bounds)
     alphas, betas = linear_coefficients(ordered, weights)
-    budgets, fallback = solve_power_split(alphas, betas, total_power, weights)
-    budgets, repaired = repair_negative_budgets(budgets)
+    budgets, repaired = repair_negative_budgets(solve_power_split(alphas, betas, total_power))
     levels, short = [], []
     for k, (og, budget) in enumerate(zip(ordered, budgets)):
         fits = budget >= og.v
@@ -388,7 +386,6 @@ def proposed_pa(
         powers=_scatter(assignment, owners, subcarriers, powers, total_power),
         repaired=repaired,
         pruned=pruned,
-        singular_fallback=fallback,
     )
 
 
@@ -495,8 +492,7 @@ def exact_pa_oracle(
     (``_level_fit``) are computed from that top, and its powers written
     into it.
     """
-    gains = np.asarray(gains, dtype=float)
-    weights = np.asarray(weights, dtype=float).tolist()
+    weights = _rate_weights(weights, assignment.n_users)
     g, subcarriers, owners, bounds = _sorted_gains(assignment, gains)
     ends = bounds[1:].tolist()
     fit = [_level_fit(g[lo:hi], w) for lo, hi, w in zip(bounds.tolist(), ends, weights)]
@@ -537,7 +533,9 @@ def user_rates(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
 def _priced_waterfill(g, r, price, budget):
     """Water-fill ``budget`` maximising sum_n price_n log2(1 + p_n g_n); (C, N) terms log2(mu price g).
 
-    ``r`` holds 1/g, inf where g is not positive; ``price`` is positive.
+    ``r`` holds 1/g, inf where g is not positive.  A zero ``price`` (an
+    underflow) sorts last, as 1/(price g) = inf, and adds nothing; each
+    row needs a positive price on a positive gain.
     With each row's 1/(price g) sorted ascending, every prefix level
     mu_a = (P + sum of its 1/g) / (sum of its prices) is at or above the
     water-filling level, since sum_n price_n (mu_a - 1/(price_n g_n))^+
@@ -546,7 +544,7 @@ def _priced_waterfill(g, r, price, budget):
     against the rounding of the prefix sums.  A term is 0 where
     mu price g is not above 1.
     """
-    order = np.argsort(r / price, axis=1)
+    order = np.argsort(np.divide(r, price, out=np.full(r.shape, np.inf), where=price > 0), axis=1)
     order += np.arange(0, g.size, g.shape[1])[:, None]  # flat indices: one take beats a 2-D gather
     levels = (budget + r.take(order).cumsum(axis=1)) / price.take(order).cumsum(axis=1)
     mu = levels.min(axis=1) * (1.0 + (2 * g.shape[1] + 2) * 2.0**-52)
@@ -663,11 +661,11 @@ def sum_rate_bound(
     """
     gains = np.asarray(gains, dtype=float)
     owners = np.asarray(owners)
+    if gains.ndim != 2 or gains.shape[1] != grid.n_subcarriers:
+        raise ConfigError(f"gains must be a (K, {grid.n_subcarriers}) table, got {gains.shape}")
     n_users, n = gains.shape
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n_users,) or not np.all((weights > 0) & (weights < math.inf)):
-            raise ConfigError(f"need {n_users} positive finite rate weights, got {weights}")
+        weights = np.array(_rate_weights(weights, n_users))
     if grid.chunk_size > 1:
         owners = np.repeat(owners, grid.chunk_sizes(), axis=1)
     g = gains[owners, np.arange(n)]

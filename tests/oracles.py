@@ -4,12 +4,12 @@ Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exceptions pin the package bit
 for bit: ``exact_pa_oracle_direct``, the exact oracle's bisection with
-a numpy budget array; ``solve_power_split_direct``,
-``repair_negative_budgets_direct``, ``deviation_direct`` and
-``min_weighted_rate_direct``, the numpy-array forms of the budget
-split, its repair and the row metrics, which the package computes in
-plain floats; and ``prune_and_waterfill_direct``,
-``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
+a numpy budget array; ``linear_coefficients_direct``,
+``solve_power_split_direct``, ``repair_negative_budgets_direct``,
+``deviation_direct`` and ``min_weighted_rate_direct``, the numpy-array
+forms of the budget system, its split, its repair and the row metrics,
+which the package computes in plain floats; and
+``prune_and_waterfill_direct``, ``proposed_pa_direct`` and ``exhaustive_sa_oracle_direct``, earlier
 forms of the prune loop, the proposed PA and the SA oracle kept to pin
 their rewrites.  They share the package's helpers, except that the two
 PAs sort and scatter each user's gains alone (``order_gains_direct``,
@@ -40,7 +40,6 @@ from chunkfair.power import (
     _check_allocation,
     _waterfill,
     _waterfill_v,
-    linear_coefficients,
     prune_and_waterfill,
 )
 
@@ -155,22 +154,43 @@ def proportional_budget_system(coeff_list, weights, total_power):
     return a, b
 
 
-def solve_power_split_direct(alphas, betas, total_power, weights):
-    """``power.solve_power_split`` on numpy arrays, as it was before its plain-float form."""
+def linear_coefficients_direct(ordered, weights):
+    """``power.linear_coefficients`` on numpy arrays, as it was before its plain-float form."""
     weights = np.asarray(weights, dtype=float)
+    n_users = len(ordered)
+    if n_users != weights.size:
+        raise ConfigError("one gain set per user required")
+    c1 = ordered[0]
+    alphas = np.empty(n_users - 1)
+    betas = np.empty(n_users - 1)
+    for k in range(1, n_users):
+        ck = ordered[k]
+        wr = weights[0] / weights[k]
+        alpha = -wr * (ck.e * c1.size * ck.g_min) / (c1.e * ck.size * c1.g_min)
+        beta = (
+            wr * ck.e * c1.size / (c1.e * c1.g_min)
+            - wr * c1.size * ck.size / (c1.e * c1.g_min)
+            + alpha * ck.v
+            + (c1.size / c1.g_min) * (c1.size / c1.e - 1.0)
+            + c1.v
+        )
+        alphas[k - 1] = alpha
+        betas[k - 1] = beta
+    return alphas, betas
+
+
+def solve_power_split_direct(alphas, betas, total_power):
+    """``power.solve_power_split`` on numpy arrays, as it was before its plain-float form."""
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     inv = 1.0 / alphas
-    denom = 1.0 - inv.sum()
-    if abs(denom) < 1e-12 * max(1.0, np.abs(inv).sum()):
-        return total_power * weights / weights.sum(), True
-    p1 = (total_power - (betas * inv).sum()) / denom
+    p1 = (total_power - (betas * inv).sum()) / (1.0 - inv.sum())
     rest = (betas - p1) * inv
-    return np.concatenate(([p1], rest)), False
+    return np.concatenate(([p1], rest))
 
 
 def repair_negative_budgets_direct(budgets):
-    """``power.repair_negative_budgets`` on numpy arrays, as it was before its plain-float check."""
+    """``power.repair_negative_budgets`` on numpy arrays, as it was before its plain-float form."""
     budgets = np.asarray(budgets, dtype=float).copy()
     mask = np.zeros(budgets.size, dtype=bool)
     if budgets.min() >= 0:
@@ -471,18 +491,17 @@ def prune_and_waterfill_direct(budget, ordered):
 def proposed_pa_direct(assignment, gains, weights, total_power):
     """The proposed PA as it was before its single pass: one record and one prune call per user.
 
-    Each user's subcarriers are found and sorted alone, the budgets are
-    split and repaired on numpy arrays, and every user's budget goes
-    through ``prune_and_waterfill``.  ``power.proposed_pa`` must match
-    it bit for bit.
+    Each user's subcarriers are found and sorted alone, the budget
+    system is built, split and repaired on numpy arrays, and every
+    user's budget goes through ``prune_and_waterfill``.
+    ``power.proposed_pa`` must match it bit for bit.
     """
     gains = np.asarray(gains, dtype=float)
     weights = np.asarray(weights, dtype=float)
     records = user_gains_direct(assignment, gains)
     ordered = [og for og, _ in records]
-    alphas, betas = linear_coefficients(ordered, weights)
-    budgets, fallback = solve_power_split_direct(alphas, betas, total_power, weights)
-    budgets, repaired = repair_negative_budgets_direct(budgets)
+    alphas, betas = linear_coefficients_direct(ordered, weights)
+    budgets, repaired = repair_negative_budgets_direct(solve_power_split_direct(alphas, betas, total_power))
     per_user = []
     pruned = np.zeros(assignment.n_users, dtype=int)
     for k, (og, subs) in enumerate(records):
@@ -496,7 +515,6 @@ def proposed_pa_direct(assignment, gains, weights, total_power):
         powers=powers,
         repaired=repaired,
         pruned=pruned,
-        singular_fallback=fallback,
     )
 
 

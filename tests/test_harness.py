@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -123,6 +124,20 @@ def test_config_is_checked_when_constructed(change, message):
         ExperimentConfig(**data | change)
     with pytest.raises(ConfigError, match=message):
         dataclasses.replace(base, **change)
+
+
+def test_config_resolves_its_field_kinds_once(monkeypatch):
+    calls = []
+    resolve = harness.get_type_hints
+    monkeypatch.setattr(harness, "get_type_hints", lambda cls: calls.append(cls) or resolve(cls))
+    monkeypatch.setattr(harness, "_type_hints", functools.cache(harness._type_hints.__wrapped__))
+    config = tiny_config()
+    for seed in range(3):
+        config = dataclasses.replace(config, seed=seed)
+        tiny_config(trials=seed + 1)
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        dataclasses.replace(config, seed=1.5)
+    assert calls == [ExperimentConfig]
 
 
 def test_config_built_in_python_keeps_lists_as_tuples():

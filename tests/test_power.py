@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,7 @@ from oracles import (
     exact_pa_oracle_direct,
     float_reprs,
     gauss_solve,
+    linear_coefficients_direct,
     order_gains_direct,
     proportional_budget_system,
     proposed_pa_direct,
@@ -166,9 +169,13 @@ def test_alpha_is_minus_one_for_identical_users():
 
 def test_coefficients_need_one_weight_per_user():
     c = og([1.0, 2.0, 4.0])
-    for weights in ([1.0], [1.0, 1.0, 1.0]):
-        with pytest.raises(ConfigError, match="one gain set per user"):
+    for weights in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, 0.0], [1.0, -1.0],
+                    [1.0, np.inf], [1.0, np.nan]):
+        with pytest.raises(ConfigError, match="positive finite rate weights"):
             linear_coefficients([c, c], np.array(weights))
+    alphas, betas = linear_coefficients([c, c], (1.0, 2.0))
+    assert type(alphas) is list and type(betas) is list
+    assert all(type(x) is float for x in alphas + betas)
 
 
 def test_beta_zero_for_identical_flat_users():
@@ -180,7 +187,32 @@ def test_beta_zero_for_identical_flat_users():
     rng = np.random.default_rng(1)
     cs = [og(np.sort(rng.lognormal(0, 1, 12))) for _ in range(4)]
     a, _ = linear_coefficients(cs, np.array([1.0, 2.0, 3.0, 4.0]))
-    assert np.all(a < 0)
+    assert all(x < 0 for x in a)
+
+
+def test_positive_weights_keep_the_split_denominator_at_least_one():
+    # alpha_k = -(w_1 / w_k) (e_k n_1 g_k) / (e_1 n_k g_1) has a positive
+    # ratio, so it is negative, or -0.0 or -inf where the weights' ratio
+    # under- or overflows; then 1 - sum(1 / alpha) >= 1 or is not finite.
+    rng = np.random.default_rng(29)
+    seen = {"-0.0": 0, "-inf": 0}
+    for _ in range(400):
+        n_users = int(rng.integers(2, 9))
+        cs = [og(np.sort(rng.lognormal(0.0, 2.0, int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-60, 60)))
+              for _ in range(n_users)]
+        log_w = rng.uniform(-300.0, 300.0, n_users)
+        ends = rng.random(n_users) < 0.5  # the range's ends, where the weights' ratio under- or overflows
+        log_w[ends] = rng.choice([-300.0, 300.0], int(ends.sum()))
+        weights = np.exp(log_w)
+        alphas, betas = linear_coefficients(cs, weights)
+        assert all(a <= 0 for a in alphas), alphas
+        with np.errstate(divide="ignore", over="ignore"):
+            denom = 1.0 - (1.0 / np.array(alphas)).sum()
+        assert denom >= 1.0 or not np.isfinite(denom), (alphas, denom)
+        assert len(solve_power_split(alphas, betas, 1.0)) == n_users
+        seen["-0.0"] += any(a == 0 for a in alphas)
+        seen["-inf"] += any(a == -math.inf for a in alphas)
+    assert seen["-0.0"] >= 5 and seen["-inf"] >= 5
 
 
 def test_coefficients_match_independent_derivation():
@@ -195,8 +227,7 @@ def test_coefficients_match_independent_derivation():
         weights = rng.random(4) + 0.5
         total_power = 50.0
         alphas, betas = linear_coefficients(cs, weights)
-        budgets, fell_back = solve_power_split(alphas, betas, total_power, weights)
-        assert not fell_back
+        budgets = solve_power_split(alphas, betas, total_power)
         a, b = proportional_budget_system(cs, weights, total_power)
         reference = gauss_solve(a, b)
         assert np.abs(budgets - reference).max() <= 1e-9 * np.abs(reference).max()
@@ -209,25 +240,31 @@ def test_coefficients_match_independent_derivation():
 # ------------------------------------------------------- split
 
 def test_split_single_user():
-    budgets, fb = solve_power_split(np.empty(0), np.empty(0), 5.0, np.array([1.0]))
-    assert budgets == [5.0]
-    assert not fb
+    assert solve_power_split([], [], 5.0) == [5.0]
 
 
 def test_split_identical_users_halves():
     c = og([1.0, 2.0, 4.0])
     alphas, betas = linear_coefficients([c, c], np.array([1.0, 1.0]))
-    budgets, _ = solve_power_split(alphas, betas, 8.0, np.array([1.0, 1.0]))
+    budgets = solve_power_split(alphas, betas, 8.0)
     assert np.allclose(budgets, [4.0, 4.0])
 
 
-def test_split_singular_falls_back_to_weights():
-    # alpha = 1 - eps engineered so 1 - sum(1/alpha) ~ 0 for K = 2
-    budgets, fb = solve_power_split(
-        np.array([1.0 + 1e-16]), np.array([3.0]), 10.0, np.array([1.0, 3.0])
-    )
-    assert fb
-    assert np.allclose(budgets, [2.5, 7.5])
+def test_split_rejects_a_positive_alpha():
+    # No positive weights give alpha > 0; alpha = 1 would make 1 - sum(1 / alpha) exactly 0.
+    for alphas in ([1.0], [-2.0, 1e-300], [-2.0, np.inf]):
+        with pytest.raises(ConfigError, match="non-positive alphas"):
+            solve_power_split(alphas, [3.0] * len(alphas), 10.0)
+
+
+def test_split_of_a_signed_zero_alpha_divides_by_it_as_signed_infinity():
+    # 1 / (+-0.0) is +-inf, as on numpy arrays, not a ZeroDivisionError.
+    for alphas in ([-0.0, -2.0], [0.0, -2.0], [-0.0]):
+        betas = [1.0] * len(alphas)
+        budgets = solve_power_split(alphas, betas, 4.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert float_reprs(budgets) == float_reprs(solve_power_split_direct(alphas, betas, 4.0))
+        assert math.isnan(budgets[0])
 
 
 def test_split_conserves_total():
@@ -237,7 +274,7 @@ def test_split_conserves_total():
         alphas = -rng.random(k - 1) - 0.1
         betas = rng.normal(size=k - 1)
         total = float(rng.random() * 10 + 0.1)
-        budgets, _ = solve_power_split(alphas, betas, total, np.ones(k))
+        budgets = solve_power_split(alphas.tolist(), betas.tolist(), total)
         assert abs(np.sum(budgets) - total) <= 1e-9 * total
 
 
@@ -291,45 +328,47 @@ def test_repair_preserves_total_and_nonnegativity():
 
 
 def _split_outcome(solver, *args):
-    """A split's or repair's (budgets, flag) as ``float_reprs`` and a list, or its error's type and message."""
+    """A split's budgets, or a repair's (budgets, mask), as ``float_reprs`` lists, or its error's type and message."""
     try:
         with np.errstate(all="ignore"):
-            budgets, flag = solver(*args)
+            out = solver(*args)
     except ChunkfairError as exc:
         return type(exc), str(exc)
-    return float_reprs(budgets), np.asarray(flag).tolist()
+    return [float_reprs(x) for x in (out if isinstance(out, tuple) else (out,))]
 
 
 def test_split_and_repair_match_their_array_forms_bit_for_bit():
     # K 2-12 puts the sums on both sides of numpy's 8-term switch to pairwise.
     rng = np.random.default_rng(5)
-    splits = [(np.array([-0.0, -2.0]), np.array([1.0, 2.0]), 4.0, np.ones(3)),  # 1 / -0.0 = -inf
-              (np.array([np.nan, -2.0]), np.array([1.0, 2.0]), 4.0, np.ones(3))]
+    splits = [([-0.0, -2.0], [1.0, 2.0], 4.0),  # 1 / -0.0 = -inf
+              ([np.nan, -2.0], [1.0, 2.0], 4.0)]
     repairs = []
     for n_users in range(2, 13):
+        for _ in range(20):
+            cs = [og(np.sort(10.0 ** rng.uniform(-6, 6, int(rng.integers(1, 9))))) for _ in range(n_users)]
+            weights = np.exp(rng.uniform(-300, 300, n_users)) if rng.random() < 0.3 else rng.random(n_users) + 0.1
+            got = _split_outcome(linear_coefficients, cs, weights)
+            assert got == _split_outcome(linear_coefficients_direct, cs, weights)
+            splits.append((*linear_coefficients(cs, weights), float(10.0 ** rng.uniform(-6, 3))))
         for _ in range(40):
-            splits.append((-(10.0 ** rng.uniform(-3, 3, n_users - 1)),
-                           rng.normal(size=n_users - 1) * 10.0 ** rng.uniform(-3, 3, n_users - 1),
-                           float(10.0 ** rng.uniform(-6, 3)), rng.random(n_users) + 0.1))
-        # sum(1 / alpha) = 1 within rounding: the singular fallback
-        splits.append((np.full(n_users - 1, n_users - 1.0), rng.normal(size=n_users - 1), 10.0,
-                       rng.random(n_users) + 0.1))
+            splits.append(((-(10.0 ** rng.uniform(-3, 3, n_users - 1))).tolist(),
+                           (rng.normal(size=n_users - 1) * 10.0 ** rng.uniform(-3, 3, n_users - 1)).tolist(),
+                           float(10.0 ** rng.uniform(-6, 3))))
         for _ in range(100):
             budgets = rng.normal(size=n_users) + rng.uniform(-0.5, 1.0)
             budgets[rng.random(n_users) < 0.1] = rng.choice([-0.0, 0.0, np.nan])
-            repairs.append(budgets)
-    seen = {"fallback": 0, "repaired": 0, "raised": 0}
+            repairs.append(budgets.tolist())
+    seen = {"repaired": 0, "raised": 0}
     for args in splits:
         got = _split_outcome(solve_power_split, *args)
         assert got == _split_outcome(solve_power_split_direct, *args)
-        seen["fallback"] += got[1]
-        repairs.append(solve_power_split(*args)[0])
+        repairs.append(solve_power_split(*args))
     for budgets in repairs:
         got = _split_outcome(repair_negative_budgets, budgets)
         assert got == _split_outcome(repair_negative_budgets_direct, budgets)
         seen["raised"] += got[0] is AllocationError
-        seen["repaired"] += got[0] is not AllocationError and any(got[1])
-    assert seen["fallback"] >= 11 and seen["repaired"] > 100 and seen["raised"] > 10
+        seen["repaired"] += got[0] is not AllocationError and "1.0" in got[1]
+    assert seen["repaired"] > 100 and seen["raised"] > 10
 
 
 # ------------------------------------------------------- waterfill
@@ -490,7 +529,7 @@ def _proposed_pa_instances(count=700, seed=43):
 
 
 def _singular_split_instance():
-    """Two users whose weights make the budget system singular (1 - 1 / alpha = 0)."""
+    """Two users whose weights would make the budget system singular (1 - 1 / alpha = 0): one is negative."""
     grid = build_grid(8, 2)
     gains = np.vstack([np.linspace(1.0, 2.0, 8), np.linspace(1.0, 3.0, 8)])
     assignment = static_sa(2, grid)
@@ -507,16 +546,15 @@ def _pa_outcome(solver, instance):
     except ChunkfairError as exc:
         return type(exc), str(exc)
     arrays = (alloc.budgets, alloc.powers, alloc.pruned, alloc.repaired)
-    return (alloc.singular_fallback, *((a.dtype, a.shape, a.tobytes()) for a in arrays))
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in arrays)
 
 
 def test_proposed_pa_matches_the_per_user_form_bit_for_bit():
     instances = [
         *_proposed_pa_instances(),
         *(random_instance(seed, n_users=2, weights=(1.0, 1e5)) for seed in range(4)),
-        _singular_split_instance(),
     ]
-    seen = {"pruned": 0, "repaired": 0, "fallback": 0, "errors": set()}
+    seen = {"pruned": 0, "repaired": 0, "errors": set()}
     for instance in instances:
         got = _pa_outcome(proposed_pa, instance)
         assert got == _pa_outcome(proposed_pa_direct, instance)
@@ -526,8 +564,8 @@ def test_proposed_pa_matches_the_per_user_form_bit_for_bit():
         alloc = proposed_pa(*instance)
         seen["pruned"] += bool(alloc.pruned.any())
         seen["repaired"] += bool(alloc.repaired.any())
-        seen["fallback"] += alloc.singular_fallback
-    assert seen["pruned"] > 100 and seen["repaired"] > 10 and seen["fallback"] >= 1
+        assert not alloc.singular_fallback
+    assert seen["pruned"] > 100 and seen["repaired"] > 10
     assert seen["errors"] == {InfeasibleError, AllocationError}
 
 
@@ -611,6 +649,41 @@ def test_proposed_pa_requires_positive_gain_user(pa):
     gains = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
     with pytest.raises(InfeasibleError, match="user 1 has no positive-gain subcarrier"):
         pa(a, gains, np.ones(2), 4.0)
+
+
+def _malformed_inputs():
+    """An 8-subcarrier, 2-user assignment with well-formed gains and weights, and one bad input at a time."""
+    assignment = static_sa(2, build_grid(8, 2))
+    gains = np.random.default_rng(4).exponential(size=(2, 8)) + 0.1
+    weights = np.array([1.0, 2.0])
+    return assignment, {
+        "gains-2x4": (gains[:, :4], weights),
+        "gains-2x16": (np.hstack([gains, gains]), weights),
+        "gains-1d": (gains[0], weights),
+        "weights-zero": (gains, np.array([1.0, 0.0])),
+        "weights-negative": (gains, np.array([1.0, -1.0])),
+        "weights-short": (gains, np.array([1.0])),
+        "weights-singular": _singular_split_instance()[1:3],
+    }
+
+
+@pytest.mark.parametrize("case", list(_malformed_inputs()[1]))
+@pytest.mark.parametrize("pa", [proposed_pa, exact_pa_oracle], ids=["proposed", "exact-oracle"])
+def test_rate_adaptive_pas_reject_malformed_inputs(pa, case):
+    assignment, cases = _malformed_inputs()
+    gains, weights = cases[case]
+    with pytest.raises(ConfigError, match="table" if case.startswith("gains") else "rate weights"):
+        pa(assignment, gains, weights, 8.0)
+
+
+def test_sum_rate_bound_rejects_a_gain_table_of_the_wrong_width():
+    assignment, cases = _malformed_inputs()
+    rows = np.array([assignment.owners])
+    for case in ("gains-2x4", "gains-2x16", "gains-1d"):
+        gains, weights = cases[case]
+        for w in (None, weights):
+            with pytest.raises(ConfigError, match="table"):
+                sum_rate_bound(assignment.grid, gains, 8.0, rows, weights=w)
 
 
 def test_uniform_pa_examples():
@@ -767,7 +840,7 @@ def _random_oracle_instances(count=400, seed=31):
 
 
 def _edge_oracle_instances():
-    """Inputs that reach the oracle's errors, zero and tiny weights, and dropped gains."""
+    """Inputs that reach the oracle's errors, tiny weights, and dropped gains (a zero weight is a ConfigError)."""
     grid = build_grid(8, 2)
     flat = np.ones((2, 8))
     ramp = np.vstack([np.ones(8), np.linspace(1.0, 2.0, 8)])
@@ -777,7 +850,6 @@ def _edge_oracle_instances():
         (flat, (1e100, 2e100), 8.0),  # the bisection runs out of steps
         (ramp, (1e80, 3e80), 8.0),  # so does it on unequal gains
         (flat, (1e-320, 1e-320), 1e-300),  # no level brackets the power
-        (ramp, (0.0, 1.0), 8.0),  # a budget that does not grow with the level
         (ramp, (1e-300, 1.0), 8.0),  # a budget that barely grows with the level
         (ramp, (1.0, 3.0), 1e-300),  # the budgets cannot conserve the power
         (holed, (1.0, 3.0), 0.5),  # both users also prune their weakest kept gain
@@ -978,6 +1050,22 @@ def test_weighted_sum_rate_bound_rejects_bad_weights():
     for weights in ([1.0], [1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [1.0, np.nan]):
         with pytest.raises(ConfigError, match="rate weights"):
             sum_rate_bound(grid, gains, 10.0, owners[None, :], weights=np.array(weights))
+
+
+def test_weighted_sum_rate_bound_takes_prices_that_underflow_to_zero():
+    # A weight ratio of 1e300 underflows the small user's normalised prices
+    # to 0; such a price's subcarriers sort last and add nothing, without a
+    # divide-by-zero warning.  Shape of the oracle-small workload: N = 12, K = 2.
+    weights = np.array([1e300, 1.0])
+    for chunk_size in (1, 2, 3):
+        grid = build_grid(12, chunk_size)
+        rows = np.array([row for row in itertools.product(range(2), repeat=grid.n_chunks) if len(set(row)) == 2])
+        for trial in range(3):
+            gains = np.random.default_rng(trial).exponential(size=(2, 12))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bound = sum_rate_bound(grid, gains, 12.0, rows, weights=weights)
+            assert np.all(bound <= sum_rate_bound(grid, gains, 12.0, rows))
 
 
 def _widest_waterfill(assignment, gains, total_power):
