@@ -7,6 +7,12 @@ profile normalised to unit expected energy (per-tap variance
 DFT of the taps, and the gain-to-noise ratio of subcarrier n is
 ``|H_n|^2 / noise_power``.  Subcarriers are indexed 0..N-1.
 
+A user's links are drawn together: each link's generator makes one
+``standard_normal(2 * tap_count)`` draw, and :func:`generate_taps`
+builds the user's taps, :func:`frequency_response` their FFT and
+:func:`subcarrier_gains` their gains in one pass each over all rows.
+A single-cell user is one link, ``realize_channel``'s one row.
+
 Reproducibility: every random draw comes from a substream generator
 built by :func:`substream`.  A substream is
 ``default_rng(SeedSequence(entropy=(master_seed, *path)))`` where the
@@ -19,6 +25,7 @@ stable across runs, platforms, and trial execution order.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,27 +78,34 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     user, cell)``.  Identical (seed, path) always yields an identical
     stream; any difference in the path yields an independent one.
     """
-    entropy = (int(master_seed),) + tuple(int(p) for p in path)
-    if any(e < 0 for e in entropy):
+    entropy = (master_seed, *path)
+    if min(entropy) < 0:
         raise ConfigError(f"substream path entries must be non-negative, got {entropy}")
     if max(entropy) < 2**32:
         # Each entry is one uint32 word of the pool either way; numpy
         # coerces an array of them much faster than a tuple of ints.
         entropy = np.array(entropy, dtype=np.uint32)
+    else:
+        entropy = tuple(int(e) for e in entropy)
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
 
 
-def generate_taps(profile: UserProfile, rng: np.random.Generator) -> np.ndarray:
-    """Draw the complex tap vector for one channel realization.
+def generate_taps(profile: UserProfile, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Draw one complex tap vector per generator: a (len(rngs), tap_count) array.
 
     Taps are i.i.d. CN(0, 1/tap_count), so the expected total energy
-    sum(|h_i|^2) is one regardless of the fading order.
+    sum(|h_i|^2) is one regardless of the fading order.  Each generator
+    makes one ``standard_normal(2 * tap_count)`` draw, the real parts
+    then the imaginary parts (the numbers that two
+    ``standard_normal(tap_count)`` calls give); the scale and the
+    complex build run once over all rows.
     """
     ell = profile.tap_count
+    draws = np.empty((len(rngs), 2 * ell))
+    for row, rng in zip(draws, rngs):
+        rng.standard_normal(out=row)
     scale = np.sqrt(1.0 / (2.0 * ell))
-    re = rng.standard_normal(ell)
-    im = rng.standard_normal(ell)
-    return scale * (re + 1j * im)
+    return scale * (draws[:, :ell] + 1j * draws[:, ell:])
 
 
 def frequency_response(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
@@ -137,7 +151,7 @@ def realize_channel(
     rng: np.random.Generator,
 ) -> ChannelRealization:
     """Draw taps and derive the response and gain vectors in one call."""
-    taps = generate_taps(profile, rng)
+    taps = generate_taps(profile, [rng])[0]
     response = frequency_response(taps, n_subcarriers)
     gains = subcarrier_gains(response, noise_power)
     return ChannelRealization(taps=taps, response=response, gains=gains)

@@ -296,10 +296,11 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
 def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None:
     """Draw every listed (user, cell) link that is not drawn yet.
 
-    A user's missing links are drawn in cell order from their own
-    substreams and transformed in one batched FFT, whose rows equal
-    row-by-row calls, so a link's bytes depend only on its substream
-    path, not on which links are drawn with it or when.
+    A user's missing links are drawn in cell order, one
+    ``standard_normal(2 * tap_count)`` from each link's own substream,
+    and get one tap build, one batched FFT and one gain pass, whose rows
+    equal row-by-row calls, so a link's bytes depend only on its
+    substream path, not on which links are drawn with it or when.
     """
     params = scenario.params
     master_seed, trial = scenario._seed_trial
@@ -310,11 +311,8 @@ def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None
         if not missing.size:
             continue
         profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
-        taps = np.stack([
-            generate_taps(profile, substream(master_seed, STREAM_CHANNEL, trial, k, cell))
-            for cell in missing
-        ])
-        h = frequency_response(taps, params.n_subcarriers)
+        rngs = [substream(master_seed, STREAM_CHANNEL, trial, k, cell) for cell in missing]
+        h = frequency_response(generate_taps(profile, rngs), params.n_subcarriers)
         scenario._gains[k, missing] = subcarrier_gains(h, 1.0)
         scenario._drawn[k, missing] = True
 

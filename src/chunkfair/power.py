@@ -534,8 +534,10 @@ def _priced_waterfill(g, r, price, budget):
     """Water-fill ``budget`` maximising sum_n price_n log2(1 + p_n g_n); (C, N) terms log2(mu price g).
 
     ``r`` holds 1/g, inf where g is not positive.  A zero ``price`` (an
-    underflow) sorts last, as 1/(price g) = inf, and adds nothing; each
-    row needs a positive price on a positive gain.
+    underflow) sorts last, as 1/(price g) = inf, and adds nothing.  A
+    row with no positive price on a positive gain earns nothing at any
+    power: its prefix levels are inf, a zero price sum included, and
+    all its terms 0.
     With each row's 1/(price g) sorted ascending, every prefix level
     mu_a = (P + sum of its 1/g) / (sum of its prices) is at or above the
     water-filling level, since sum_n price_n (mu_a - 1/(price_n g_n))^+
@@ -546,9 +548,13 @@ def _priced_waterfill(g, r, price, budget):
     """
     order = np.argsort(np.divide(r, price, out=np.full(r.shape, np.inf), where=price > 0), axis=1)
     order += np.arange(0, g.size, g.shape[1])[:, None]  # flat indices: one take beats a 2-D gather
-    levels = (budget + r.take(order).cumsum(axis=1)) / price.take(order).cumsum(axis=1)
-    mu = levels.min(axis=1) * (1.0 + (2 * g.shape[1] + 2) * 2.0**-52)
-    y = np.multiply(mu[:, None] * price, g, out=np.zeros(g.shape), where=g > 0)
+    # Without a positive price on a positive gain, a zero price sum's
+    # level is x / 0 = inf, and the inf mu gives y = inf * 0 = NaN on a
+    # zero price, which the y > 1 mask turns into a 0 term.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        levels = (budget + r.take(order).cumsum(axis=1)) / price.take(order).cumsum(axis=1)
+        mu = levels.min(axis=1) * (1.0 + (2 * g.shape[1] + 2) * 2.0**-52)
+        y = np.multiply(mu[:, None] * price, g, out=np.zeros(g.shape), where=g > 0)
     return np.log2(y, out=np.zeros(g.shape), where=y > 1.0)
 
 

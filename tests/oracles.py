@@ -4,7 +4,8 @@ Each oracle is deliberately written the slow, obvious way (explicit
 loops, no shared code with the package) so a bug in the main path
 cannot hide in its own checker.  The exceptions pin the package bit
 for bit: ``exact_pa_oracle_direct``, the exact oracle's bisection with
-a numpy budget array; ``linear_coefficients_direct``,
+a numpy budget array; ``generate_taps_direct``, one link's taps from
+two normal draws; ``linear_coefficients_direct``,
 ``solve_power_split_direct``, ``repair_negative_budgets_direct``,
 ``deviation_direct`` and ``min_weighted_rate_direct``, the numpy-array
 forms of the budget system, its split, its repair and the row metrics,
@@ -53,6 +54,15 @@ def dft_direct(taps, n_subcarriers):
             acc += h * cmath.exp(-2j * cmath.pi * i * n / n_subcarriers)
         out.append(acc)
     return np.array(out)
+
+
+def generate_taps_direct(profile, rng):
+    """One link's taps as the package drew them per link: two ``standard_normal(L)`` calls."""
+    ell = profile.tap_count
+    scale = np.sqrt(1.0 / (2.0 * ell))
+    re = rng.standard_normal(ell)
+    im = rng.standard_normal(ell)
+    return scale * (re + 1j * im)
 
 
 def gauss_solve(a, b):

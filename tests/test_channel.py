@@ -11,7 +11,7 @@ from chunkfair import (
     substream,
 )
 
-from oracles import dft_direct
+from oracles import dft_direct, generate_taps_direct
 
 
 def test_profile_validation():
@@ -42,7 +42,7 @@ def test_two_taps_n4_null():
 
 def test_fft_matches_direct_sum():
     rng = substream(3, 0, 0, 0, 0)
-    taps = generate_taps(UserProfile(8), rng)
+    taps = generate_taps(UserProfile(8), [rng])[0]
     fast = frequency_response(taps, 512)
     direct = dft_direct(taps, 512)
     err = np.abs(fast - direct).max() / np.abs(direct).max()
@@ -55,9 +55,7 @@ def test_stacked_response_matches_row_by_row_bit_for_bit():
     edge = (0, 7, 9, 11, 13, 15, 17)
     rest = tuple(cell for cell in range(19) if cell not in edge)
     for n, taps in ((512, 32), (128, 4), (16, 16), (12, 1)):
-        stacked = np.stack([
-            generate_taps(UserProfile(taps), substream(5, 0, 0, 0, cell)) for cell in range(19)
-        ])
+        stacked = generate_taps(UserProfile(taps), [substream(5, 0, 0, 0, cell) for cell in range(19)])
         for cells in (range(19), edge, rest):
             rows = stacked[list(cells)]
             batched = frequency_response(rows, n)
@@ -67,15 +65,15 @@ def test_stacked_response_matches_row_by_row_bit_for_bit():
 
 
 def test_same_seed_identical_draws():
-    a = generate_taps(UserProfile(6), substream(42, 0, 7, 3, 0))
-    b = generate_taps(UserProfile(6), substream(42, 0, 7, 3, 0))
+    a = generate_taps(UserProfile(6), [substream(42, 0, 7, 3, 0)])
+    b = generate_taps(UserProfile(6), [substream(42, 0, 7, 3, 0)])
     assert np.array_equal(a, b)
 
 
 def test_substreams_differ_across_path():
-    base = generate_taps(UserProfile(6), substream(42, 0, 7, 3, 0))
+    base = generate_taps(UserProfile(6), [substream(42, 0, 7, 3, 0)])
     for path in [(0, 7, 3, 1), (0, 7, 4, 0), (0, 8, 3, 0), (1, 7, 3, 0)]:
-        other = generate_taps(UserProfile(6), substream(42, *path))
+        other = generate_taps(UserProfile(6), [substream(42, *path)])
         assert not np.array_equal(base, other)
 
 
@@ -84,16 +82,34 @@ def test_substream_rejects_a_negative_path_entry():
         substream(42, 0, -1, 3, 0)
 
 
+def test_generate_taps_rows_match_the_per_link_draw_bit_for_bit():
+    # The link sets of test_stacked_response_matches_row_by_row_bit_for_bit;
+    # uint64 words, so that a signed zero counts.
+    edge = (0, 7, 9, 11, 13, 15, 17)
+    rest = tuple(cell for cell in range(19) if cell not in edge)
+    for ell in (1, 4, 32):
+        profile = UserProfile(ell)
+        for cells in (range(19), edge, rest):
+            taps = generate_taps(profile, [substream(5, 0, 2, 1, cell) for cell in cells])
+            direct = np.stack([generate_taps_direct(profile, substream(5, 0, 2, 1, cell)) for cell in cells])
+            assert taps.shape == (len(cells), ell)
+            assert np.array_equal(taps.view(np.uint64), direct.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed, path", [
     (0, (0, 0, 0, 0)),
     (42, (0, 7, 0, 3)),
     (2**32 - 1, (1, 0)),
     (2**32 + 5, (0, 7, 3, 0)),
     (2**64 + 1, (1, 0)),
+    # Path entries past one uint32 word, numpy integers among them.
+    (42, (0, 2**32, 3, 0)),
+    (42, (0, 7, np.int64(2**40), np.int64(5))),
+    (42, (1, np.uint64(2**64 - 1), 0)),
 ])
 def test_substream_matches_the_int_tuple_seed_sequence(seed, path):
     rng = substream(seed, *path)
-    reference = np.random.SeedSequence(entropy=(seed, *path))
+    reference = np.random.SeedSequence(entropy=(seed, *map(int, path)))
     assert np.array_equal(rng.bit_generator.seed_seq.pool, reference.pool)
     expected = np.random.default_rng(reference).standard_normal(8)
     assert np.array_equal(rng.standard_normal(8), expected)
@@ -113,7 +129,7 @@ def test_unit_energy_monte_carlo():
 def test_unit_energy_via_generate_taps():
     rng = substream(7, 0, 0, 0, 0)
     mean = np.mean(
-        [np.sum(np.abs(generate_taps(UserProfile(4), rng)) ** 2) for _ in range(20_000)]
+        [np.sum(np.abs(generate_taps(UserProfile(4), [rng])) ** 2) for _ in range(20_000)]
     )
     assert 0.97 <= mean <= 1.03
 
@@ -129,7 +145,7 @@ def test_parseval_identity():
 
 def test_gain_oracle_and_examples():
     rng = substream(5, 0, 0, 0, 0)
-    h = generate_taps(UserProfile(8), rng)
+    h = generate_taps(UserProfile(8), [rng])[0]
     resp = frequency_response(h, 32)
     gains = subcarrier_gains(resp, 0.5)
     expected = np.array([abs(x) ** 2 / 0.5 for x in resp])

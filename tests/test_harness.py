@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from chunkfair import (
+    AllocationError,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
@@ -24,8 +25,10 @@ from chunkfair import (
     harness,
     run_experiment,
 )
+from chunkfair.assign import build_grid, static_sa
 from chunkfair.cli import main
 from chunkfair.harness import ROW_COLUMNS, SUMMARY_COLUMNS, _fmt, emit_csv, emit_summary_csv
+from chunkfair.power import proposed_pa
 
 DATA = Path(__file__).parent / "data"
 # The golden fixture is the output of `chunkfair run` on this config.
@@ -472,6 +475,23 @@ def test_proposed_pa_failures_at_low_snr_are_pinned():
         ("proposed", -70.0): 15, ("proposed", -60.0): 1, ("proposed", -50.0): 0,
         ("uniform", -70.0): 0, ("uniform", -60.0): 0, ("uniform", -50.0): 0,
     }
+
+
+def test_proposed_pa_failures_at_large_rate_weight_ratios_are_pinned():
+    # ExperimentConfig accepts any positive finite weights, but from a
+    # ratio of about 1e8 the closed-form split loses the small user's
+    # budget to cancellation between beta and P_1, at any SNR.
+    assignment = static_sa(2, build_grid(16, 1))
+    failed = {(0.0, 1e6): 0, (0.0, 1e8): 0, (0.0, 1e10): 0, (30.0, 1e10): 0}
+    for snr_db, ratio in failed:
+        for seed in range(20):
+            gains = np.random.default_rng(seed).exponential(size=(2, 16))
+            try:
+                proposed_pa(assignment, gains, np.array([1.0, ratio]), 16 * 10.0 ** (snr_db / 10.0))
+            except AllocationError as err:
+                assert "does not conserve total" in str(err)
+                failed[snr_db, ratio] += 1
+    assert failed == {(0.0, 1e6): 0, (0.0, 1e8): 15, (0.0, 1e10): 20, (30.0, 1e10): 8}
 
 
 def _csv_bytes(rows, path):

@@ -16,7 +16,6 @@ from chunkfair import (
     build_layout,
     build_scenario,
     frequency_response,
-    generate_taps,
     multicell_sa,
     path_loss_db,
     place_users,
@@ -27,6 +26,8 @@ from chunkfair import (
 from chunkfair.assign import build_grid, chunk_rates, run_sa
 from chunkfair.channel import STREAM_CHANNEL
 from chunkfair.multicell import _group_tables, _sinr_block
+
+from oracles import generate_taps_direct
 
 
 def small_params(**kw):
@@ -533,7 +534,7 @@ def _row_by_row_gains(params, master_seed, trial):
     for k, taps in enumerate(params.tap_counts):
         for cell in range(19):
             rng = substream(master_seed, STREAM_CHANNEL, trial, k, cell)
-            h = frequency_response(generate_taps(UserProfile(taps), rng), params.n_subcarriers)
+            h = frequency_response(generate_taps_direct(UserProfile(taps), rng), params.n_subcarriers)
             gains[k, cell] = h.real**2 + h.imag**2
     return gains
 

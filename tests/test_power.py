@@ -1068,6 +1068,24 @@ def test_weighted_sum_rate_bound_takes_prices_that_underflow_to_zero():
             assert np.all(bound <= sum_rate_bound(grid, gains, 12.0, rows))
 
 
+def test_weighted_sum_rate_bound_takes_a_row_without_a_priced_gain():
+    # Weights (1e300, 1) underflow user 1's prices to 0, so the row where
+    # user 1 owns every chunk has no positive price on a positive gain.
+    # Its priced water-fill earns nothing, without a floating-point
+    # warning, and the row keeps its unit-price bound.
+    grid = build_grid(12, 2)
+    gains = np.random.default_rng(0).exponential(size=(2, 12))
+    rows = np.array([[1] * 6, [0, 1, 0, 1, 0, 1]])
+    weights = np.array([1e300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = sum_rate_bound(grid, gains, 12.0, rows, weights=weights)
+        alone = np.concatenate([sum_rate_bound(grid, gains, 12.0, row[None, :], weights=weights) for row in rows])
+        unit = sum_rate_bound(grid, gains, 12.0, rows[:1])
+    assert np.array_equal(bound.view(np.uint64), alone.view(np.uint64))
+    assert bound[0] == unit[0] == pytest.approx(1.03139078)
+
+
 def _widest_waterfill(assignment, gains, total_power):
     """Water-filling over the map's own gains, spending as much as ``_check_allocation`` accepts.
 
