@@ -64,6 +64,11 @@ class ChunkGrid:
         """Subcarriers per chunk, (M,); read-only, built once at construction."""
         return self._sizes
 
+    def per_subcarrier(self, owners) -> np.ndarray:
+        """Per-chunk owners along the last axis expanded to subcarriers: (..., M) to (..., N)."""
+        owners = np.asarray(owners)
+        return np.repeat(owners, self._sizes, axis=-1) if self.chunk_size > 1 else owners
+
 
 def build_grid(n_subcarriers: int, chunk_size: int) -> ChunkGrid:
     """Build the chunk grid for N subcarriers and chunk size L.
@@ -94,9 +99,7 @@ class Assignment:
             )
         if min(self.owners) < 0 or max(self.owners) >= self.n_users:
             raise ConfigError(f"chunk owners must lie in [0, {self.n_users - 1}]")
-        per_subcarrier = np.array(self.owners)
-        if self.grid.chunk_size > 1:
-            per_subcarrier = np.repeat(per_subcarrier, self.grid.chunk_sizes())
+        per_subcarrier = self.grid.per_subcarrier(self.owners)
         per_subcarrier.flags.writeable = False
         object.__setattr__(self, "subcarrier_owners", per_subcarrier)
 
@@ -179,12 +182,24 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
     """
     rates = np.asarray(rate_table, dtype=float)
     means = rates.mean(axis=0)
-    ok = means > 0
-    if np.count_nonzero(ok) == ok.size:
-        return rates / means
-    out = np.ones_like(rates)
-    out[:, ok] = rates[:, ok] / means[ok]
-    return out
+    return np.divide(rates, means, out=np.ones_like(rates), where=means > 0)
+
+
+def _rate_weights(weights, n_users: int) -> list[float]:
+    """The rate weights as plain floats; ConfigError unless one positive finite weight per user."""
+    values = np.asarray(weights, dtype=float)
+    listed = values.tolist()
+    if values.shape != (n_users,) or not all(0.0 < w < math.inf for w in listed):
+        raise ConfigError(f"need {n_users} positive finite rate weights, got {values}")
+    return listed
+
+
+def _check_chunk_count(n_users: int, n_chunks: int) -> None:
+    """ConfigError unless K >= 1; InfeasibleError unless there is a chunk for every user."""
+    if n_users < 1:
+        raise ConfigError(f"need at least one user, got {n_users}")
+    if n_chunks < n_users:
+        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,12 +264,9 @@ def _greedy_sa(
     Every float operation matches the array form: sequential adds into
     ``acc``, then one division.  Neither input array is modified.
     """
-    w = np.asarray(weights, dtype=float).tolist()
     n_users, n_chunks = rates.shape
-    if n_chunks < n_users:
-        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
-    if not all(0.0 < wk < math.inf for wk in w):
-        raise ConfigError("rate weights must be positive and finite")
+    w = _rate_weights(weights, n_users)
+    _check_chunk_count(n_users, n_chunks)
     if not np.isfinite(rates).all():
         raise ConfigError("rate table must be finite")
     scores = np.asarray(scores, dtype=float)
@@ -350,8 +362,7 @@ def shen_sa(
 
 def static_sa(n_users: int, grid: ChunkGrid) -> Assignment:
     """Channel-independent round-robin: chunk m goes to user m mod K."""
-    if grid.n_chunks < n_users:
-        raise InfeasibleError(f"need at least {n_users} chunks, grid has {grid.n_chunks}")
+    _check_chunk_count(n_users, grid.n_chunks)
     owners = tuple(m % n_users for m in range(grid.n_chunks))
     return Assignment(grid=grid, owners=owners, n_users=n_users)
 
@@ -368,7 +379,8 @@ def run_sa(
     if scheme == "shen":
         return shen_sa(rate_table, weights, grid)[0]
     if scheme == "static":
-        return static_sa(len(weights), grid)
+        _rate_weights(weights, len(rate_table))
+        return static_sa(len(rate_table), grid)
     raise ConfigError(f"unknown SA scheme {scheme!r}")
 
 
@@ -389,8 +401,8 @@ ORACLE_CAP = 1_000_000
 _BOUND_BLOCK = 2**16
 
 
-def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray, np.ndarray]:
-    """Every covering map's owner row and bound, in descending bound order.
+def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every covering map's owner row and bound, and the order that visits them by descending bound.
 
     Maps are enumerated as base-K numbers, most significant chunk first,
     which is ``itertools.product``'s order, and bounded in blocks of
@@ -399,7 +411,8 @@ def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray
     owner entry.  Without ``upper_bound`` every bound is +inf.  A NaN
     bound reads as +inf, so it is visited first and never skips.  The
     sort is stable: equal bounds keep the enumeration order.
-    Returns the (C, M) rows and their (C,) bounds.
+    Returns the (C, M) rows and their (C,) bounds, both in enumeration
+    order, and the (C,) visit order, which indexes them in place.
     """
     n_chunks = grid.n_chunks
     place = n_users ** np.arange(n_chunks - 1, -1, -1)
@@ -417,10 +430,10 @@ def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray
                                   f"{len(owners)} maps")
         rows.append(owners.astype(np.uint8))
         bounds.append(block)
+    rows = np.concatenate(rows)  # joined first: the blocks are freed before the sort allocates
     bounds = np.concatenate(bounds)
     bounds[np.isnan(bounds)] = math.inf
-    order = np.argsort(-bounds, kind="stable")
-    return np.concatenate(rows)[order], bounds[order]
+    return rows, bounds, np.argsort(-bounds, kind="stable")
 
 
 def exhaustive_sa_oracle(
@@ -457,7 +470,7 @@ def exhaustive_sa_oracle(
     Parameters
     ----------
     weights : (K,) array
-        Requested-rate weights, used for the deviation tie-break.
+        One positive finite rate weight per user (K is their count), for the deviation tie-break.
     grid : ChunkGrid
     pa_solver : callable
         Maps an Assignment to the (K,) vector of achieved user rates.
@@ -466,25 +479,24 @@ def exhaustive_sa_oracle(
         sum rate ``pa_solver`` returns for those maps exceeds, such as
         ``power.sum_rate_bound``; a NaN bound rules nothing out.
     """
-    weights = np.asarray(weights, dtype=float)
-    n_users = weights.size
-    n_chunks = grid.n_chunks
-    if n_chunks < n_users:
-        raise InfeasibleError(f"need at least {n_users} chunks, grid has {n_chunks}")
+    weights = _rate_weights(weights, np.size(weights))
+    n_users, n_chunks = len(weights), grid.n_chunks
+    _check_chunk_count(n_users, n_chunks)
     total = n_users**n_chunks
     if total > ORACLE_CAP:
         raise OracleSizeError(
             f"{n_users}**{n_chunks} = {total} candidates exceeds cap {ORACLE_CAP}"
         )
 
-    rows, bounds = _visit_order(n_users, grid, upper_bound)
+    rows, bounds, order = _visit_order(n_users, grid, upper_bound)
     best = None
     solved = 0
-    for row, bound in zip(rows, map(float, bounds)):
+    for i in order:
+        bound = bounds.item(i)
         if best is not None and bound < -best[0][0]:
             break  # visits run in descending bound order: no later candidate can win
         solved += 1
-        owners = tuple(row.tolist())
+        owners = tuple(rows[i].tolist())
         cand = Assignment(grid=grid, owners=owners, n_users=n_users)
         rates = np.asarray(pa_solver(cand), dtype=float)
         total_rate = float(rates.sum())

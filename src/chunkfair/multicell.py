@@ -240,8 +240,8 @@ class CellScenario:
     _seed_trial: tuple[int, int]  # (master_seed, trial) of the channel substreams
     _gains: np.ndarray            # (K, 19, N) squared channel magnitudes, valid where _drawn
     _drawn: np.ndarray            # (K, 19) bool, links drawn so far
-    # SINR blocks keyed by (group, interferers), rate tables by
-    # (chunk size, interferers); shared by every chunk-size view.
+    # SINR blocks keyed by group ("centre", or "edge" with the FFR flag),
+    # rate tables by (chunk size, FFR flag); shared by every chunk-size view.
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -342,42 +342,39 @@ _ALL_INTERFERERS = np.arange(1, N_CELLS)
 
 def _group_tables(
     scenario: CellScenario,
-    edge_interferers: np.ndarray | None = None,
+    ffr: bool = True,
 ) -> tuple[tuple[str, np.ndarray, np.ndarray | None, ChunkGrid | None], ...]:
     """(name, users, rate table, grid) of the centre group, then the edge group.
 
     The centre band always sees all 18 interferers; the edge band sees
-    the six co-band cells under FFR, or whatever ``edge_interferers``
-    says (the no-FFR baseline passes all 18).  A group without users or
-    without a whole chunk in its band gets no table and no grid.  The
-    result is computed once per chunk size and edge interferer set, and
-    each gap-scaled SINR block once per draw; both are read-only.
+    the six co-band cells under FFR and all 18 without it.  A group
+    without users or without a whole chunk in its band gets no table
+    and no grid.  The result is computed once per chunk size and FFR
+    choice, and each gap-scaled SINR block once per draw (the centre
+    block serves both choices); both are read-only.
     """
     plan, memo = scenario.plan, scenario._memo
     chunk_size = scenario.params.chunk_size
-    if edge_interferers is None:
-        edge_interferers = plan.co_band_cells
-    key = (chunk_size, tuple(int(i) for i in edge_interferers))
+    key = (chunk_size, ffr)
     if key in memo:
         return memo[key]
     edge_band = plan.edge_bands[plan.cell_edge_slot[0]]
     groups = (
-        ("centre", scenario.centre_users, plan.centre_band, _ALL_INTERFERERS),
-        ("edge", scenario.edge_users, edge_band, edge_interferers),
+        (("centre",), scenario.centre_users, plan.centre_band, _ALL_INTERFERERS),
+        (("edge", ffr), scenario.edge_users, edge_band, plan.co_band_cells if ffr else _ALL_INTERFERERS),
     )
     out = []
-    for name, users, band, interferers in groups:
+    for sinr_key, users, band, interferers in groups:
         table = grid = None
         if users.size and band.size >= chunk_size:
             grid = build_grid(band.size, chunk_size)
-            sinr_key = (name, tuple(int(i) for i in interferers))
             if sinr_key not in memo:
                 scaled = scenario.lam * _sinr_block(scenario, users, band, interferers)
                 scaled.flags.writeable = False
                 memo[sinr_key] = scaled
             table = chunk_rates(memo[sinr_key], grid, 1.0, n_total=scenario.params.n_subcarriers)
             table.flags.writeable = False
-        out.append((name, users, table, grid))
+        out.append((sinr_key[0], users, table, grid))
     memo[key] = tuple(out)
     return memo[key]
 
@@ -385,17 +382,18 @@ def _group_tables(
 def multicell_sa(
     scenario: CellScenario,
     sa_scheme: str = "proposed",
-    edge_interferers: np.ndarray | None = None,
+    ffr: bool = True,
 ) -> np.ndarray:
     """Per-user rates in cell 1, each group's chunks assigned inside its own band.
 
     The centre group shares the centre band, the edge group shares cell
     1's edge band, and the two problems are solved independently with
-    the chosen scheme under uniform power.
+    the chosen scheme under uniform power.  Without ``ffr`` every cell
+    transmits on cell 1's edge band (see ``reuse1_baseline``).
     """
     weights = scenario.weights
     rates = np.zeros(scenario.params.n_users)
-    for name, users, table, grid in _group_tables(scenario, edge_interferers):
+    for name, users, table, grid in _group_tables(scenario, ffr):
         if not users.size:
             continue
         if table is None or grid.n_chunks < users.size:
@@ -415,4 +413,4 @@ def reuse1_baseline(scenario: CellScenario, sa_scheme: str = "proposed") -> np.n
     cells.  On identical draws each edge subcarrier's SINR is therefore
     term-wise dominated by its FFR counterpart.
     """
-    return multicell_sa(scenario, sa_scheme, edge_interferers=_ALL_INTERFERERS)
+    return multicell_sa(scenario, sa_scheme, ffr=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assign import Assignment, ChunkGrid
+from .assign import Assignment, ChunkGrid, _rate_weights
 from .errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
 from .metrics import _total
 
@@ -118,15 +118,6 @@ class PowerAllocation:
     pruned: np.ndarray        # (K,) int, subcarriers zeroed by the budget loop
     # Always False: the split has no fallback.  Kept only for perfbench's tracer, which reads it.
     singular_fallback: bool = False
-
-
-def _rate_weights(weights, n_users: int) -> list[float]:
-    """The rate weights as plain floats; ConfigError unless one positive finite weight per user."""
-    values = np.asarray(weights, dtype=float)
-    listed = values.tolist()
-    if values.shape != (n_users,) or not all(0.0 < w < math.inf for w in listed):
-        raise ConfigError(f"need {n_users} positive finite rate weights, got {values}")
-    return listed
 
 
 def linear_coefficients(ordered: list[OrderedGains], weights) -> tuple[list[float], list[float]]:
@@ -666,14 +657,12 @@ def sum_rate_bound(
     -45 dB up it stayed at least 8.7e-11 relative under it.
     """
     gains = np.asarray(gains, dtype=float)
-    owners = np.asarray(owners)
     if gains.ndim != 2 or gains.shape[1] != grid.n_subcarriers:
         raise ConfigError(f"gains must be a (K, {grid.n_subcarriers}) table, got {gains.shape}")
     n_users, n = gains.shape
     if weights is not None:
         weights = np.array(_rate_weights(weights, n_users))
-    if grid.chunk_size > 1:
-        owners = np.repeat(owners, grid.chunk_sizes(), axis=1)
+    owners = grid.per_subcarrier(owners)
     g = gains[owners, np.arange(n)]
     budget = total_power * (1.0 + _POWER_REL_TOL)
     with np.errstate(over="ignore"):

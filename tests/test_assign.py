@@ -15,11 +15,13 @@ from chunkfair import (
     ConfigError,
     InfeasibleError,
     OracleSizeError,
+    OrderedGains,
     UserProfile,
     build_grid,
     chunk_rates,
     exact_pa_oracle,
     exhaustive_sa_oracle,
+    linear_coefficients,
     normalized_rates,
     proposed_pa,
     proposed_sa,
@@ -289,6 +291,54 @@ def test_greedy_schemes_reject_non_finite_weights():
         for bad in (np.inf, np.nan, 0.0):
             with pytest.raises(ConfigError):
                 scheme(table, np.array([1.0, bad]), build_grid(3, 1))
+
+
+# One instance with K = 3 users, M = 6 chunks of one subcarrier, for every
+# public call that reads rate weights; K comes from the table or the gains,
+# except in the exhaustive oracle, which reads it from the weights.
+_K, _P = 3, 6.0
+_GRID = build_grid(6, 1)
+_GAINS = np.random.default_rng(8).exponential(size=(_K, 6)) + 0.1
+_TABLE = chunk_rates(_GAINS, _GRID, _P / 6)
+_STATIC = static_sa(_K, _GRID)
+
+
+def _oracle_with(weights):
+    def pa_rates(assignment):
+        return user_rates(exact_pa_oracle(assignment, _GAINS, weights, _P).powers, _GAINS)
+
+    bound = functools.partial(sum_rate_bound, _GRID, _GAINS, _P, weights=weights)
+    return exhaustive_sa_oracle(weights, _GRID, pa_rates, upper_bound=bound)
+
+
+# (function, variant) -> a call of it with the weights w.  test_source checks
+# that every public function of assign and power with a ``weights`` parameter
+# is listed.  static_sa takes the user count itself, for which K - 1 and K + 1
+# are valid, so it is checked at count 0 only (see below).
+WEIGHTS_ENTRIES = {
+    ("proposed_sa", ""): lambda w: proposed_sa(_TABLE, w, _GRID),
+    ("shen_sa", ""): lambda w: shen_sa(_TABLE, w, _GRID),
+    **{("run_sa", scheme): lambda w, scheme=scheme: run_sa(scheme, _TABLE, w, _GRID)
+       for scheme in ("proposed", "shen", "static")},
+    ("exhaustive_sa_oracle", ""): _oracle_with,
+    ("proposed_pa", ""): lambda w: proposed_pa(_STATIC, _GAINS, w, _P),
+    ("linear_coefficients", ""): lambda w: linear_coefficients([OrderedGains.of(np.sort(g)) for g in _GAINS], w),
+    ("exact_pa_oracle", ""): lambda w: exact_pa_oracle(_STATIC, _GAINS, w, _P),
+    ("sum_rate_bound", ""): lambda w: sum_rate_bound(_GRID, _GAINS, _P, np.array([_STATIC.owners]), weights=w),
+    ("static_sa", ""): lambda w: static_sa(len(w), _GRID),
+}
+
+
+@pytest.mark.parametrize("count", [_K - 1, _K + 1, 0])
+@pytest.mark.parametrize("entry", list(WEIGHTS_ENTRIES), ids=lambda entry: "-".join(filter(None, entry)))
+def test_every_weights_entry_rejects_a_wrong_weight_count(entry, count):
+    call = WEIGHTS_ENTRIES[entry]
+    call(np.ones(_K))  # the right count is accepted
+    if entry[0] == "static_sa" and count:
+        assert call(np.ones(count)).n_users == count
+        return
+    with pytest.raises((ConfigError, InfeasibleError)):
+        call(np.ones(count))
 
 
 # ---------------------------------------------------------------- static SA

@@ -470,8 +470,8 @@ def test_group_tables_built_once_per_interferer_set():
     sc = build_scenario(small_params(), 47, 1)
     ffr = _group_tables(sc)
     assert _group_tables(sc) is ffr
-    no_ffr = _group_tables(sc, np.arange(1, 19))
-    assert no_ffr is not ffr and _group_tables(sc, np.arange(1, 19)) is no_ffr
+    no_ffr = _group_tables(sc, ffr=False)
+    assert no_ffr is not ffr and _group_tables(sc, ffr=False) is no_ffr
     for _, _, table, _ in ffr:
         if table is not None:
             assert not table.flags.writeable

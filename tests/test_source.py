@@ -2,11 +2,13 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
-from chunkfair import ExperimentConfig, harness
+from chunkfair import ExperimentConfig, assign, harness, power
 from chunkfair.cli import build_parser
+from test_assign import WEIGHTS_ENTRIES
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "chunkfair").glob("*.py"))
@@ -69,6 +71,19 @@ def test_every_exported_name_is_read_by_the_package_or_the_benchmark():
         if name not in read
     ]
     assert unread == []
+
+
+def test_every_public_function_taking_weights_is_checked_for_a_wrong_weight_count():
+    # A new scheme that reads rate weights must join the wrong-count test's table.
+    taking = {
+        name
+        for module in (assign, power)
+        for name, value in vars(module).items()
+        if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_")
+        and "weights" in inspect.signature(value).parameters
+    }
+    assert len(taking) >= 8
+    assert taking <= {name for name, _ in WEIGHTS_ENTRIES}
 
 
 def _readme_section(title: str) -> str:
