@@ -56,7 +56,6 @@ from .multicell import (
     multicell_sa,
     path_loss_db,
     place_users,
-    reuse1_baseline,
 )
 from .power import (
     OrderedGains,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllocationError, ConfigError, InfeasibleError, OracleSizeError
+from .errors import AllocationError, ConfigError, InfeasibleError, OracleSizeError, UndefinedMetricError
 from .metrics import deviation
 
 __all__ = [
@@ -187,7 +187,10 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
 
 def _rate_weights(weights, n_users: int) -> list[float]:
     """The rate weights as plain floats; ConfigError unless one positive finite weight per user."""
-    values = np.asarray(weights, dtype=float)
+    try:
+        values = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not numbers, ragged, or an int past float range
+        raise ConfigError(f"need {n_users} positive finite rate weights, got {weights!r}") from None
     listed = values.tolist()
     if values.shape != (n_users,) or not all(0.0 < w < math.inf for w in listed):
         raise ConfigError(f"need {n_users} positive finite rate weights, got {values}")
@@ -264,6 +267,8 @@ def _greedy_sa(
     Every float operation matches the array form: sequential adds into
     ``acc``, then one division.  Neither input array is modified.
     """
+    if rates.ndim != 2 or rates.shape[1] != grid.n_chunks:
+        raise ConfigError(f"rate table must be (K, {grid.n_chunks}), got shape {rates.shape}")
     n_users, n_chunks = rates.shape
     w = _rate_weights(weights, n_users)
     _check_chunk_count(n_users, n_chunks)
@@ -506,9 +511,9 @@ def exhaustive_sa_oracle(
             )
         if math.isnan(total_rate) or (best is not None and total_rate < -best[0][0]):
             continue  # a NaN or lower sum rate cannot win, whatever its deviation
-        if n_users >= 2 and total_rate > 0:
+        try:
             dev = deviation(rates, weights)
-        else:
+        except UndefinedMetricError:  # one user or a zero sum rate: no share to miss
             dev = 0.0
         key = (-total_rate, dev, owners)
         if best is None or key < best[0]:

@@ -198,8 +198,9 @@ class ExperimentConfig(multicell.LinkBudget):
         if problems:
             raise ConfigError("; ".join(problems))
 
-        for tap_count, weight in zip(self.tap_counts, self.rate_weights):
-            UserProfile(tap_count=tap_count, rate_weight=weight)
+        assign._rate_weights(self.rate_weights, self.n_users)
+        for tap_count in self.tap_counts:
+            UserProfile(tap_count=tap_count)
         try:  # the run transforms each user's taps at N subcarriers; every output has N points
             frequency_response(np.zeros(max(self.tap_counts)), self.n_subcarriers)
         except (ValueError, MemoryError) as exc:  # numpy refuses, or cannot allocate, the output
@@ -368,7 +369,7 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
     for k in range(config.n_users):
-        profile = UserProfile(tap_count=config.tap_counts[k], rate_weight=weights[k])
+        profile = UserProfile(tap_count=config.tap_counts[k])
         rng = substream(config.seed, STREAM_CHANNEL, trial, k, 0)
         gains[k] = realize_channel(profile, n, 1.0, rng).gains
     for chunk_size in config.chunk_sizes:
@@ -429,7 +430,7 @@ def _multi_cell_rates(scenario, ffr: bool):
     """``rates_of(sa, pa)`` of one multi-cell point, with or without FFR."""
 
     def rates_of(sa, pa):
-        return (multicell.multicell_sa if ffr else multicell.reuse1_baseline)(scenario, sa)
+        return multicell.multicell_sa(scenario, sa, ffr)
 
     return rates_of
 

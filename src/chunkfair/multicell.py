@@ -6,6 +6,7 @@ second-tier cells, six at sqrt(3)*D and six at 2*D.  The band is split
 into a centre band F1 reused by every cell and three disjoint edge
 bands F2-F4 handed out by a reuse-3 colouring, so the co-band edge
 interferers of cell 1 are exactly the six sqrt(3)*D cells.
+``multicell_sa`` runs cell 1 with or without FFR by its ``ffr`` flag.
 
 SINR per subcarrier uses uniform transmit power everywhere.  The
 desired link is attenuated by the path loss at the user's own distance
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assign import ChunkGrid, build_grid, chunk_rates, run_sa
+from .assign import ChunkGrid, _rate_weights, build_grid, chunk_rates, run_sa
 from .channel import (STREAM_CHANNEL, STREAM_PLACEMENT, UserProfile, frequency_response, generate_taps,
                       subcarrier_gains, substream)
 from .errors import ConfigError, InfeasibleError
@@ -41,7 +42,6 @@ __all__ = [
     "dbm_to_watts",
     "build_scenario",
     "multicell_sa",
-    "reuse1_baseline",
 ]
 
 N_CELLS = 19
@@ -95,6 +95,11 @@ def path_loss_db(distance_km: float) -> float:
     return 128.1 + 37.6 * math.log10(distance_km)
 
 
+def _path_gain(distance_km: float) -> float:
+    """Linear path-loss factor 10 ** (-PL / 10); ``ScenarioParams`` checks what the drop evaluates."""
+    return 10.0 ** (-0.1 * path_loss_db(distance_km))
+
+
 def place_users(n_users: int, radius_km: float, rng: np.random.Generator) -> np.ndarray:
     """Distances of users dropped uniformly over the cell disc (CDF ~ r^2)."""
     if n_users < 1:
@@ -104,14 +109,13 @@ def place_users(n_users: int, radius_km: float, rng: np.random.Generator) -> np.
 
 @dataclass(frozen=True)
 class FfrPlan:
-    """Band split between the centre group and the three edge groups."""
+    """Cell 1's band split: the centre band, its own edge band, and the cells sharing that edge band."""
 
     n_cc: int
     n_ce: int
-    centre_band: np.ndarray            # F1 subcarriers
-    edge_bands: tuple[np.ndarray, ...] # F2, F3, F4
-    cell_edge_slot: np.ndarray         # (19,) index into edge_bands
-    co_band_cells: np.ndarray          # cells sharing cell 0's edge band
+    centre_band: np.ndarray    # F1 subcarriers, reused by every cell
+    edge_band: np.ndarray      # cell 1's edge band, one of F2-F4 by its reuse-3 colour
+    co_band_cells: np.ndarray  # cells sharing cell 1's edge band
 
 
 def band_partition(
@@ -120,7 +124,8 @@ def band_partition(
     """Split N subcarriers into the centre band and reuse-3 edge bands.
 
     The centre band holds ceil(N * (tau/R)^2) subcarriers, matching the
-    coverage-area split; each edge band holds floor((N - N_cc) / 3).
+    coverage-area split; each edge band holds floor((N - N_cc) / 3), and
+    edge band b (of colour b) follows the centre band and bands 0..b-1.
     The plan does not depend on the chunk size.  Raises ConfigError
     unless 0 <= tau <= R.
     """
@@ -129,15 +134,13 @@ def band_partition(
         raise ConfigError(f"tau must lie in [0, {radius_km}], got {tau_km}")
     n_cc = math.ceil(n * (tau_km / radius_km) ** 2)
     n_ce = (n - n_cc) // REUSE_FACTOR
+    colour = layout.reuse3_color[0]
     return FfrPlan(
         n_cc=n_cc,
         n_ce=n_ce,
         centre_band=np.arange(n_cc),
-        edge_bands=tuple(
-            np.arange(n_cc + b * n_ce, n_cc + (b + 1) * n_ce) for b in range(REUSE_FACTOR)
-        ),
-        cell_edge_slot=layout.reuse3_color.copy(),
-        co_band_cells=np.flatnonzero(layout.reuse3_color == layout.reuse3_color[0])[1:],
+        edge_band=np.arange(n_cc + colour * n_ce, n_cc + (colour + 1) * n_ce),
+        co_band_cells=np.flatnonzero(layout.reuse3_color == colour)[1:],
     )
 
 
@@ -190,6 +193,7 @@ class ScenarioParams(LinkBudget):
     def __post_init__(self):
         if len(self.tap_counts) != self.n_users or len(self.rate_weights) != self.n_users:
             raise ConfigError("tap_counts and rate_weights must list one entry per user")
+        _rate_weights(self.rate_weights, self.n_users)
         if not 0 <= self.centre_radius_fraction <= 1:
             raise ConfigError("centre_radius_fraction must lie in [0, 1]")
         layout = build_layout(self.cell_radius_km, self.intercell_distance_km)
@@ -197,7 +201,7 @@ class ScenarioParams(LinkBudget):
         # (rng.random() >= 2**-53 unless 0), has the largest path-loss factor.
         nearest = min(layout.bs_distance_km[1:].min(), self.cell_radius_km * math.sqrt(2.0**-53))
         try:
-            10.0 ** (-0.1 * path_loss_db(nearest))
+            _path_gain(nearest)
         except OverflowError:
             raise ConfigError(f"cell_radius_km and intercell_distance_km must give finite "
                               f"path-loss factors; a distance of {nearest:g} km does not") from None
@@ -225,8 +229,7 @@ class CellScenario:
     every link not drawn yet.  The gap-scaled SINR of each group's band
     and the group rate tables are computed on first use and kept in that
     memo, so write into ``gain_sq`` only before the first SINR read, that
-    is, before the first ``multicell_sa`` or ``reuse1_baseline`` call on
-    any view.
+    is, before the first ``multicell_sa`` call on any view.
     """
 
     params: ScenarioParams
@@ -277,14 +280,14 @@ def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> Cell
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
     interferer_att = np.zeros(N_CELLS)
-    interferer_att[1:] = [10.0 ** (-0.1 * path_loss_db(d)) for d in layout.bs_distance_km[1:]]
+    interferer_att[1:] = [_path_gain(d) for d in layout.bs_distance_km[1:]]
     return CellScenario(
         params=params,
         layout=layout,
         plan=plan,
         distance_km=distances,
         is_centre=distances <= params.tau_km,
-        desired_attenuation=np.array([10.0 ** (-0.1 * path_loss_db(d)) for d in distances]),
+        desired_attenuation=np.array([_path_gain(d) for d in distances]),
         interferer_attenuation=interferer_att,
         lam=ber_gap(params.target_ber),
         _seed_trial=(master_seed, trial),
@@ -310,7 +313,7 @@ def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None
         missing = np.flatnonzero(wanted & ~scenario._drawn[k])
         if not missing.size:
             continue
-        profile = UserProfile(tap_count=params.tap_counts[k], rate_weight=params.rate_weights[k])
+        profile = UserProfile(tap_count=params.tap_counts[k])
         rngs = [substream(master_seed, STREAM_CHANNEL, trial, k, cell) for cell in missing]
         h = frequency_response(generate_taps(profile, rngs), params.n_subcarriers)
         scenario._gains[k, missing] = subcarrier_gains(h, 1.0)
@@ -346,8 +349,7 @@ def _group_tables(
 ) -> tuple[tuple[str, np.ndarray, np.ndarray | None, ChunkGrid | None], ...]:
     """(name, users, rate table, grid) of the centre group, then the edge group.
 
-    The centre band always sees all 18 interferers; the edge band sees
-    the six co-band cells under FFR and all 18 without it.  A group
+    Each band sees the interferers ``multicell_sa`` states.  A group
     without users or without a whole chunk in its band gets no table
     and no grid.  The result is computed once per chunk size and FFR
     choice, and each gap-scaled SINR block once per draw (the centre
@@ -358,10 +360,9 @@ def _group_tables(
     key = (chunk_size, ffr)
     if key in memo:
         return memo[key]
-    edge_band = plan.edge_bands[plan.cell_edge_slot[0]]
     groups = (
         (("centre",), scenario.centre_users, plan.centre_band, _ALL_INTERFERERS),
-        (("edge", ffr), scenario.edge_users, edge_band, plan.co_band_cells if ffr else _ALL_INTERFERERS),
+        (("edge", ffr), scenario.edge_users, plan.edge_band, plan.co_band_cells if ffr else _ALL_INTERFERERS),
     )
     out = []
     for sinr_key, users, band, interferers in groups:
@@ -388,8 +389,11 @@ def multicell_sa(
 
     The centre group shares the centre band, the edge group shares cell
     1's edge band, and the two problems are solved independently with
-    the chosen scheme under uniform power.  Without ``ffr`` every cell
-    transmits on cell 1's edge band (see ``reuse1_baseline``).
+    the chosen scheme under uniform power.  The centre band always sees
+    all 18 interferers.  Under ``ffr`` the edge band sees only the six
+    co-band cells; without it, reuse factor 1 on every band, the same
+    band split and user groups see all 18, so on identical draws each
+    edge subcarrier's SINR is term-wise dominated by its FFR counterpart.
     """
     weights = scenario.weights
     rates = np.zeros(scenario.params.n_users)
@@ -402,15 +406,3 @@ def multicell_sa(
         for row, user in enumerate(users):
             rates[user] = table[row, owners == row].sum()
     return rates
-
-
-def reuse1_baseline(scenario: CellScenario, sa_scheme: str = "proposed") -> np.ndarray:
-    """Per-user rates without FFR: reuse factor 1 on every band.
-
-    Keeps the band split and user groups of the scenario but drops the
-    reuse-3 coordination, so every cell transmits on every band and the
-    edge band is hit by all 18 interferers instead of the six co-band
-    cells.  On identical draws each edge subcarrier's SINR is therefore
-    term-wise dominated by its FFR counterpart.
-    """
-    return multicell_sa(scenario, sa_scheme, ffr=False)

@@ -514,9 +514,11 @@ def exact_pa_oracle(
 
 
 def user_rates(powers: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Achieved per-user rates (1/N) * sum_n log2(1 + p * G)."""
+    """Achieved per-user rates (1/N) * sum_n log2(1 + p * G); ConfigError unless both are the same (K, N)."""
     powers = np.asarray(powers, dtype=float)
     gains = np.asarray(gains, dtype=float)
+    if powers.ndim != 2 or powers.shape != gains.shape:
+        raise ConfigError(f"powers {powers.shape} and gains {gains.shape} must be the same (K, N) shape")
     n = powers.shape[1]
     return np.log2(1.0 + powers * gains).sum(axis=1) / n
 

@@ -293,6 +293,15 @@ def test_greedy_schemes_reject_non_finite_weights():
                 scheme(table, np.array([1.0, bad]), build_grid(3, 1))
 
 
+def test_greedy_schemes_reject_a_table_that_is_not_k_by_m_before_assigning():
+    grid = build_grid(6, 1)
+    for scheme in (proposed_sa, shen_sa):
+        for table, weights in ((np.ones(6), np.ones(1)), (np.ones((2, 5)), np.ones(2)),
+                               (np.ones((2, 7)), np.ones(2)), (np.ones((1, 2, 6)), np.ones(1))):
+            with pytest.raises(ConfigError, match=r"rate table must be \(K, 6\)"):
+                scheme(table, weights, grid)
+
+
 # One instance with K = 3 users, M = 6 chunks of one subcarrier, for every
 # public call that reads rate weights; K comes from the table or the gains,
 # except in the exhaustive oracle, which reads it from the weights.
@@ -504,6 +513,18 @@ def test_oracle_single_user_trivial():
     grid = build_grid(6, 2)
     res = exhaustive_sa_oracle(np.ones(1), grid, _uniform_rates_solver(gains, 6.0))
     assert res.assignment.owners == (0, 0, 0)
+    assert res.deviation == 0.0  # undefined for one user
+
+
+def test_oracle_reads_an_undefined_deviation_as_zero():
+    # Every candidate's sum rate is 0, so the owners alone break the tie.
+    res = exhaustive_sa_oracle(np.ones(2), build_grid(3, 1), lambda a: np.zeros(2))
+    assert (res.assignment.owners, res.sum_rate, res.deviation) == ((0, 0, 1), 0.0, 0.0)
+
+
+def test_oracle_rejects_a_solver_whose_gains_have_another_user_count():
+    with pytest.raises(ConfigError, match="same"):
+        exhaustive_sa_oracle(np.ones(2), build_grid(6, 1), _uniform_rates_solver(np.ones((3, 6)), 6.0))
 
 
 def test_oracle_symmetric_tie_breaks_lexicographic():

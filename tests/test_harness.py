@@ -968,6 +968,11 @@ def test_validate_and_run_reject_a_file_that_is_no_config_object(tmp_path, capsy
     _assert_rejected(tmp_path, capsys, body)
 
 
+def test_validate_and_run_reject_a_weight_past_the_float_range(tmp_path, capsys):
+    # JSON reads a long integer literal as an int that no float can hold.
+    _assert_rejected(tmp_path, capsys, json.dumps(SINGLE_CELL | {"rate_weights": [1.0, 10**400]}).encode("utf-8"))
+
+
 def _assert_rejected(tmp_path, capsys, body: bytes):
     """validate and run each exit 1 with one `config error:` line and write no file."""
     config_path = tmp_path / "c.json"

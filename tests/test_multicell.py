@@ -19,7 +19,6 @@ from chunkfair import (
     multicell_sa,
     path_loss_db,
     place_users,
-    reuse1_baseline,
     run_experiment,
     substream,
 )
@@ -111,9 +110,9 @@ def test_band_partition_table_values():
     plan = band_partition(512, 0.5, 1.0, layout)
     assert plan.n_cc == 128
     assert plan.n_ce == 128
-    bands = [plan.centre_band, *plan.edge_bands]
-    joined = np.concatenate(bands)
-    assert joined.size == np.unique(joined).size  # disjoint
+    assert plan.centre_band.tolist() == list(range(128))
+    assert plan.edge_band.tolist() == list(range(128, 256))  # cell 1 has reuse-3 colour 0
+    assert np.intersect1d(plan.centre_band, plan.edge_band).size == 0
     assert plan.n_cc + 3 * plan.n_ce <= 512
 
 
@@ -148,6 +147,12 @@ def test_scenario_params_reject_a_list_of_the_wrong_length():
     for lists in ({"tap_counts": (4, 8, 4)}, {"rate_weights": (1.0,) * 5}):
         with pytest.raises(ConfigError, match="one entry per user"):
             small_params(**lists)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_scenario_params_reject_a_weight_that_is_not_positive_and_finite(bad):
+    with pytest.raises(ConfigError, match="positive finite rate weights"):
+        small_params(rate_weights=(1.0, bad, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------- gap factor
@@ -221,7 +226,7 @@ def test_sinr_matches_hand_evaluation():
             <= 1e-12 * centre_sinr_by_hand(sc, u, n)
     if edge.size:
         u = int(edge[0])
-        n = int(sc.plan.edge_bands[sc.plan.cell_edge_slot[0]][3])
+        n = int(sc.plan.edge_band[3])
         assert abs(sinr_edge(sc, u, n) - edge_sinr_by_hand(sc, u, n)) \
             <= 1e-12 * edge_sinr_by_hand(sc, u, n)
 
@@ -233,7 +238,7 @@ def test_sinr_zero_interference_reduces_to_snr():
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
     sc.gain_sq[u, 1:, :] = 0.0  # silence every interferer
-    n = int(sc.plan.edge_bands[sc.plan.cell_edge_slot[0]][0])
+    n = int(sc.plan.edge_band[0])
     p = sc.params.total_power_watts / sc.params.n_subcarriers
     expected = (
         10.0 ** (-0.1 * path_loss_db(sc.distance_km[u]))
@@ -246,10 +251,9 @@ def test_sinr_band_and_group_mismatch_rejected():
     # Each group's table pairs its own users with its own band and interferers.
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4), 3, 1)
     assert sc.centre_users.size and sc.edge_users.size
-    edge_band = sc.plan.edge_bands[sc.plan.cell_edge_slot[0]]
     expected = (
         ("centre", sc.centre_users, sc.plan.centre_band, np.arange(1, 19)),
-        ("edge", sc.edge_users, edge_band, sc.plan.co_band_cells),
+        ("edge", sc.edge_users, sc.plan.edge_band, sc.plan.co_band_cells),
     )
     for (name, users, table, grid), (want_name, want_users, band, cells) in zip(
         _group_tables(sc), expected
@@ -266,7 +270,7 @@ def test_sinr_monotone_in_interference():
     if edge.size == 0:
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
-    n = int(sc.plan.edge_bands[sc.plan.cell_edge_slot[0]][1])
+    n = int(sc.plan.edge_band[1])
     before = sinr_edge(sc, u, n)
     sc.gain_sq[u, sc.plan.co_band_cells[0], n] *= 10.0
     assert sinr_edge(sc, u, n) <= before
@@ -292,7 +296,7 @@ def test_effective_chunk_rate_matches_scalar_sinr_loop():
     if edge.size == 0:
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
-    band = sc.plan.edge_bands[sc.plan.cell_edge_slot[0]]
+    band = sc.plan.edge_band
     chunk = 2
     subs = band[chunk * 4:(chunk + 1) * 4]
     direct = sum(
@@ -354,7 +358,7 @@ def test_reuse1_dominated_per_subcarrier():
     if edge.size == 0:
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
-    band = sc.plan.edge_bands[sc.plan.cell_edge_slot[0]]
+    band = sc.plan.edge_band
     for n in band[:10]:
         ffr = edge_sinr_by_hand(sc, u, int(n))
         reuse1 = centre_sinr_by_hand(sc, u, int(n))  # 18 interferers
@@ -368,7 +372,7 @@ def test_sinr_vanishes_as_noise_grows():
     if edge.size == 0:
         pytest.skip("no edge user in this draw")
     u = int(edge[0])
-    n = int(quiet.plan.edge_bands[quiet.plan.cell_edge_slot[0]][0])
+    n = int(quiet.plan.edge_band[0])
     assert sinr_edge(loud, u, n) < 1e-6 * sinr_edge(quiet, u, n)
     assert sinr_edge(loud, u, n) < 1e-6
 
@@ -388,14 +392,14 @@ def test_reuse1_equals_ffr_without_interference():
     sc = build_scenario(small_params(n_subcarriers=512, chunk_size=4), 37, 2)
     sc.gain_sq[:, 1:, :] = 0.0
     ffr = multicell_sa(sc, "proposed")
-    reuse1 = reuse1_baseline(sc, "proposed")
+    reuse1 = multicell_sa(sc, "proposed", ffr=False)
     assert np.allclose(ffr, reuse1)
 
 
 def test_reuse1_deterministic_and_nonnegative():
     params = small_params(n_subcarriers=512, chunk_size=4)
-    a = reuse1_baseline(build_scenario(params, 23, 5), "proposed")
-    b = reuse1_baseline(build_scenario(params, 23, 5), "proposed")
+    a = multicell_sa(build_scenario(params, 23, 5), "proposed", ffr=False)
+    b = multicell_sa(build_scenario(params, 23, 5), "proposed", ffr=False)
     assert np.array_equal(a, b)
     assert np.all(a >= 0)
 
@@ -436,7 +440,7 @@ def test_chunk_size_views_equal_fresh_draws():
         assert (view.plan.n_cc, view.plan.n_ce) == (fresh.plan.n_cc, fresh.plan.n_ce)
         for scheme in ("proposed", "shen", "static"):
             for fn in (lambda sc: multicell_sa(sc, scheme),
-                       lambda sc: reuse1_baseline(sc, scheme)):
+                       lambda sc: multicell_sa(sc, scheme, ffr=False)):
                 got, want = _rates_or_error(fn, view), _rates_or_error(fn, fresh)
                 assert type(got) is type(want)
                 assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
@@ -459,7 +463,7 @@ def test_chunk_size_views_share_sinr_blocks(monkeypatch):
     for chunk_size in (1, 2, 4, 8):
         view = _view(drawn, chunk_size)
         multicell_sa(view)
-        reuse1_baseline(view)
+        multicell_sa(view, ffr=False)
     # Centre band, FFR edge band and no-FFR edge band, each once per draw.
     centre, edge = drawn.centre_users.size, drawn.edge_users.size
     n_cc, n_ce = drawn.plan.n_cc, drawn.plan.n_ce
@@ -551,7 +555,7 @@ def test_links_drawn_in_two_batches_equal_a_full_draw(seed):
     for chunk_size in (1, 2, 4, 8):
         view = _view(drop, chunk_size)
         multicell_sa(view)
-        reuse1_baseline(view)  # the edge users' other 12 links, in a second batch
+        multicell_sa(view, ffr=False)  # the edge users' other 12 links, in a second batch
     assert drop._drawn.all()
     assert np.array_equal(drop.gain_sq, build_scenario(params, seed, 2).gain_sq)
     assert np.array_equal(drop.gain_sq, _row_by_row_gains(params, seed, 2))

@@ -686,6 +686,15 @@ def test_sum_rate_bound_rejects_a_gain_table_of_the_wrong_width():
                 sum_rate_bound(assignment.grid, gains, 8.0, rows, weights=w)
 
 
+def test_user_rates_rejects_powers_and_gains_of_different_or_non_2d_shapes():
+    with pytest.raises(ConfigError, match="same"):
+        user_rates(np.ones((1, 6)), np.ones((3, 6)))  # would broadcast to three users
+    for powers, gains in ((np.ones(6), np.ones(6)), (np.ones((2, 6)), np.ones((2, 5)))):
+        with pytest.raises(ConfigError, match="same"):
+            user_rates(powers, gains)
+    assert user_rates(np.ones((2, 4)), np.ones((2, 4))).tolist() == [1.0, 1.0]
+
+
 def test_uniform_pa_examples():
     grid = build_grid(128, 4)
     a = static_sa(4, grid)
