@@ -406,37 +406,61 @@ ORACLE_CAP = 1_000_000
 _BOUND_BLOCK = 2**16
 
 
-def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every covering map's owner row and bound, and the order that visits them by descending bound.
+@functools.lru_cache(maxsize=2)
+def _covering_rows(n_users: int, n_chunks: int) -> np.ndarray:
+    """Every map of M chunks to K users that covers all users: read-only (C, M) uint8 rows.
 
     Maps are enumerated as base-K numbers, most significant chunk first,
-    which is ``itertools.product``'s order, and bounded in blocks of
-    ``_BOUND_BLOCK`` owner entries.  Each block keeps its covering rows
-    as uint8 (every K that ``ORACLE_CAP`` admits fits), one byte per
-    owner entry.  Without ``upper_bound`` every bound is +inf.  A NaN
-    bound reads as +inf, so it is visited first and never skips.  The
-    sort is stable: equal bounds keep the enumeration order.
-    Returns the (C, M) rows and their (C,) bounds, both in enumeration
-    order, and the (C,) visit order, which indexes them in place.
+    which is ``itertools.product``'s order, ``_BOUND_BLOCK`` owner
+    entries at a time, and each block's covering rows are written into
+    the output, whose length C is known in closed form.  One byte per
+    owner entry: every K that ``ORACLE_CAP`` admits fits.  The rows
+    depend on (K, M) only, so every search of a sweep point, and of the
+    sweep's other points and trials, shares them.  They are memoised
+    for the last two (K, M), which bounds what the memo holds to about
+    twice the largest search's rows, and read-only, so no caller can
+    change them for the next.
     """
-    n_chunks = grid.n_chunks
+    count = sum((-1) ** j * math.comb(n_users, j) * (n_users - j) ** n_chunks for j in range(n_users + 1))
+    rows = np.empty((count, n_chunks), dtype=np.uint8)
     place = n_users ** np.arange(n_chunks - 1, -1, -1)
-    step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
-    rows, bounds = [], []
+    step = max(1, _BOUND_BLOCK // n_chunks)
+    filled = 0
     for start in range(0, n_users**n_chunks, step):
         owners = np.arange(start, min(start + step, n_users**n_chunks))[:, None] // place % n_users
         owners = owners[np.all([(owners == k).any(axis=1) for k in range(n_users)], axis=0)]
-        if upper_bound is None:
-            block = np.full(len(owners), math.inf)
-        else:
+        rows[filled : filled + len(owners)] = owners
+        filled += len(owners)
+    rows.flags.writeable = False
+    return rows
+
+
+def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every covering map's owner row and bound, and the order that visits them by descending bound.
+
+    The rows are ``_covering_rows``, in enumeration order; they are
+    bounded in blocks of ``_BOUND_BLOCK`` owner entries (maps x
+    subcarriers), each block a read-only view of them.  Without
+    ``upper_bound`` every bound is +inf.  A NaN bound reads as +inf, so
+    it is visited first and never skips.  The sort is stable: equal
+    bounds keep the enumeration order.  Returns the (C, M) rows and
+    their (C,) bounds, both in enumeration order, and the (C,) visit
+    order, which indexes them in place.
+    """
+    rows = _covering_rows(n_users, grid.n_chunks)
+    if upper_bound is None:
+        bounds = np.full(len(rows), math.inf)
+    else:
+        step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
+        blocks = []
+        for start in range(0, len(rows), step):
+            owners = rows[start : start + step]
             block = np.asarray(upper_bound(owners), dtype=float)
             if block.shape != (len(owners),):
                 raise ConfigError(f"upper_bound returned shape {block.shape} for "
                                   f"{len(owners)} maps")
-        rows.append(owners.astype(np.uint8))
-        bounds.append(block)
-    rows = np.concatenate(rows)  # joined first: the blocks are freed before the sort allocates
-    bounds = np.concatenate(bounds)
+            blocks.append(block)
+        bounds = np.concatenate(blocks)
     bounds[np.isnan(bounds)] = math.inf
     return rows, bounds, np.argsort(-bounds, kind="stable")
 
@@ -472,6 +496,17 @@ def exhaustive_sa_oracle(
     candidate whose sum rate exceeds its bound raises AllocationError,
     since the bound could then have skipped a winner.
 
+    Only the bounds at or above the winning sum rate steer the search,
+    which lets a bound skip work on the rest (``power.sum_rate_bound``'s
+    ``floor``).  Let H be a covering map whose sum rate S0 under
+    ``pa_solver`` is known, and change any bound below S0 to another
+    value below S0.  H's bound is at least S0, so H is visited before
+    every map whose bound is below S0, and once H is visited the best
+    sum rate is at least S0, so the search stops at or before the first
+    such map.  The maps at or above S0 keep their bounds, and the stable
+    sort their order, so the visits, ``solved``, ``candidates``, every
+    PA error raised and the result are unchanged.
+
     Parameters
     ----------
     weights : (K,) array
@@ -480,9 +515,9 @@ def exhaustive_sa_oracle(
     pa_solver : callable
         Maps an Assignment to the (K,) vector of achieved user rates.
     upper_bound : callable, optional
-        Maps a (C, M) integer array of owner rows to (C,) values that no
-        sum rate ``pa_solver`` returns for those maps exceeds, such as
-        ``power.sum_rate_bound``; a NaN bound rules nothing out.
+        Maps a read-only (C, M) uint8 array of owner rows to (C,) values
+        that no sum rate ``pa_solver`` returns for those maps exceeds,
+        such as ``power.sum_rate_bound``; a NaN bound rules nothing out.
     """
     weights = _rate_weights(weights, np.size(weights))
     n_users, n_chunks = len(weights), grid.n_chunks

@@ -361,10 +361,21 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
     unconstrained water-filling, which holds for every PA; for a PA that
     ``_PA`` flags as giving rates proportional to the rate weights (the
     exact oracle), it also takes the weights, a tighter bound that holds
-    only for such a PA.  Each PA scheme
-    solves each distinct assignment once per point, so an oracle
-    candidate that a heuristic also picked is not solved again.  A PA
-    error is not kept: asking again raises it again.
+    only for such a PA.  Each PA scheme solves each distinct assignment
+    once per point, so an oracle candidate that a heuristic also picked
+    is not solved again.  A PA error is not kept: asking again raises it
+    again.
+
+    The unit-price water-fill of each block of candidates depends on
+    neither the PA nor the weights, so it is computed once per point and
+    every search reads it.  A search's floor is the best sum rate among
+    the assignments this PA has already solved at the point, NaNs left
+    out: those of the SA schemes listed before the oracle.  Each gives
+    every user a chunk, so each is a candidate of the search.  Only the
+    candidates whose unit-price bound reaches the floor get the
+    rate-weighted refinement; by the argument in
+    ``exhaustive_sa_oracle``, the search visits and solves the same
+    candidates, and raises the same errors, as without a floor.
     """
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
@@ -384,6 +395,7 @@ def _single_cell_rates(grid, gains, weights, total_power, table):
     """``rates_of(sa, pa)`` of one single-cell point; see ``_single_cell_points``."""
     assigned = {}  # SA name -> its assignment or its error
     solved = {}  # (PA name, owners) -> that assignment's rates under that PA
+    unit = {}  # owner block bytes -> its unit-price water-fill, shared by every PA's search
 
     def rates_of(sa, pa):
         solve, proportional = _PA[pa]
@@ -398,8 +410,16 @@ def _single_cell_rates(grid, gains, weights, total_power, table):
             return solved[key]
 
         if sa == "exhaustive-oracle":
-            bound = functools.partial(power.sum_rate_bound, grid, gains, total_power,
-                                      weights=weights if proportional else None)
+            sums = [float(rates.sum()) for (name, _), rates in solved.items() if name == pa]
+            floor = max([s for s in sums if s == s], default=-math.inf)
+
+            def bound(owners):
+                key = owners.tobytes()
+                if key not in unit:
+                    unit[key] = power._unit_waterfill(grid, gains, total_power, owners)
+                return power.sum_rate_bound(grid, gains, total_power, owners,
+                                            weights if proportional else None, floor, unit[key])
+
             return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
         if sa not in assigned:
             try:

@@ -2,23 +2,28 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UndefinedMetricError
 
 __all__ = ["deviation", "min_weighted_rate", "mean_ci"]
 
+# numpy adds fewer float64 terms than this in order, and sums longer runs pairwise.
+_PAIRWISE_FROM = 8
+
 
 def _total(xs: list[float]) -> float:
     """``float(np.array(xs).sum())`` of a list of floats, bit for bit.
 
-    numpy adds fewer than 8 float64 terms in order, starting from 0.0,
-    and sums 8 or more pairwise; so a short list is added here in plain
-    floats, which is faster than building an array, and a long one is
-    handed to numpy.  The per-user values of the PAs and of the row
-    metrics are summed through this one helper.
+    numpy adds fewer than ``_PAIRWISE_FROM`` float64 terms in order,
+    starting from 0.0, and sums longer runs pairwise; so a short list is
+    added here in plain floats, which is faster than building an array,
+    and a long one is handed to numpy.  The per-user values of the PAs
+    and of the row metrics are summed through this one helper.
     """
-    if len(xs) >= 8:
+    if len(xs) >= _PAIRWISE_FROM:
         return float(np.array(xs).sum())
     total = 0.0
     for x in xs:
@@ -76,12 +81,20 @@ def min_weighted_rate(rates: np.ndarray, weights: np.ndarray) -> float:
 
 
 def mean_ci(values) -> tuple[float, float]:
-    """Mean and 95% normal-approximation half-width over trials."""
+    """Mean and 95% normal-approximation half-width over trials.
+
+    The mean and the sample standard deviation are computed as
+    ``arr.mean()`` and ``arr.std(ddof=1)`` compute them, bit for bit,
+    without their Python wrappers: the sum over n, then the summed
+    squared deviations over n - 1, then the square root.
+    """
     arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise UndefinedMetricError("mean_ci of empty sample")
-    mean = float(arr.mean())
-    if arr.size < 2:
+    mean = float(np.add.reduce(arr)) / n
+    if n < 2:
         return mean, 0.0
-    half = 1.96 * float(arr.std(ddof=1)) / np.sqrt(arr.size)
-    return mean, half
+    spread = arr - mean
+    std = math.sqrt(float(np.add.reduce(spread * spread)) / (n - 1))
+    return mean, 1.96 * std / math.sqrt(n)

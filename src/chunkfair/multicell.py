@@ -191,8 +191,13 @@ class ScenarioParams(LinkBudget):
     rate_weights: tuple[float, ...]
 
     def __post_init__(self):
+        if self.n_users < 1:
+            raise ConfigError(f"n_users must be >= 1, got {self.n_users}")
         if len(self.tap_counts) != self.n_users or len(self.rate_weights) != self.n_users:
             raise ConfigError("tap_counts and rate_weights must list one entry per user")
+        if not all(isinstance(t, (int, np.integer)) and 1 <= t <= self.n_subcarriers for t in self.tap_counts):
+            raise ConfigError(f"tap_counts must be integers in [1, {self.n_subcarriers}], "
+                              f"got {list(self.tap_counts)}")
         _rate_weights(self.rate_weights, self.n_users)
         if not 0 <= self.centre_radius_fraction <= 1:
             raise ConfigError("centre_radius_fraction must lie in [0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .assign import Assignment, ChunkGrid, _rate_weights
 from .errors import AllocationError, ConfigError, InfeasibleError, OracleConvergenceError
-from .metrics import _total
+from .metrics import _PAIRWISE_FROM, _total
 
 __all__ = [
     "OrderedGains",
@@ -392,31 +392,51 @@ def uniform_pa(assignment: Assignment, total_power: float) -> PowerAllocation:
     )
 
 
-def _level_budgets(fit: list[tuple], t: float) -> list[float]:
-    """Per-user budgets P_k(t) at rate level t, in plain floats.
+def _level_total(fit: list[tuple], t: float, budgets: list | None = None) -> float:
+    """Total of the per-user budgets P_k(t) at rate level t, as ``_total`` sums them.
 
     ``fit`` holds one (v, n / g_min, weight, n, log2_w) tuple per user
-    (``_level_fit``).
-    Each budget is the float numpy gives for the same formula on float64
-    scalars, so the operation order must stay as written (folding
-    ``weight / n`` changes the rounding); a power that overflows is inf,
-    as in numpy, where Python's ``**`` raises.
+    (``_level_fit``); each budget is also appended to ``budgets`` when
+    one is given.  Each budget is the float numpy gives for the same
+    formula on float64 scalars, so the operation order must stay as
+    written (folding ``weight / n`` changes the rounding); a power that
+    overflows is inf, as in numpy, where Python's ``**`` raises.  Below
+    ``_PAIRWISE_FROM`` users the total is added as the budgets come, in
+    ``_total``'s order, so no list is built; from there on numpy's
+    pairwise sum needs them all.
     """
-    budgets = []
+    pairwise = len(fit) >= _PAIRWISE_FROM
+    if budgets is None and pairwise:
+        budgets = []
+    total = 0.0
     for v, scale, weight, n, log2_w in fit:
         try:
             growth = 2.0 ** (weight * t / n - log2_w)
         except OverflowError:
             growth = math.inf
-        budgets.append(v + scale * (growth - 1.0))
+        budget = v + scale * (growth - 1.0)
+        total += budget
+        if budgets is not None:
+            budgets.append(budget)
+    return _total(budgets) if pairwise else total
+
+
+def _level_budgets(fit: list[tuple], t: float) -> list[float]:
+    """Per-user budgets P_k(t) at rate level t, in plain floats (``_level_total``)."""
+    budgets = []
+    _level_total(fit, t, budgets)
     return budgets
 
 
 def _solve_level(fit: list[tuple], total_power: float) -> list[float]:
-    """One prune pass's budgets at the bisected rate level; see ``exact_pa_oracle``."""
+    """One prune pass's budgets at the bisected rate level; see ``exact_pa_oracle``.
+
+    The bracket and the bisection read only the budgets' total; the
+    budget list is built once, at the level returned.
+    """
     t_hi = 1.0
     for _ in range(_ORACLE_MAX_DOUBLINGS):
-        if _total(_level_budgets(fit, t_hi)) > total_power:
+        if _level_total(fit, t_hi) > total_power:
             break
         t_hi *= 2.0
     else:
@@ -426,15 +446,13 @@ def _solve_level(fit: list[tuple], total_power: float) -> list[float]:
     for _ in range(_ORACLE_MAX_BISECTIONS):
         t = 0.5 * (t_lo + t_hi)
         if not t_lo < t < t_hi:
-            # The bracket holds two adjacent floats and cannot move.
-            return min(
-                (_level_budgets(fit, t_lo), _level_budgets(fit, t_hi)),
-                key=lambda b: abs(_total(b) - total_power),
-            )
-        budgets = _level_budgets(fit, t)
-        resid = _total(budgets) - total_power
+            # The bracket holds two adjacent floats and cannot move: take
+            # the end whose budgets sum closer to the total power.
+            end = min((t_lo, t_hi), key=lambda level: abs(_level_total(fit, level) - total_power))
+            return _level_budgets(fit, end)
+        resid = _level_total(fit, t) - total_power
         if abs(resid) <= tol:
-            return budgets
+            return _level_budgets(fit, t)
         if resid > 0:
             t_hi = t
         else:
@@ -472,10 +490,11 @@ def exact_pa_oracle(
     weakest subcarrier is dropped, its statistics are recomputed and the
     level re-solved, iterating to a fixpoint.
 
-    Every step evaluates the budgets as plain floats (``_level_budgets``)
-    summed in ``ndarray.sum()``'s order (``_total``), which is faster
-    than a numpy array at a few users and gives the same bits.  The
-    budget array is built once, on the final pass.
+    Every step evaluates the budgets' total in plain floats
+    (``_level_total``), in ``ndarray.sum()``'s order (``_total``), which
+    is faster than a numpy array at a few users and gives the same bits.
+    Each pass builds its budget list once, at its level, and the budget
+    array is built once, on the final pass.
 
     One sort orders every user's gains (``_sorted_gains``, as in
     ``proposed_pa``).  A prune drops the weakest gains, so each user's
@@ -557,6 +576,8 @@ def sum_rate_bound(
     total_power: float,
     owners: np.ndarray,
     weights: np.ndarray | None = None,
+    floor: float = -math.inf,
+    unit: tuple | None = None,
 ) -> np.ndarray:
     """Upper bounds on the sum rate of each chunk map in a block: (C, M) owners to (C,) bounds.
 
@@ -564,8 +585,13 @@ def sum_rate_bound(
     for every ``powers`` that ``_check_allocation(powers, total_power)``
     accepts and that loads only the map's own (owner, subcarrier)
     entries, as every PA here does.  With ``weights`` the bound holds
-    only for ``exact_pa_oracle``'s powers: see "Rate weights" below.  A
-    row with a NaN owned gain gets NaN.
+    only for ``exact_pa_oracle``'s powers: see "Rate weights" below,
+    and with ``floor`` a bound below it may be looser: see "Floor".  A
+    row with a NaN owned gain gets NaN.  ``unit``, when given, is
+    ``_unit_waterfill(grid, gains, total_power, owners)`` of the same
+    arguments, kept from an earlier call so that the searches of one
+    sweep point water-fill each map at unit prices once; the bounds are
+    the same as without it.
 
     The bound is unconstrained water-filling over the map's own gains:
     ``_priced_waterfill`` at unit prices, whose level is the least prefix
@@ -657,6 +683,22 @@ def sum_rate_bound(
     exceeded the bound without these margins only below -45 dB,
     by at most 3.5e-9 relative and 1.2% of the absolute term; from
     -45 dB up it stayed at least 8.7e-11 relative under it.
+
+    Every priced iterate is at least its margin, since its water-fill
+    terms and prices are non-negative.  A map whose margin already
+    reaches its unit-price bound, as every map's does once W / w_min
+    nears 1e12, therefore keeps the unit-price bound, bit for bit, and
+    its priced iterates are not computed.
+
+    Floor.  A map whose unit-price bound is below ``floor`` skips the
+    priced iterates too and keeps its unit-price bound.  That bound is
+    valid and below ``floor``, and every other map gets the bound it
+    gets without a floor, so the bounds at or above ``floor`` are the
+    same, and so is the set of maps below it.  A search that is sure to
+    meet a sum rate at or above ``floor`` before any bound below it
+    therefore visits the same maps in the same order with or without
+    it; see ``exhaustive_sa_oracle``.  Without ``weights`` nothing is
+    skipped and ``floor`` is not read.
     """
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 2 or gains.shape[1] != grid.n_subcarriers:
@@ -664,32 +706,73 @@ def sum_rate_bound(
     n_users, n = gains.shape
     if weights is not None:
         weights = np.array(_rate_weights(weights, n_users))
-    owners = grid.per_subcarrier(owners)
-    g = gains[owners, np.arange(n)]
-    budget = total_power * (1.0 + _POWER_REL_TOL)
+    bound, rates, g_max = _unit_waterfill(grid, gains, total_power, owners) if unit is None else unit
+    bound = bound.copy()
+    if weights is None:
+        return bound
     with np.errstate(over="ignore"):
-        r = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=g > 0)
-        terms = _priced_waterfill(g, r, np.ones(g.shape), budget)
-        bound = terms.sum(axis=1) / n * (1.0 + (n_users * n + 2 * n + n_users + 32) * 2.0**-52) + 2.0**-50
-        if weights is not None:
-            bound = np.fmin(bound, _priced_bound(g, r, terms, owners, weights, total_power, budget))
-    bound[np.isnan(g).any(axis=1)] = np.nan
+        margin = weights.sum() / weights.min() * (2.0**-45 + 6e-12 * total_power * g_max / n)
+        # NaN bounds compare false both ways, so a NaN row stays NaN.
+        priced = np.flatnonzero((bound >= floor) & (margin < bound))
+        if priced.size:
+            owners, g, r = _owned_gains(grid, gains, np.asarray(owners)[priced])
+            budget = total_power * (1.0 + _POWER_REL_TOL)
+            iterate = _priced_bound(g, r, rates[priced], owners, weights, budget) + margin[priced]
+            bound[priced] = np.fmin(bound[priced], iterate)
     return bound
 
 
-def _priced_bound(g, r, terms, owners, weights, total_power, budget):
-    """The least of ``sum_rate_bound``'s priced iterates, from the unit-price ``terms``."""
+def _owned_gains(grid: ChunkGrid, gains: np.ndarray, owners):
+    """A block of maps' per-subcarrier owners, owned gains g and their reciprocals r (inf where g <= 0): (C, N) each."""
+    owners = grid.per_subcarrier(owners)
+    g = gains[owners, np.arange(grid.n_subcarriers)]
+    with np.errstate(over="ignore"):
+        r = np.divide(1.0, g, out=np.full(g.shape, np.inf), where=g > 0)
+    return owners, g, r
+
+
+def _user_sums(owners, terms, n_users: int) -> np.ndarray:
+    """(C, K) sums of each map's (C, N) ``terms`` over each user's subcarriers, added in subcarrier order."""
+    n_maps = len(owners)
+    cells = (owners + n_users * np.arange(n_maps)[:, None]).ravel()  # each term's (map, user)
+    return np.bincount(cells, weights=terms.ravel(), minlength=n_maps * n_users).reshape(n_maps, n_users)
+
+
+def _unit_waterfill(grid: ChunkGrid, gains: np.ndarray, total_power: float, owners):
+    """``sum_rate_bound``'s unit-price pass over a block of maps: (bound, rates, g_max), each per map.
+
+    ``bound`` is the unit-price bound, NaN for a map with a NaN owned
+    gain; ``rates`` the (C, K) sums of each user's water-filling terms,
+    from which the first price update starts; ``g_max`` the largest
+    owned gain, at least 0, which sets the priced margin.  None of them
+    depends on the rate weights or the PA, so every search of a sweep
+    point can share them.
+    """
+    n_users, n = gains.shape
+    owners, g, r = _owned_gains(grid, gains, owners)
+    with np.errstate(over="ignore"):
+        terms = _priced_waterfill(g, r, np.ones(g.shape), total_power * (1.0 + _POWER_REL_TOL))
+        bound = terms.sum(axis=1) / n * (1.0 + (n_users * n + 2 * n + n_users + 32) * 2.0**-52) + 2.0**-50
+    bound[np.isnan(g).any(axis=1)] = np.nan
+    return bound, _user_sums(owners, terms, n_users), np.maximum(g.max(axis=1), 0.0)
+
+
+def _priced_bound(g, r, rates, owners, weights, budget):
+    """The least of ``sum_rate_bound``'s priced iterates before their margin is added.
+
+    ``rates`` are the unit-price water-fill's per-user rates (``_user_sums``),
+    from which the first price update starts.
+    """
     n_maps, n = g.shape
     n_users, n_tries = weights.size, _DUAL_EXPONENTS.size
     w_sum = weights.sum()
-    cells = (owners + n_users * np.arange(n_maps)[:, None]).ravel()  # each gain's (map, user)
-    margin = w_sum / weights.min() * (2.0**-45 + 6e-12 * total_power * np.maximum(g.max(axis=1), 0.0) / n)
     rows = np.arange(n_tries * n_maps)[:, None]
-    g, r, owners = (np.tile(a, (n_tries, 1)) for a in (g, r, owners))
+    tiled_g, tiled_r, tiled_owners = (np.tile(a, (n_tries, 1)) for a in (g, r, owners))
     nu = np.ones((n_maps, n_users))
     best = np.full(n_maps, np.inf)
-    for _ in range(_DUAL_UPDATES):
-        rates = np.bincount(cells, weights=terms.ravel(), minlength=n_maps * n_users).reshape(n_maps, n_users)
+    for update in range(_DUAL_UPDATES):
+        if update:
+            rates = _user_sums(owners, terms, n_users)
         mean = (rates.sum(axis=1) / w_sum)[:, None]  # N times mean(R / w)
         ratio = rates / weights
         step = np.divide(mean, ratio, out=np.full(ratio.shape, _DUAL_STEP_CAP),
@@ -697,13 +780,13 @@ def _priced_bound(g, r, terms, owners, weights, total_power, budget):
         # Every map's prices at every exponent, stacked exponent by exponent.
         tries = (nu * step ** _DUAL_EXPONENTS[:, None, None]).reshape(-1, n_users)
         tries /= (tries * weights).sum(axis=1)[:, None]
-        price = tries[rows, owners]
-        tried = _priced_waterfill(g, r, price, budget)
+        price = tries[rows, tiled_owners]
+        tried = _priced_waterfill(tiled_g, tiled_r, price, budget)
         values = (price * tried).sum(axis=1) / n * w_sum
         pick = values.reshape(n_tries, n_maps).argmin(axis=0) * n_maps + np.arange(n_maps)
         nu, terms = tries[pick], tried[pick]
         best = np.fmin(best, values[pick])
-    return best * (1.0 + (n_users * n + 5 * n + 3 * n_users + 64) * 2.0**-52) + margin
+    return best * (1.0 + (n_users * n + 5 * n + 3 * n_users + 64) * 2.0**-52)
 
 
 def _check_allocation(powers: np.ndarray, total_power: float) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from chunkfair import (
     uniform_pa,
     user_rates,
 )
-from chunkfair import assign
+from chunkfair import assign, power
 from chunkfair.assign import _greedy_sa
 
 from oracles import (
@@ -698,6 +699,76 @@ def test_bounded_oracle_returns_the_full_searchs_result(n_users):
     assert exact_solved["weighted"] < exact_solved["water-filling"]
 
 
+def _recorded_search(weights, grid, solver, upper_bound):
+    """The owner tuples one bounded search solves, in order, and its outcome: result bits and ``solved``, or its error."""
+    visits = []
+
+    def recorded(assignment):
+        visits.append(assignment.owners)
+        return solver(assignment)
+
+    try:
+        res = exhaustive_sa_oracle(weights, grid, recorded, upper_bound=upper_bound)
+    except ChunkfairError as exc:
+        return visits, (type(exc).__name__, str(exc))
+    return visits, (_oracle_bits(res), res.solved)
+
+
+def test_floored_search_visits_what_the_plain_bounds_search_visits(monkeypatch):
+    # As the harness runs it: each PA's search takes as its floor the best
+    # sum rate of the heuristics' assignments under that PA, and the
+    # uniform and exact searches of an instance share each block's
+    # unit-price water-fill.  From -60 to +20 dB, where some solves fail,
+    # at weight ratios up to 1e12, where the margin skips every priced map.
+    priced_bound, refined, side = power._priced_bound, {}, ["plain"]
+
+    def counted(g, *args):
+        refined[side[0]] += len(g)
+        return priced_bound(g, *args)
+
+    monkeypatch.setattr(power, "_priced_bound", counted)
+    rng = np.random.default_rng(70)
+    errors = 0
+    for ratio in (2.0, 1e6, 1e12):
+        refined.update(plain=0, floored=0)
+        for instance in range(12):
+            n_users = int(rng.integers(2, 4))
+            chunk_size = int(rng.integers(1, 3))
+            n = int(rng.integers(n_users, 7)) * chunk_size + int(rng.integers(0, chunk_size))
+            grid = build_grid(n, chunk_size)
+            gains = random_gains(n_users, n, seed=200 + instance, taps=min(n, int(rng.integers(1, 5))))
+            weights = ratio ** rng.permutation(np.linspace(0.0, 1.0, n_users))
+            total_power = n * 10.0 ** ((-60.0, -20.0, 0.0, 20.0)[instance % 4] / 10.0)
+            table = chunk_rates(gains, grid, total_power / n)
+            heuristics = [proposed_sa(table, weights, grid)[0], shen_sa(table, weights, grid)[0],
+                          static_sa(n_users, grid)]
+            unit = {}  # owner block bytes -> its unit-price water-fill, shared by both PAs' searches
+            for solver, w in ((_uniform_rates_solver(gains, total_power), None),
+                              (_exact_rates_solver(gains, weights, total_power), weights)):
+                sums = []
+                for assignment in heuristics:
+                    try:
+                        sums.append(float(solver(assignment).sum()))
+                    except ChunkfairError:
+                        pass
+                floor = max([s for s in sums if s == s], default=-math.inf)
+
+                def floored(owners, w=w, floor=floor):
+                    key = owners.tobytes()
+                    if key not in unit:
+                        unit[key] = power._unit_waterfill(grid, gains, total_power, owners)
+                    return sum_rate_bound(grid, gains, total_power, owners, w, floor, unit[key])
+
+                side[0] = "plain"
+                plain = _recorded_search(weights, grid, solver,
+                                         functools.partial(sum_rate_bound, grid, gains, total_power, weights=w))
+                side[0] = "floored"
+                assert _recorded_search(weights, grid, solver, floored) == plain, (ratio, instance, w)
+                errors += isinstance(plain[1][0], str)
+        assert refined["floored"] < refined["plain"] if ratio < 1e12 else refined == {"plain": 0, "floored": 0}
+    assert errors > 0
+
+
 def _stub_bound(bounds_by_owners):
     def bound(owners):
         return np.array([bounds_by_owners.get(tuple(row), 1.0) for row in owners.tolist()])
@@ -789,6 +860,28 @@ def test_oracle_search_spans_several_bound_blocks(n_users, n_chunks):
         (-1) ** j * math.comb(n_users, j) * (n_users - j) ** n_chunks for j in range(n_users + 1)
     )
     assert _oracle_bits(res) == _oracle_bits(exhaustive_sa_oracle_direct(weights, grid, solver))
+
+
+def test_visit_order_memory_is_bounded():
+    # K = 2, M = 19: 524,286 covering maps, 10 MB of uint8 rows.  Building
+    # them, their bounds and the visit order must stay within 24.2 MB;
+    # int64 rows alone would take 80 MB.  The memo keeps the last two
+    # (K, M), so searches over other sizes do not add up.
+    assign._covering_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        rows, bounds, order = assign._visit_order(2, build_grid(38, 2), None)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert rows.shape == (2**19 - 2, 19) and rows.dtype == np.uint8 and not rows.flags.writeable
+        del rows, bounds, order
+        for n_users, n_chunks in ((3, 12), (2, 18), (5, 8), (4, 9), (6, 7)):
+            assign._visit_order(n_users, build_grid(n_chunks, 1), None)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        assign._covering_rows.cache_clear()
+    assert peak <= 24.2e6
+    assert held <= 4e6  # the last two sizes' rows, 1.8 MB; all six would hold 23.7 MB
 
 
 def test_oracle_cap_enforced():

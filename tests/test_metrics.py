@@ -125,3 +125,15 @@ def test_mean_ci():
     assert mean == 1.0 and half > 0
     with pytest.raises(UndefinedMetricError):
         mean_ci([])
+
+
+def test_mean_ci_equals_numpys_mean_and_sample_std_bit_for_bit():
+    # Sizes 1-7 are summed in order by numpy, 8-40 pairwise; the spread of
+    # magnitudes and signs makes each rounding show.
+    rng = np.random.default_rng(56)
+    for n in range(1, 41):
+        for _ in range(25):
+            arr = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n) + rng.uniform(-5.0, 5.0)
+            mean, half = mean_ci(arr.tolist())
+            std = arr.std(ddof=1) if n > 1 else 0.0
+            assert float_reprs([mean, half]) == float_reprs([arr.mean(), 1.96 * std / np.sqrt(n)])

@@ -149,6 +149,18 @@ def test_scenario_params_reject_a_list_of_the_wrong_length():
             small_params(**lists)
 
 
+@pytest.mark.parametrize("taps", [(0, 4, 4, 4), (400, 4, 4, 4), (4.5, 4, 4, 4)])
+def test_scenario_params_reject_a_tap_count_that_is_not_an_integer_in_one_to_n(taps):
+    with pytest.raises(ConfigError, match=r"tap_counts must be integers in \[1, 128\]"):
+        small_params(n_subcarriers=128, tap_counts=taps)
+    assert small_params(n_subcarriers=128, tap_counts=(1, 128, 4, 4)).tap_counts == (1, 128, 4, 4)
+
+
+def test_scenario_params_reject_no_users():
+    with pytest.raises(ConfigError, match="n_users must be >= 1"):
+        small_params(n_users=0, tap_counts=(), rate_weights=())
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_scenario_params_reject_a_weight_that_is_not_positive_and_finite(bad):
     with pytest.raises(ConfigError, match="positive finite rate weights"):

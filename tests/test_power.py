@@ -1095,6 +1095,49 @@ def test_weighted_sum_rate_bound_takes_a_row_without_a_priced_gain():
     assert bound[0] == unit[0] == pytest.approx(1.03139078)
 
 
+def _bound_with_every_priced_iterate(grid, gains, total_power, rows, weights):
+    """``sum_rate_bound``'s rate-weighted bound with the priced iterates taken on every map: (bound, margin, unit)."""
+    unit, rates, g_max = power._unit_waterfill(grid, gains, total_power, rows)
+    owners, g, r = power._owned_gains(grid, gains, rows)
+    margin = weights.sum() / weights.min() * (2.0**-45 + 6e-12 * total_power * g_max / grid.n_subcarriers)
+    iterate = power._priced_bound(g, r, rates, owners, weights, total_power * (1.0 + 1e-9)) + margin
+    bound = np.fmin(unit, iterate)
+    bound[np.isnan(unit)] = np.nan
+    return bound, margin, unit
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e6, 1e12])
+def test_weighted_bound_skips_only_priced_iterates_that_cannot_lower_it(monkeypatch, ratio):
+    # Oracle-small's shape: N = 12, K = 2, L in {1, 2, 3}, every covering map.
+    # A priced iterate is at least its margin, so a map whose margin reaches
+    # its unit-price bound keeps that bound and skips its priced water-fills;
+    # at a weight ratio of 1e12 every map's margin does.
+    weights = np.array([1.0, ratio])
+    priced_rows = []
+    waterfill = power._priced_waterfill
+
+    def recorded(g, r, price, budget):
+        if not (price == 1.0).all():
+            priced_rows.append(len(g))
+        return waterfill(g, r, price, budget)
+
+    refined = lowered = 0
+    for chunk_size in (1, 2, 3):
+        grid = build_grid(12, chunk_size)
+        rows = np.array([row for row in itertools.product(range(2), repeat=grid.n_chunks) if len(set(row)) == 2])
+        for trial in range(3):
+            gains = np.random.default_rng(trial).exponential(size=(2, 12))
+            want, margin, unit = _bound_with_every_priced_iterate(grid, gains, 12.0, rows, weights)
+            with monkeypatch.context() as m:
+                m.setattr(power, "_priced_waterfill", recorded)
+                bound = sum_rate_bound(grid, gains, 12.0, rows, weights=weights)
+            assert bound.tobytes() == want.tobytes()
+            refined += int((margin < unit).sum())
+            lowered += int((bound < unit).sum())
+    assert sum(priced_rows) == power._DUAL_UPDATES * power._DUAL_EXPONENTS.size * refined
+    assert (refined == lowered == 0) if ratio == 1e12 else lowered > 0
+
+
 def _widest_waterfill(assignment, gains, total_power):
     """Water-filling over the map's own gains, spending as much as ``_check_allocation`` accepts.
 
