@@ -32,6 +32,7 @@ from .channel import (
     realize_channel,
     subcarrier_gains,
     substream,
+    substreams,
 )
 from .errors import (
     AllocationError,

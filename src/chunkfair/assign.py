@@ -181,7 +181,7 @@ def normalized_rates(rate_table: np.ndarray) -> np.ndarray:
     neutral value 1 for all users.
     """
     rates = np.asarray(rate_table, dtype=float)
-    means = rates.mean(axis=0)
+    means = np.add.reduce(rates, axis=0) / len(rates)  # ndarray.mean's sum and divide, without its wrapper
     return np.divide(rates, means, out=np.ones_like(rates), where=means > 0)
 
 
@@ -297,13 +297,21 @@ def _greedy_sa(
 
     if least_favoured_first:
         # Every pending user registers its best chunk; the one whose
-        # registered score over its weight is smallest takes it.
+        # registered score over its weight is smallest takes it.  Only
+        # the users that had registered the taken chunk pick again.
         pending = list(range(n_users))
+        picks = [best(k) for k in pending]
+        values = [scores.item(k, m) / w[k] for k, m in zip(pending, picks)]
         while pending:
-            picks = [best(k) for k in pending]
-            values = [scores.item(k, m) / w[k] for k, m in zip(pending, picks)]
             i = values.index(min(values))
-            take(pending.pop(i), picks[i])
+            del values[i]
+            m = picks.pop(i)
+            take(pending.pop(i), m)
+            for j, pick in enumerate(picks):
+                if pick == m:
+                    k = pending[j]
+                    picks[j] = best(k)
+                    values[j] = scores.item(k, picks[j]) / w[k]
     else:
         for k in range(n_users):
             take(k, best(k))
@@ -365,8 +373,14 @@ def shen_sa(
     return assignment, _comparison_count(*rates.shape, False)
 
 
+@functools.lru_cache(maxsize=256)
 def static_sa(n_users: int, grid: ChunkGrid) -> Assignment:
-    """Channel-independent round-robin: chunk m goes to user m mod K."""
+    """Channel-independent round-robin: chunk m goes to user m mod K.
+
+    Memoised per (K, grid): the map depends on nothing else and the
+    ``Assignment`` is frozen, so every call shares it.  A call that
+    raises is not memoised, so it raises again.
+    """
     _check_chunk_count(n_users, grid.n_chunks)
     owners = tuple(m % n_users for m in range(grid.n_chunks))
     return Assignment(grid=grid, owners=owners, n_users=n_users)
@@ -441,26 +455,26 @@ def _visit_order(n_users: int, grid: ChunkGrid, upper_bound) -> tuple[np.ndarray
     The rows are ``_covering_rows``, in enumeration order; they are
     bounded in blocks of ``_BOUND_BLOCK`` owner entries (maps x
     subcarriers), each block a read-only view of them.  Without
-    ``upper_bound`` every bound is +inf.  A NaN bound reads as +inf, so
-    it is visited first and never skips.  The sort is stable: equal
+    ``upper_bound`` every bound is +inf and the visit order is the
+    enumeration order, with nothing sorted.  A NaN bound reads as +inf,
+    so it is visited first and never skips.  The sort is stable: equal
     bounds keep the enumeration order.  Returns the (C, M) rows and
     their (C,) bounds, both in enumeration order, and the (C,) visit
     order, which indexes them in place.
     """
     rows = _covering_rows(n_users, grid.n_chunks)
     if upper_bound is None:
-        bounds = np.full(len(rows), math.inf)
-    else:
-        step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
-        blocks = []
-        for start in range(0, len(rows), step):
-            owners = rows[start : start + step]
-            block = np.asarray(upper_bound(owners), dtype=float)
-            if block.shape != (len(owners),):
-                raise ConfigError(f"upper_bound returned shape {block.shape} for "
-                                  f"{len(owners)} maps")
-            blocks.append(block)
-        bounds = np.concatenate(blocks)
+        return rows, np.full(len(rows), math.inf), np.arange(len(rows))
+    step = max(1, _BOUND_BLOCK // grid.n_subcarriers)
+    blocks = []
+    for start in range(0, len(rows), step):
+        owners = rows[start : start + step]
+        block = np.asarray(upper_bound(owners), dtype=float)
+        if block.shape != (len(owners),):
+            raise ConfigError(f"upper_bound returned shape {block.shape} for "
+                              f"{len(owners)} maps")
+        blocks.append(block)
+    bounds = np.concatenate(blocks)
     bounds[np.isnan(bounds)] = math.inf
     return rows, bounds, np.argsort(-bounds, kind="stable")
 

@@ -14,12 +14,15 @@ builds the user's taps, :func:`frequency_response` their FFT and
 A single-cell user is one link, ``realize_channel``'s one row.
 
 Reproducibility: every random draw comes from a substream generator
-built by :func:`substream`.  A substream is
-``default_rng(SeedSequence(entropy=(master_seed, *path)))`` where the
-path is a tuple of small non-negative integers, by convention
+built by :func:`substreams`, or :func:`substream` for one path.  A
+substream is ``default_rng(SeedSequence(entropy=(master_seed, *path)))``
+where the path is a tuple of small non-negative integers, by convention
 ``(STREAM_CHANNEL, trial, user, cell)`` for channel draws and
-``(STREAM_PLACEMENT, trial)`` for user placement.  The derivation is
-stable across runs, platforms, and trial execution order.
+``(STREAM_PLACEMENT, trial)`` for user placement.  ``substreams`` seeds
+the generators of many paths from one block of entropy words, one row
+per path; each row's generator is the one ``substream`` gives for that
+path alone.  The derivation is stable across runs, platforms, and
+trial execution order.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "UserProfile",
     "ChannelRealization",
     "substream",
+    "substreams",
     "generate_taps",
     "frequency_response",
     "subcarrier_gains",
@@ -72,22 +76,37 @@ class ChannelRealization:
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """Return the PCG64 generator for one documented substream.
+    """Return the PCG64 generator for one documented substream: ``substreams``' one-row case.
 
     ``path`` identifies the consumer, e.g. ``(STREAM_CHANNEL, trial,
     user, cell)``.  Identical (seed, path) always yields an identical
     stream; any difference in the path yields an independent one.
     """
-    entropy = (master_seed, *path)
-    if min(entropy) < 0:
-        raise ConfigError(f"substream path entries must be non-negative, got {entropy}")
-    if max(entropy) < 2**32:
-        # Each entry is one uint32 word of the pool either way; numpy
-        # coerces an array of them much faster than a tuple of ints.
-        entropy = np.array(entropy, dtype=np.uint32)
+    return substreams(master_seed, [path])[0]
+
+
+def substreams(master_seed: int, paths) -> list[np.random.Generator]:
+    """One PCG64 generator per path, in order, each seeded from ``(master_seed, *path)``.
+
+    The paths must have one length and non-negative entries
+    (ConfigError otherwise).  When every entry fits one uint32 word, the
+    rows ``(master_seed, *path)`` form one read-only uint32 entropy
+    block and each generator is seeded from its row; else each row is a
+    tuple of Python ints.  Either way each entry is one or more uint32
+    words of the seed pool, so the streams are the same.
+    """
+    rows = [(master_seed, *path) for path in paths]
+    if min(map(min, rows), default=0) < 0:
+        raise ConfigError(f"substream path entries must be non-negative, got {rows}")
+    if len(set(map(len, rows))) > 1:
+        raise ConfigError(f"substream paths must have one length, got {rows}")
+    if max(map(max, rows), default=0) < 2**32:
+        # numpy coerces one block of uint32 words much faster than a tuple of ints per row.
+        entropy = np.array(rows, dtype=np.uint32)
+        entropy.flags.writeable = False
     else:
-        entropy = tuple(int(e) for e in entropy)
-    return np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+        entropy = [tuple(int(e) for e in row) for row in rows]
+    return [np.random.default_rng(np.random.SeedSequence(row)) for row in entropy]
 
 
 def generate_taps(profile: UserProfile, rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -10,7 +10,6 @@ point.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import math
@@ -235,7 +234,7 @@ class ExperimentConfig(multicell.LinkBudget):
 
         Not a field: equality, ``fields()`` and the JSON grammar ignore it.
         """
-        names = {f.name for f in fields(multicell.ScenarioParams)} - {"chunk_size"}
+        names = {f.name for f in fields(multicell.ScenarioParams) if f.init} - {"chunk_size"}
         shared = {n: getattr(self, n) for n in names}
         return tuple(multicell.ScenarioParams(chunk_size=size, **shared) for size in self.chunk_sizes)
 
@@ -484,6 +483,8 @@ def run_experiment(
     if workers == 1:
         per_trial = [_trial_rows(config, t) for t in range(config.trials)]
     else:
+        import concurrent.futures  # only a parallel run pays for this import
+
         run_trial = functools.partial(_trial_rows, config)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(run_trial, range(config.trials)))

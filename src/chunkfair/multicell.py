@@ -25,7 +25,7 @@ import numpy as np
 
 from .assign import ChunkGrid, _rate_weights, build_grid, chunk_rates, run_sa
 from .channel import (STREAM_CHANNEL, STREAM_PLACEMENT, UserProfile, frequency_response, generate_taps,
-                      subcarrier_gains, substream)
+                      subcarrier_gains, substream, substreams)
 from .errors import ConfigError, InfeasibleError
 
 __all__ = [
@@ -85,6 +85,8 @@ def build_layout(radius_km: float, intercell_km: float) -> HexLayout:
     qs = np.rint((centers[:, 0] - centers[:, 1] / math.sqrt(3.0)) / d).astype(int)
     rs = np.rint(centers[:, 1] * 2.0 / (math.sqrt(3.0) * d)).astype(int)
     color = (qs + 2 * rs) % 3
+    for array in (centers, dist, color):
+        array.flags.writeable = False
     return HexLayout(centers=centers, bs_distance_km=dist, reuse3_color=color)
 
 
@@ -126,8 +128,8 @@ def band_partition(
     The centre band holds ceil(N * (tau/R)^2) subcarriers, matching the
     coverage-area split; each edge band holds floor((N - N_cc) / 3), and
     edge band b (of colour b) follows the centre band and bands 0..b-1.
-    The plan does not depend on the chunk size.  Raises ConfigError
-    unless 0 <= tau <= R.
+    The plan does not depend on the chunk size, and its arrays are
+    read-only.  Raises ConfigError unless 0 <= tau <= R.
     """
     n = int(n_subcarriers)
     if not 0 <= tau_km <= radius_km:
@@ -135,13 +137,11 @@ def band_partition(
     n_cc = math.ceil(n * (tau_km / radius_km) ** 2)
     n_ce = (n - n_cc) // REUSE_FACTOR
     colour = layout.reuse3_color[0]
-    return FfrPlan(
-        n_cc=n_cc,
-        n_ce=n_ce,
-        centre_band=np.arange(n_cc),
-        edge_band=np.arange(n_cc + colour * n_ce, n_cc + (colour + 1) * n_ce),
-        co_band_cells=np.flatnonzero(layout.reuse3_color == colour)[1:],
-    )
+    bands = (np.arange(n_cc), np.arange(n_cc + colour * n_ce, n_cc + (colour + 1) * n_ce),
+             np.flatnonzero(layout.reuse3_color == colour)[1:])
+    for array in bands:
+        array.flags.writeable = False
+    return FfrPlan(n_cc, n_ce, *bands)
 
 
 def ber_gap(target_ber: float) -> float:
@@ -182,13 +182,25 @@ class LinkBudget:
 
 @dataclass(frozen=True, kw_only=True)
 class ScenarioParams(LinkBudget):
-    """Inputs of one multi-cell drop, before any randomness; construction checks every range."""
+    """Inputs of one multi-cell drop, before any randomness; construction checks every range.
+
+    Construction also builds the drop geometry that every drop of these
+    params shares: the ``layout``, the FFR ``plan``, the
+    ``interferer_attenuation`` (19,) path-loss factor of each base
+    station (0 for cell 1's) and the BER gap ``lam``.  They are derived
+    fields, outside ``__init__``, equality and repr, and read-only: the
+    arrays are not writeable.
+    """
 
     n_subcarriers: int
     chunk_size: int
     n_users: int
     tap_counts: tuple[int, ...]
     rate_weights: tuple[float, ...]
+    layout: HexLayout = field(init=False, repr=False, compare=False)
+    plan: FfrPlan = field(init=False, repr=False, compare=False)
+    interferer_attenuation: np.ndarray = field(init=False, repr=False, compare=False)
+    lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_users < 1:
@@ -210,7 +222,7 @@ class ScenarioParams(LinkBudget):
         except OverflowError:
             raise ConfigError(f"cell_radius_km and intercell_distance_km must give finite "
                               f"path-loss factors; a distance of {nearest:g} km does not") from None
-        ber_gap(self.target_ber)
+        lam = ber_gap(self.target_ber)
         ChunkGrid(self.n_subcarriers, self.chunk_size)  # raises unless 1 <= L <= N
         try:
             finite = 0 < self.total_power_watts < math.inf and 0 < self.noise_power_watts < math.inf
@@ -219,12 +231,22 @@ class ScenarioParams(LinkBudget):
         if not finite:
             raise ConfigError("bs_power_dbm, noise_density_dbm_hz and subcarrier_spacing_hz "
                               "must give positive finite powers in watts")
+        interferer_att = np.zeros(N_CELLS)
+        interferer_att[1:] = [_path_gain(d) for d in layout.bs_distance_km[1:]]
+        interferer_att.flags.writeable = False
+        plan = band_partition(self.n_subcarriers, self.tau_km, self.cell_radius_km, layout)
+        for name, value in (("layout", layout), ("plan", plan), ("interferer_attenuation", interferer_att),
+                            ("lam", lam)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class CellScenario:
     """One seeded drop: placements, the plan, and channels to every base station.
 
+    ``layout``, ``plan``, ``interferer_attenuation`` and ``lam`` are the
+    drop geometry of the params it was drawn with, the same read-only
+    objects, shared by every drop of those params.
     ``params.chunk_size`` is the only chunk-size input; the plan and the
     draw do not depend on it.  A view of the drop under another chunk
     size is ``dataclasses.replace(drawn, params=p)``, where ``p`` differs
@@ -274,27 +296,25 @@ class CellScenario:
 def build_scenario(params: ScenarioParams, master_seed: int, trial: int) -> CellScenario:
     """Place the users of one multi-cell drop; its links are drawn on first read.
 
-    Placement uses (STREAM_PLACEMENT, trial).  No link is drawn here:
+    The geometry is the params' own (see ``ScenarioParams``), so
+    placement is all the work done here; it uses (STREAM_PLACEMENT,
+    trial).  No link is drawn here:
     the channel from base station i to user k uses (STREAM_CHANNEL,
     trial, k, i) and is drawn when a model first reads it, or when
     ``gain_sq`` is read.  Write into ``gain_sq`` only before the first
     SINR read; see ``CellScenario``.
     """
-    layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
-    plan = band_partition(params.n_subcarriers, params.tau_km, params.cell_radius_km, layout)
     rng = substream(master_seed, STREAM_PLACEMENT, trial)
     distances = place_users(params.n_users, params.cell_radius_km, rng)
-    interferer_att = np.zeros(N_CELLS)
-    interferer_att[1:] = [_path_gain(d) for d in layout.bs_distance_km[1:]]
     return CellScenario(
         params=params,
-        layout=layout,
-        plan=plan,
+        layout=params.layout,
+        plan=params.plan,
         distance_km=distances,
         is_centre=distances <= params.tau_km,
         desired_attenuation=np.array([_path_gain(d) for d in distances]),
-        interferer_attenuation=interferer_att,
-        lam=ber_gap(params.target_ber),
+        interferer_attenuation=params.interferer_attenuation,
+        lam=params.lam,
         _seed_trial=(master_seed, trial),
         _gains=np.empty((params.n_users, N_CELLS, params.n_subcarriers)),
         _drawn=np.zeros((params.n_users, N_CELLS), dtype=bool),
@@ -305,8 +325,8 @@ def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None
     """Draw every listed (user, cell) link that is not drawn yet.
 
     A user's missing links are drawn in cell order, one
-    ``standard_normal(2 * tap_count)`` from each link's own substream,
-    and get one tap build, one batched FFT and one gain pass, whose rows
+    ``standard_normal(2 * tap_count)`` from each link's own substream
+    (seeded together by one ``substreams`` call), and get one tap build, one batched FFT and one gain pass, whose rows
     equal row-by-row calls, so a link's bytes depend only on its
     substream path, not on which links are drawn with it or when.
     """
@@ -319,7 +339,7 @@ def _links(scenario: CellScenario, users: np.ndarray, cells: np.ndarray) -> None
         if not missing.size:
             continue
         profile = UserProfile(tap_count=params.tap_counts[k])
-        rngs = [substream(master_seed, STREAM_CHANNEL, trial, k, cell) for cell in missing]
+        rngs = substreams(master_seed, [(STREAM_CHANNEL, trial, k, cell) for cell in missing.tolist()])
         h = frequency_response(generate_taps(profile, rngs), params.n_subcarriers)
         scenario._gains[k, missing] = subcarrier_gains(h, 1.0)
         scenario._drawn[k, missing] = True
@@ -408,6 +428,10 @@ def multicell_sa(
         if table is None or grid.n_chunks < users.size:
             raise InfeasibleError(f"{users.size} {name} users need at least as many {name} chunks")
         owners = np.asarray(run_sa(sa_scheme, table, weights[users], grid).owners)
-        for row, user in enumerate(users):
-            rates[user] = table[row, owners == row].sum()
+        # Each row's chunks in chunk order, rows one after another: the
+        # values, in the order, of table[row, owners == row].
+        chunks = np.argsort(owners, kind="stable")
+        owned = table[owners[chunks], chunks]
+        ends = np.cumsum(np.bincount(owners, minlength=users.size)).tolist()
+        rates[users] = [owned[start:end].sum() for start, end in zip([0, *ends], ends)]
     return rates

@@ -34,7 +34,7 @@ from chunkfair.errors import (
     OracleConvergenceError,
     UndefinedMetricError,
 )
-from chunkfair.metrics import deviation
+from chunkfair.metrics import _min, _total, deviation
 from chunkfair.power import (
     OrderedGains,
     PowerAllocation,
@@ -123,6 +123,30 @@ def deviation_direct(rates, weights):
     if not denom > 0:
         raise UndefinedMetricError("deviation denominator is zero")
     return float(np.abs(rate_shares - weight_shares).sum() / denom)
+
+
+def deviation_listed(rates, weights):
+    """``metrics.deviation`` in plain floats at every K, as it was before its array form from K = 8."""
+    rates = np.asarray(rates, dtype=float).tolist()
+    weights = np.asarray(weights, dtype=float).tolist()
+    if len(rates) < 2:
+        raise UndefinedMetricError("deviation needs at least two users")
+    total_rate = _total(rates)
+    if not total_rate > 0:
+        raise UndefinedMetricError("deviation undefined for zero total rate")
+    total_weight = _total(weights)
+    weight_shares = [w / total_weight for w in weights]
+    denom = 2.0 - 2.0 * _min(weight_shares)
+    if not denom > 0:
+        raise UndefinedMetricError("deviation denominator is zero")
+    return _total([abs(r / total_rate - s) for r, s in zip(rates, weight_shares, strict=True)]) / denom
+
+
+def min_weighted_rate_listed(rates, weights):
+    """``metrics.min_weighted_rate`` in plain floats at every K, as it was before its array form from K = 8."""
+    rates = np.asarray(rates, dtype=float).tolist()
+    weights = np.asarray(weights, dtype=float).tolist()
+    return _min([r / w for r, w in zip(rates, weights, strict=True)])
 
 
 def min_weighted_rate_direct(rates, weights):

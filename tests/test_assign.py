@@ -1,4 +1,5 @@
 import dataclasses
+import dataclasses
 import functools
 import itertools
 import math
@@ -164,6 +165,16 @@ def test_normalized_rates_mean_identity():
     nr = normalized_rates(r)
     assert np.allclose(nr.mean(axis=0), 1.0, atol=1e-12)
     assert np.allclose(nr.sum(axis=0), 5.0, atol=1e-12)
+
+
+def test_normalized_rates_divide_by_numpys_mean_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for n_users in (1, 2, 4, 8, 9, 16):
+        r = rng.exponential(size=(n_users, 64)) * 10.0 ** rng.uniform(-6, 3, size=64)
+        r[:, ::7] = 0.0
+        means = r.mean(axis=0)
+        want = np.divide(r, means, out=np.ones_like(r), where=means > 0)
+        assert normalized_rates(r).tobytes() == want.tobytes()
 
 
 def test_normalized_rates_degenerate_chunk_is_neutral():
@@ -368,6 +379,18 @@ def test_static_sa_channel_independent_and_infeasible():
     assert static_sa(2, build_grid(6, 2)).owners == static_sa(2, build_grid(6, 2)).owners
     with pytest.raises(InfeasibleError):
         static_sa(4, build_grid(3, 1))
+
+
+def test_static_sa_is_shared_per_grid_and_raises_on_every_call():
+    a = static_sa(2, build_grid(6, 2))
+    assert static_sa(2, build_grid(6, 2)) is a and not a.subcarrier_owners.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.owners = (1, 0, 1)
+    for _ in range(3):
+        with pytest.raises(InfeasibleError):
+            static_sa(4, build_grid(3, 1))
+        with pytest.raises(ConfigError):
+            static_sa(0, build_grid(3, 1))
 
 
 # ---------------------------------------------------------------- greedy kernel
@@ -882,6 +905,42 @@ def test_visit_order_memory_is_bounded():
         assign._covering_rows.cache_clear()
     assert peak <= 24.2e6
     assert held <= 4e6  # the last two sizes' rows, 1.8 MB; all six would hold 23.7 MB
+
+
+def test_visit_order_without_a_bound_sorts_nothing():
+    # Without a bound the visit order is the enumeration order: the same
+    # search as under an all-inf bound, without the negated bounds and
+    # the argsort, so a lower peak once the rows are built.
+    grid = build_grid(19, 1)
+    assign._covering_rows.cache_clear()
+    try:
+        rows = assign._covering_rows(2, grid.n_chunks)
+        peaks = []
+        for upper_bound in (None, lambda owners: np.full(len(owners), np.inf)):
+            tracemalloc.start()
+            try:
+                got_rows, bounds, order = assign._visit_order(2, grid, upper_bound)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert got_rows is rows
+            assert np.array_equal(order, np.arange(len(rows))) and np.all(bounds == np.inf)
+            del got_rows, bounds, order
+        assert peaks[0] < 0.6 * peaks[1]
+    finally:
+        assign._covering_rows.cache_clear()
+    table = np.random.default_rng(3).random((2, 10))
+    small = build_grid(10, 1)
+
+    def solver(assignment):
+        owners = np.array(assignment.owners)
+        return np.array([table[k][owners == k].sum() for k in range(2)])
+
+    weights = np.array([1.0, 2.0])
+    plain = exhaustive_sa_oracle(weights, small, solver)
+    everything = exhaustive_sa_oracle(weights, small, solver, lambda owners: np.full(len(owners), np.inf))
+    assert _oracle_bits(plain) == _oracle_bits(everything)
+    assert plain.solved == everything.solved == plain.candidates
 
 
 def test_oracle_cap_enforced():

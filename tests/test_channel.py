@@ -9,6 +9,7 @@ from chunkfair import (
     realize_channel,
     subcarrier_gains,
     substream,
+    substreams,
 )
 
 from oracles import dft_direct, generate_taps_direct
@@ -113,6 +114,43 @@ def test_substream_matches_the_int_tuple_seed_sequence(seed, path):
     assert np.array_equal(rng.bit_generator.seed_seq.pool, reference.pool)
     expected = np.random.default_rng(reference).standard_normal(8)
     assert np.array_equal(rng.standard_normal(8), expected)
+
+
+@pytest.mark.parametrize("seed, path", [
+    (0, (0, 0, 0, 0)),
+    (42, (0, 7, 0, 3)),
+    (2**32 - 1, (1, 0)),
+    (2**32 + 5, (0, 7, 3, 0)),
+    (2**64 + 1, (1, 0)),
+    (42, (0, 2**32, 3, 0)),
+    (42, (0, 7, np.int64(2**40), np.int64(5))),
+    (42, (1, np.uint64(2**64 - 1), 0)),
+])
+def test_substreams_rows_draw_as_substream_does(seed, path):
+    # One block of this path and three neighbours, the first entry of
+    # each at or past 2**32 in one of them.
+    paths = [path, (*path[:-1], int(path[-1]) + 1), (int(path[0]) + 1, *path[1:]), (2**32, *path[1:])]
+    for block in (paths, paths[:3]):
+        rngs = substreams(seed, block)
+        assert len(rngs) == len(block)
+        for rng, p in zip(rngs, block):
+            alone = substream(seed, *p)
+            assert np.array_equal(rng.bit_generator.seed_seq.pool, alone.bit_generator.seed_seq.pool)
+            assert np.array_equal(rng.standard_normal(8), alone.standard_normal(8))
+
+
+def test_substreams_block_is_read_only_and_checked():
+    rngs = substreams(5, [(0, 1, 2, cell) for cell in range(19)])
+    entropy = rngs[3].bit_generator.seed_seq.entropy
+    assert entropy.dtype == np.uint32 and not entropy.flags.writeable
+    assert entropy.tolist() == [5, 0, 1, 2, 3]
+    assert substreams(5, []) == []
+    with pytest.raises(ConfigError, match="non-negative"):
+        substreams(5, [(0, 1), (0, -1)])
+    with pytest.raises(ConfigError, match="non-negative"):
+        substreams(-1, [(0, 1)])
+    with pytest.raises(ConfigError, match="one length"):
+        substreams(5, [(0, 1), (0, 1, 2)])
 
 
 def test_unit_energy_monte_carlo():

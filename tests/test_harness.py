@@ -250,8 +250,8 @@ def test_multicell_run_draws_each_trial_once(monkeypatch):
 
 
 def test_multicell_run_reuses_the_checked_params(monkeypatch):
-    # The config's check builds each chunk size's ScenarioParams; a run
-    # builds none and one layout per drawn trial.
+    # The config's check builds each chunk size's ScenarioParams, and
+    # with it the drop geometry; a run builds neither.
     from chunkfair import multicell
 
     config = ExperimentConfig.from_dict(MULTI_CELL)
@@ -269,7 +269,7 @@ def test_multicell_run_reuses_the_checked_params(monkeypatch):
     monkeypatch.setattr(multicell.ScenarioParams, "__post_init__", counting_post_init)
     monkeypatch.setattr(multicell, "build_layout", counting_build_layout)
     rows, _ = run_experiment(config)
-    assert counts == {"params": 0, "layouts": config.trials}
+    assert counts == {"params": 0, "layouts": 0}
     assert len(rows) == config.trials * len(config.chunk_sizes) * len(config.sa_schemes)
 
 

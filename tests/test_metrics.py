@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from chunkfair import UndefinedMetricError, deviation, mean_ci, min_weighted_rate
 from chunkfair.metrics import _min, _total
 
-from oracles import deviation_direct, deviation_elementwise, float_reprs, min_weighted_rate_direct
+from oracles import (deviation_direct, deviation_elementwise, deviation_listed, float_reprs,
+                     min_weighted_rate_direct, min_weighted_rate_listed)
 
 
 def test_deviation_zero_when_proportional():
@@ -116,6 +117,38 @@ def test_row_metrics_match_their_array_forms_bit_for_bit():
             assert float_reprs(_total(rates.tolist())) == float_reprs(rates.sum())
     assert raised == {"deviation needs at least two users", "deviation undefined for zero total rate",
                       "deviation denominator is zero"}
+
+
+def test_row_metrics_from_eight_users_match_their_list_forms_bit_for_bit():
+    # From K = 8 the metrics hand numpy the arrays they were given; the
+    # plain-float list form handed it lists of the same floats.
+    rng = np.random.default_rng(29)
+    raised = set()
+    for n_users in range(8, 17):
+        for i in range(200):
+            rates = rng.exponential(1.0, n_users) * 10.0 ** rng.uniform(-6, 3)
+            weights = rng.random(n_users) + 0.1
+            if i % 4 == 1:  # a zero total, from zeros of either sign
+                rates = rng.choice([0.0, -0.0], n_users)
+            elif i % 4 == 2:
+                rates[rng.random(n_users) < 0.3] = rng.choice([0.0, -0.0, np.nan])
+            elif i % 4 == 3:
+                weights[rng.random(n_users) < 0.2] = np.nan
+            for metric, reference in ((deviation, deviation_listed),
+                                      (min_weighted_rate, min_weighted_rate_listed)):
+                got = _metric_outcome(metric, rates, weights)
+                assert got == _metric_outcome(reference, rates, weights)
+                if isinstance(got, str):
+                    raised.add(got)
+    assert raised == {"deviation undefined for zero total rate", "deviation denominator is zero"}
+
+
+def test_row_metrics_need_one_weight_per_rate():
+    for n_users in (3, 8):
+        for weights in (np.ones(1), np.ones(n_users + 1), np.ones((n_users, 1))):
+            for metric in (deviation, min_weighted_rate):
+                with pytest.raises(ValueError, match="one weight per rate"):
+                    metric(np.ones(n_users), weights)
 
 
 def test_mean_ci():

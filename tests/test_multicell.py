@@ -345,6 +345,49 @@ def test_multicell_sa_partitions_bands():
                           np.arange(8))
 
 
+@pytest.mark.parametrize("scheme", ["proposed", "shen", "static"])
+def test_multicell_sa_group_rates_are_the_masked_row_sums_bit_for_bit(scheme):
+    params = small_params(n_subcarriers=256, chunk_size=1, n_users=8, tap_counts=(4, 8, 16, 32) * 2,
+                          rate_weights=(1.0, 2.0, 1.0, 0.5) * 2)
+    for seed in (2, 11, 24680):
+        drawn = build_scenario(params, seed, 1)
+        for chunk_size in (1, 2, 4, 8):
+            view = _view(drawn, chunk_size)
+            for ffr in (True, False):
+                want = np.zeros(8)
+                for _, users, table, grid in _group_tables(view, ffr):
+                    owners = np.asarray(run_sa(scheme, table, view.weights[users], grid).owners)
+                    for row, user in enumerate(users):
+                        want[user] = table[row, owners == row].sum()
+                assert multicell_sa(view, scheme, ffr).tobytes() == want.tobytes()
+
+
+def test_scenario_params_hold_the_drop_geometry_read_only():
+    params = small_params()
+    layout = build_layout(params.cell_radius_km, params.intercell_distance_km)
+    plan = band_partition(params.n_subcarriers, params.tau_km, params.cell_radius_km, layout)
+    for got, want in ((params.layout, layout), (params.plan, plan)):
+        for name, value in vars(want).items():
+            assert np.array_equal(getattr(got, name), value)
+            if isinstance(value, np.ndarray):
+                assert not getattr(got, name).flags.writeable
+    assert params.interferer_attenuation.tolist() == [0.0] + [
+        10.0 ** (-0.1 * path_loss_db(d)) for d in layout.bs_distance_km[1:]]
+    assert not params.interferer_attenuation.flags.writeable
+    assert params.lam == ber_gap(params.target_ber)
+    drop = build_scenario(params, 5, 0)
+    assert (drop.layout, drop.plan, drop.interferer_attenuation, drop.lam) == (
+        params.layout, params.plan, params.interferer_attenuation, params.lam)
+    assert drop.plan is params.plan and build_scenario(params, 6, 1).plan is params.plan
+    # The geometry is derived: not an argument, and not part of equality.
+    other = dataclasses.replace(params, chunk_size=8)
+    assert other.plan is not params.plan and dataclasses.replace(other, chunk_size=4) == params
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.plan = plan
+    with pytest.raises(ValueError):
+        params.layout.centers[0, 0] = 1.0
+
+
 def test_multicell_sa_single_centre_user_takes_all_chunks():
     sc = build_scenario(small_params(centre_radius_fraction=1.0, n_users=1, tap_counts=(4,),
                                      rate_weights=(1.0,)), 31, 0)
@@ -510,14 +553,15 @@ def test_run_draws_each_link_a_model_reads_once(monkeypatch, scenario):
     from chunkfair import multicell
 
     draws = collections.Counter()
-    stream = multicell.substream
+    streams = multicell.substreams
 
-    def counting(master_seed, *path):
-        if path[0] == STREAM_CHANNEL:
+    def counting(master_seed, paths):
+        for path in paths:
+            assert path[0] == STREAM_CHANNEL
             draws[path[1:]] += 1
-        return stream(master_seed, *path)
+        return streams(master_seed, paths)
 
-    monkeypatch.setattr(multicell, "substream", counting)
+    monkeypatch.setattr(multicell, "substreams", counting)
     config = ExperimentConfig.from_dict({
         "scenario": scenario,
         "n_subcarriers": 256,

@@ -1061,38 +1061,57 @@ def test_weighted_sum_rate_bound_rejects_bad_weights():
             sum_rate_bound(grid, gains, 10.0, owners[None, :], weights=np.array(weights))
 
 
-def test_weighted_sum_rate_bound_takes_prices_that_underflow_to_zero():
+def test_priced_bound_takes_prices_that_underflow_to_zero(monkeypatch):
     # A weight ratio of 1e300 underflows the small user's normalised prices
     # to 0; such a price's subcarriers sort last and add nothing, without a
-    # divide-by-zero warning.  Shape of the oracle-small workload: N = 12, K = 2.
+    # divide-by-zero warning.  Shape of the oracle-small workload: N = 12,
+    # K = 2.  ``sum_rate_bound`` skips the priced iterates at this ratio,
+    # so ``_priced_bound`` is called directly.
     weights = np.array([1e300, 1.0])
+    calls = []
+    waterfill = power._priced_waterfill
+
+    def recording(g, r, price, budget):
+        terms = waterfill(g, r, price, budget)
+        calls.append((price == 0, terms))
+        return terms
+
+    monkeypatch.setattr(power, "_priced_waterfill", recording)
     for chunk_size in (1, 2, 3):
         grid = build_grid(12, chunk_size)
         rows = np.array([row for row in itertools.product(range(2), repeat=grid.n_chunks) if len(set(row)) == 2])
         for trial in range(3):
             gains = np.random.default_rng(trial).exponential(size=(2, 12))
+            unit, rates, _ = power._unit_waterfill(grid, gains, 12.0, rows)
+            owners, g, r = power._owned_gains(grid, gains, rows)
+            calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                bound = sum_rate_bound(grid, gains, 12.0, rows, weights=weights)
-            assert np.all(bound <= sum_rate_bound(grid, gains, 12.0, rows))
+                iterate = power._priced_bound(g, r, rates, owners, weights, 12.0)
+            assert calls and all(zero.any() for zero, _ in calls)
+            assert all(np.all(terms[zero] == 0.0) for zero, terms in calls)
+            assert np.all(np.isfinite(iterate)) and np.all(iterate >= 0.0)
 
 
-def test_weighted_sum_rate_bound_takes_a_row_without_a_priced_gain():
-    # Weights (1e300, 1) underflow user 1's prices to 0, so the row where
-    # user 1 owns every chunk has no positive price on a positive gain.
-    # Its priced water-fill earns nothing, without a floating-point
-    # warning, and the row keeps its unit-price bound.
+def test_priced_waterfill_takes_a_row_without_a_priced_gain():
+    # Weights (1e300, 1) normalise to prices (1e-300, 1e-300); a step of
+    # 1e-30 on user 1 underflows its price to 0, so the row where user 1
+    # owns every chunk has no positive price on a positive gain.  Its
+    # water-fill earns nothing, without a floating-point warning, and
+    # the other row's terms are those it gets alone.
     grid = build_grid(12, 2)
     gains = np.random.default_rng(0).exponential(size=(2, 12))
-    rows = np.array([[1] * 6, [0, 1, 0, 1, 0, 1]])
-    weights = np.array([1e300, 1.0])
+    owners, g, r = power._owned_gains(grid, gains, np.array([[1] * 6, [0, 1, 0, 1, 0, 1]]))
+    nu = np.array([1.0, 1e-30]) / 1e300
+    price = nu[owners]
+    assert np.all(price[0] == 0.0) and np.all(price[1][owners[1] == 0] > 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bound = sum_rate_bound(grid, gains, 12.0, rows, weights=weights)
-        alone = np.concatenate([sum_rate_bound(grid, gains, 12.0, row[None, :], weights=weights) for row in rows])
-        unit = sum_rate_bound(grid, gains, 12.0, rows[:1])
-    assert np.array_equal(bound.view(np.uint64), alone.view(np.uint64))
-    assert bound[0] == unit[0] == pytest.approx(1.03139078)
+        terms = power._priced_waterfill(g, r, price, 12.0)
+        alone = power._priced_waterfill(g[1:], r[1:], price[1:], 12.0)
+    assert np.all(terms[0] == 0.0)
+    assert np.array_equal(terms[1:].view(np.uint64), alone.view(np.uint64))
+    assert terms[1].sum() > 0.0
 
 
 def _bound_with_every_priced_iterate(grid, gains, total_power, rows, weights):
