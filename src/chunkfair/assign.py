@@ -9,6 +9,7 @@ arg-min scan break toward the lowest index so runs are reproducible.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -70,10 +71,13 @@ class ChunkGrid:
         return np.repeat(owners, self._sizes, axis=-1) if self.chunk_size > 1 else owners
 
 
+@functools.lru_cache(maxsize=256)
 def build_grid(n_subcarriers: int, chunk_size: int) -> ChunkGrid:
     """Build the chunk grid for N subcarriers and chunk size L.
 
-    Raises ConfigError unless 1 <= L <= N.
+    Raises ConfigError unless 1 <= L <= N.  Memoised per (N, L): a grid
+    is frozen and its chunk sizes read-only, so every group, chunk size
+    and trial of a run shares one.  A call that raises is not memoised.
     """
     return ChunkGrid(n_subcarriers=int(n_subcarriers), chunk_size=int(chunk_size))
 
@@ -261,11 +265,14 @@ def _greedy_sa(
     The loops run on plain Python lists.  Each user's chunks are sorted
     once by descending score (a stable sort, so ties keep the lowest
     index first, as an arg-max does) and a per-user pointer skips the
-    chunks already taken.  The weighted rates ``acc[k] / w[k]`` are kept
-    in a list, and only the taker's entry is recomputed after a take;
-    ``ratio.index(min(ratio))`` is the first minimum, as an arg-min is.
-    Every float operation matches the array form: sequential adds into
-    ``acc``, then one division.  Neither input array is modified.
+    chunks already taken.  Phase 2 keeps the pairs
+    ``(acc[k] / w[k], k)`` in a heap and replaces only the taker's pair
+    after a take.  The least pair is the first minimum of the weighted
+    rates, as an arg-min is: ties, -0.0 against 0.0 included, go to the
+    lowest user, and no weighted rate is NaN, since every rate is finite
+    and so ``acc`` is too, or +-inf.  Every float operation matches the
+    array form: sequential adds into ``acc``, then one division.
+    Neither input array is modified.
     """
     if rates.ndim != 2 or rates.shape[1] != grid.n_chunks:
         raise ConfigError(f"rate table must be (K, {grid.n_chunks}), got shape {rates.shape}")
@@ -315,10 +322,11 @@ def _greedy_sa(
     else:
         for k in range(n_users):
             take(k, best(k))
-    ratio = [a / wk for a, wk in zip(acc, w)]
+    heap = [(a / wk, k) for k, (a, wk) in enumerate(zip(acc, w))]
+    heapq.heapify(heap)
     for _ in range(n_chunks - n_users):
         # best() and take() inlined: this loop runs M - K times.
-        k = ratio.index(min(ratio))
+        k = heap[0][1]
         row, p = order[k], pointer[k]
         while taken[row[p]]:
             p += 1
@@ -327,7 +335,7 @@ def _greedy_sa(
         owners[m] = k
         taken[m] = True
         acc[k] += rate_rows[k][m]
-        ratio[k] = acc[k] / w[k]
+        heapq.heapreplace(heap, (acc[k] / w[k], k))
 
     return Assignment(grid=grid, owners=tuple(owners), n_users=n_users)
 

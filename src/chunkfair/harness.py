@@ -46,12 +46,14 @@ __all__ = [
 
 SA_SCHEMES = ("proposed", "shen", "static", "exhaustive-oracle")
 # Each PA scheme: its solver, which reads its ``power`` function when called, so a
-# wrapper set there takes effect; and whether its rates are proportional to the
-# rate weights, which lets the exhaustive oracle bound its sum rates more tightly.
+# wrapper set there takes effect; and the name of the bound on its sum rates that
+# its exhaustive-oracle search uses (``_search_bound``).  Unconstrained water-filling
+# holds for every PA; the rate-weighted bound only for rates proportional to the
+# weights (the exact oracle); uniform power's bound is its own sum rate.
 _PA = {
-    "proposed": (lambda a, gains, weights, p: power.proposed_pa(a, gains, weights, p), False),
-    "uniform": (lambda a, gains, weights, p: power.uniform_pa(a, p), False),
-    "exact-oracle": (lambda a, gains, weights, p: power.exact_pa_oracle(a, gains, weights, p), True),
+    "proposed": (lambda a, gains, weights, p: power.proposed_pa(a, gains, weights, p), "water-filling"),
+    "uniform": (lambda a, gains, weights, p: power.uniform_pa(a, p), "uniform-power"),
+    "exact-oracle": (lambda a, gains, weights, p: power.exact_pa_oracle(a, gains, weights, p), "rate-weighted"),
 }
 PA_SCHEMES = tuple(_PA)
 SCENARIOS = ("single-cell", "multi-cell", "multi-cell-no-FFR")
@@ -355,26 +357,29 @@ def _single_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarra
 
     A greedy or static SA runs once per point and its assignment, or its
     error, serves every PA scheme; the exhaustive oracle searches per PA,
-    skipping the candidates that ``power.sum_rate_bound`` rules out, so
-    a skipped candidate's PA error never reaches a row.  The bound is
-    unconstrained water-filling, which holds for every PA; for a PA that
-    ``_PA`` flags as giving rates proportional to the rate weights (the
-    exact oracle), it also takes the weights, a tighter bound that holds
-    only for such a PA.  Each PA scheme solves each distinct assignment
+    skipping the candidates that the PA's bound in ``_PA`` rules out
+    (``_search_bound``), so a skipped candidate's PA error never reaches
+    a row.  The proposed PA's bound is unconstrained water-filling
+    (``power.sum_rate_bound``), which holds for every PA; the exact
+    oracle's also takes the rate weights, a tighter bound that holds
+    only for rates proportional to them; uniform power's is its own sum
+    rate (``power._uniform_bound``), so its search solves little more
+    than the winner.  Each PA scheme solves each distinct assignment
     once per point, so an oracle candidate that a heuristic also picked
     is not solved again.  A PA error is not kept: asking again raises it
     again.
 
     The unit-price water-fill of each block of candidates depends on
     neither the PA nor the weights, so it is computed once per point and
-    every search reads it.  A search's floor is the best sum rate among
-    the assignments this PA has already solved at the point, NaNs left
-    out: those of the SA schemes listed before the oracle.  Each gives
-    every user a chunk, so each is a candidate of the search.  Only the
-    candidates whose unit-price bound reaches the floor get the
-    rate-weighted refinement; by the argument in
-    ``exhaustive_sa_oracle``, the search visits and solves the same
-    candidates, and raises the same errors, as without a floor.
+    the water-filling and rate-weighted searches both read it.  A
+    search's floor is the best sum rate among the assignments this PA
+    has already solved at the point, NaNs left out: those of the SA
+    schemes listed before the oracle.  Each gives every user a chunk, so
+    each is a candidate of the search.  Only the candidates whose
+    unit-price bound reaches the floor get the rate-weighted
+    refinement; by the argument in ``exhaustive_sa_oracle``, the search
+    visits and solves the same candidates, and raises the same errors,
+    as without a floor.
     """
     n = config.n_subcarriers
     gains = np.empty((config.n_users, n))
@@ -394,10 +399,10 @@ def _single_cell_rates(grid, gains, weights, total_power, table):
     """``rates_of(sa, pa)`` of one single-cell point; see ``_single_cell_points``."""
     assigned = {}  # SA name -> its assignment or its error
     solved = {}  # (PA name, owners) -> that assignment's rates under that PA
-    unit = {}  # owner block bytes -> its unit-price water-fill, shared by every PA's search
+    unit = {}  # owner block bytes -> its unit-price water-fill, shared by the proposed and exact-oracle searches
 
     def rates_of(sa, pa):
-        solve, proportional = _PA[pa]
+        solve, bound_name = _PA[pa]
 
         def pa_rates(assignment):
             key = (pa, assignment.owners)
@@ -411,14 +416,7 @@ def _single_cell_rates(grid, gains, weights, total_power, table):
         if sa == "exhaustive-oracle":
             sums = [float(rates.sum()) for (name, _), rates in solved.items() if name == pa]
             floor = max([s for s in sums if s == s], default=-math.inf)
-
-            def bound(owners):
-                key = owners.tobytes()
-                if key not in unit:
-                    unit[key] = power._unit_waterfill(grid, gains, total_power, owners)
-                return power.sum_rate_bound(grid, gains, total_power, owners,
-                                            weights if proportional else None, floor, unit[key])
-
+            bound = _search_bound(bound_name, grid, gains, weights, total_power, floor, unit)
             return assign.exhaustive_sa_oracle(weights, grid, pa_rates, upper_bound=bound).rates
         if sa not in assigned:
             try:
@@ -430,6 +428,27 @@ def _single_cell_rates(grid, gains, weights, total_power, table):
         return pa_rates(assigned[sa])
 
     return rates_of
+
+
+def _search_bound(name, grid, gains, weights, total_power, floor, unit):
+    """The bound ``name`` of ``_PA`` for an oracle search at one point: (C, M) owner rows to (C,) bounds.
+
+    ``floor`` is ``power.sum_rate_bound``'s; ``unit`` is a dict, keyed
+    by an owner block's bytes, that keeps each block's unit-price
+    water-fill for the point's other searches.  The uniform-power bound
+    reads neither.
+    """
+    if name == "uniform-power":
+        return functools.partial(power._uniform_bound, grid, gains, total_power)
+    rate_weights = {"water-filling": None, "rate-weighted": weights}[name]
+
+    def bound(owners):
+        key = owners.tobytes()
+        if key not in unit:
+            unit[key] = power._unit_waterfill(grid, gains, total_power, owners)
+        return power.sum_rate_bound(grid, gains, total_power, owners, rate_weights, floor, unit[key])
+
+    return bound
 
 
 def _multi_cell_points(config: ExperimentConfig, trial: int, weights: np.ndarray):

@@ -722,6 +722,44 @@ def sum_rate_bound(
     return bound
 
 
+def _uniform_bound(grid: ChunkGrid, gains: np.ndarray, total_power: float, owners) -> np.ndarray:
+    """Upper bounds on ``uniform_pa``'s sum rate for each chunk map in a block: (C, M) owners to (C,) bounds.
+
+    Row c bounds ``float(user_rates(uniform_pa(a, total_power).powers,
+    gains).sum())``, as computed, for the map's assignment ``a``.  It is
+    that sum rate itself, from one gather over the owned gains: each
+    term log2(1 + (P / N) g) is the float ``user_rates`` computes for an
+    owned entry, and an entry without power adds exactly log2(1) = 0.
+    Only the order of the adds differs, so the sum of the terms is
+    raised by a rounding margin.  A row with a negative or NaN owned
+    gain gets NaN (its terms can cancel or be NaN), which rules nothing
+    out.
+
+    The margin, with u = 2**-53, for a row whose terms are all >= 0.
+    ``np.log2`` is taken to be within 4 ulp (8 u relative), so a term
+    here and the same term in ``user_rates`` differ by 16 u relative at
+    most, should numpy take another loop for the other layout.  Any
+    order of adds of m non-negative terms is within (m - 1) u relative
+    of their exact sum, and no term is subnormal: the least positive
+    one is log2(1 + 2**-52).  ``user_rates`` sums each user's N entries
+    and divides by N, and the K rates are summed: at most
+    T (1 + 16 u)(1 + u)**(N + K - 1) / N for the exact sum T of the
+    terms here.  The row sum here and its divide leave the float B at or
+    above T (1 - u)**N / N.  So the sum rate is at most
+    B (1 + (2 N + K + 15) u) to first order; the bound returned is
+    B (1 + (2 N + K + 20) 2**-52), whose factor is exact and whose
+    rounding and second-order terms fit in the rest.  An inf term makes
+    both sums inf.
+    """
+    n_users, n = gains.shape
+    g = gains[grid.per_subcarrier(owners), np.arange(n)]
+    with np.errstate(all="ignore"):  # 0 * inf, overflow, the log2 of a negative gain's term
+        terms = np.log2(1.0 + total_power / n * g)
+    bound = terms.sum(axis=1) / n * (1.0 + (2 * n + n_users + 20) * 2.0**-52)
+    bound[~(g >= 0).all(axis=1)] = np.nan
+    return bound
+
+
 def _owned_gains(grid: ChunkGrid, gains: np.ndarray, owners):
     """A block of maps' per-subcarrier owners, owned gains g and their reciprocals r (inf where g <= 0): (C, N) each."""
     owners = grid.per_subcarrier(owners)

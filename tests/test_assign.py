@@ -103,6 +103,16 @@ def test_grid_rejects_bad_sizes():
             build_grid(n, l)
 
 
+def test_build_grid_is_shared_per_size_and_raises_on_every_call():
+    # One grid serves every group, chunk size and trial of a run.
+    g = build_grid(12, 2)
+    assert build_grid(12, 2) is g and build_grid(np.int64(12), 2.0) is g
+    assert build_grid(12, 3) is not g and not g.chunk_sizes().flags.writeable
+    for _ in range(3):
+        with pytest.raises(ConfigError):
+            build_grid(12, 13)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=600))
 def test_grid_partition_property(n, l):
@@ -454,6 +464,21 @@ def test_greedy_schemes_match_direct_references_at_workload_sizes(n_users, n_chu
         assert np.array_equal(scores, kept_scores) and np.array_equal(table, kept)
 
 
+@pytest.mark.parametrize("n_users", [1, 2, 4, 8, 16])
+def test_greedy_phase_two_breaks_ties_and_signed_zeros_toward_the_lowest_user(n_users):
+    # Even cases: a total rate of 5e-324 or -5e-324 over a weight of 2
+    # rounds to 0.0 or -0.0, which tie, so phase two meets signed zeros.
+    # Odd cases: rates of 0 and 1 over weights of 1 and 2 tie at most takes.
+    rng = np.random.default_rng(n_users)
+    grid = build_grid(4 * n_users, 1)
+    for case in range(40):
+        values = [0.0, -0.0, 5e-324, -5e-324] + [1.0] * (case % 2)
+        table = rng.choice(values, size=(n_users, 4 * n_users))
+        weights = rng.choice([2.0] + [1.0] * (case % 2), size=n_users)
+        for scheme, reference in ((proposed_sa, proposed_sa_direct), (shen_sa, shen_sa_direct)):
+            assert scheme(table, weights, grid)[0].owners == reference(table, weights)[0], (case, scheme.__name__)
+
+
 def test_run_sa_builds_each_comparison_count_once_per_shape():
     rng = np.random.default_rng(12)
     weights, grid = np.array([1.0, 2.0, 1.0]), build_grid(9, 1)
@@ -587,6 +612,24 @@ def _oracle_bits(res):
         res.rates.tobytes(),
         res.candidates,
     )
+
+
+def test_uniform_bound_keeps_every_field_of_the_full_uniform_search_but_solved():
+    # Uniform power's bound is its own sum rate, so its search solves little
+    # more than the winner, and finds the winner of the search that solves all.
+    for n_users, n, chunk_size in ((1, 6, 2), (2, 12, 2), (3, 10, 2), (2, 9, 1)):
+        grid = build_grid(n, chunk_size)
+        weights = np.array([1.0, 2.0, 4.0][:n_users])
+        for seed in range(3):
+            gains = random_gains(n_users, n, seed=seed, taps=2)
+            for snr_db in (-60.0, -10.0, 0.0, 20.0):
+                total_power = n * 10.0 ** (snr_db / 10.0)
+                solver = _uniform_rates_solver(gains, total_power)
+                bound = functools.partial(power._uniform_bound, grid, gains, total_power)
+                full = exhaustive_sa_oracle(weights, grid, solver)
+                res = exhaustive_sa_oracle(weights, grid, solver, upper_bound=bound)
+                assert _oracle_bits(res) == _oracle_bits(full), (n_users, seed, snr_db)
+                assert res.solved < full.solved == full.candidates or full.candidates == 1
 
 
 def _exact_rates_solver(gains, weights, total_power):

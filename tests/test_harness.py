@@ -5,6 +5,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -17,12 +18,14 @@ import pytest
 
 from chunkfair import (
     AllocationError,
+    ChunkfairError,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
     OracleConvergenceError,
     cli,
     harness,
+    power,
     run_experiment,
 )
 from chunkfair.assign import build_grid, static_sa
@@ -501,10 +504,10 @@ def _csv_bytes(rows, path):
 
 def test_only_the_exact_oracles_search_uses_the_rate_weighted_bound(monkeypatch, tmp_path):
     # The rate-weighted bound holds only for rates proportional to the
-    # weights, so the proposed and uniform PAs' searches must keep the
-    # water-filling bound, whose rows are those of a search that solves
-    # every candidate.  Flagged as proportional, their searches meet sum
-    # rates above the weighted bound and fail rows.
+    # weights, so the proposed PA's search must keep the water-filling
+    # bound and the uniform PA's its own sum rate, whose rows are those of
+    # a search that solves every candidate.  Given the rate-weighted bound,
+    # their searches meet sum rates above it and fail rows.
     from chunkfair import assign
 
     config = tiny_config(n_subcarriers=12, chunk_sizes=[2], snr_db=[-10.0, 0.0, 20.0], trials=6,
@@ -515,8 +518,34 @@ def test_only_the_exact_oracles_search_uses_the_rate_weighted_bound(monkeypatch,
         m.setattr(assign, "exhaustive_sa_oracle",
                   lambda weights, grid, pa_solver, upper_bound: search(weights, grid, pa_solver))
         assert _csv_bytes(run_experiment(config)[0], tmp_path / "full.csv") == bounded
-    monkeypatch.setattr(harness, "_PA", {name: (solve, True) for name, (solve, _) in harness._PA.items()})
+    monkeypatch.setattr(harness, "_PA", {name: (solve, "rate-weighted") for name, (solve, _) in harness._PA.items()})
     assert b"exceeds its upper bound" in _csv_bytes(run_experiment(config)[0], tmp_path / "flagged.csv")
+
+
+def test_every_pa_schemes_search_bound_holds_for_its_solver():
+    # A new PA scheme's bound must be at or above its solver's computed sum
+    # rate on every covering map, or its oracle search could skip a winner.
+    from chunkfair import assign
+
+    for seed, (n_users, n, chunk_size) in enumerate([(1, 6, 2), (2, 12, 2), (3, 9, 3), (2, 7, 1)]):
+        grid = build_grid(n, chunk_size)
+        rng = np.random.default_rng(seed)
+        gains = rng.exponential(size=(n_users, n))
+        gains[0, 0] = 0.0
+        weights = rng.uniform(0.5, 4.0, n_users)
+        rows = assign._covering_rows(n_users, grid.n_chunks)
+        for snr_db in (-40.0, -10.0, 0.0, 30.0):
+            total_power = n * 10.0 ** (snr_db / 10.0)
+            for name, (solve, bound_name) in harness._PA.items():
+                bounds = harness._search_bound(bound_name, grid, gains, weights, total_power, -math.inf, {})(rows)
+                for row, bound in zip(rows, bounds.tolist()):
+                    a = assign.Assignment(grid=grid, owners=tuple(row.tolist()), n_users=n_users)
+                    try:
+                        powers = solve(a, gains, weights, total_power).powers
+                    except ChunkfairError:
+                        continue
+                    total = float(power.user_rates(powers, gains).sum())
+                    assert total <= bound, (name, seed, snr_db, row, total, bound)
 
 
 def test_oracle_rows_at_minus_60_db_fail_only_from_visited_candidates():
@@ -604,12 +633,12 @@ def _csv_lines(path):
 
 
 def test_row_csv_quotes_an_error_that_holds_a_comma(monkeypatch, tmp_path):
-    # Flagged as proportional, the proposed and uniform PAs' oracle searches
+    # Given the rate-weighted bound, the proposed and uniform PAs' oracle searches
     # fail rows with "sum rate ... of (0, 1, 0, 1, 0, 1) exceeds its upper
     # bound ...", a message with commas in it.
     config = tiny_config(n_subcarriers=12, chunk_sizes=[2], snr_db=[-10.0, 0.0, 20.0], trials=6,
                          sa_schemes=["proposed", "exhaustive-oracle"], pa_schemes=["proposed", "uniform"])
-    monkeypatch.setattr(harness, "_PA", {name: (solve, True) for name, (solve, _) in harness._PA.items()})
+    monkeypatch.setattr(harness, "_PA", {name: (solve, "rate-weighted") for name, (solve, _) in harness._PA.items()})
     rows, _ = run_experiment(config)
     emit_csv(rows, tmp_path / "rows.csv")
     lines = _csv_lines(tmp_path / "rows.csv")

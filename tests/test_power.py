@@ -906,6 +906,24 @@ def test_oracle_small_makes_41_exact_oracle_calls(monkeypatch, oracle_small_conf
     assert counts["oracle"] == 41
 
 
+def test_oracle_small_makes_43_uniform_pa_calls(monkeypatch, oracle_small_config):
+    # The same workload.  Its 12 trials' heuristics pick 32 distinct
+    # assignments, each solved once.  The uniform searches bound each
+    # candidate by its own uniform-power sum rate, so they solve only
+    # candidates whose sum rate reaches the best one's: 11 more in all,
+    # against 117 under the water-filling bound.
+    counts = {"uniform": 0}
+    uniform = power.uniform_pa
+
+    def counted_uniform(*args):
+        counts["uniform"] += 1
+        return uniform(*args)
+
+    monkeypatch.setattr(power, "uniform_pa", counted_uniform)
+    run_experiment(oracle_small_config)
+    assert counts["uniform"] == 43
+
+
 def test_budget_total_sums_in_ndarray_order():
     # numpy adds fewer than 8 terms in order and 8 or more pairwise.  Every
     # digest rests on that order: if an installed numpy changes it, fail here.
@@ -1022,6 +1040,41 @@ def test_weighted_sum_rate_bound_is_above_the_exact_oracles_sum_rate(
     assert total <= bound[0], (total, bound[0])
     if n_users == 1:
         assert bound[0] <= total * (1.0 + 1e-9) + 1e-12, (total, bound[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_users=st.integers(1, 4),
+    chunk_size=st.integers(1, 4),
+    extra_chunks=st.integers(0, 3),
+    remainder=st.integers(0, 3),
+    db_range=st.tuples(st.floats(-200.0, 60.0), st.floats(-200.0, 60.0)).map(sorted),
+    special=st.sampled_from([None, 0.0, -0.0, math.nan, math.inf, -1.0, -1e-30]),
+)
+def test_uniform_bound_is_at_or_above_the_uniform_pas_sum_rate(
+    seed, n_users, chunk_size, extra_chunks, remainder, db_range, special
+):
+    # Each map's bound is its computed uniform-PA sum rate, raised by a
+    # rounding margin, or NaN where an owned gain is negative or NaN.
+    rng = np.random.default_rng(seed)
+    n = chunk_size * (n_users + extra_chunks) + remainder % chunk_size
+    grid = build_grid(n, chunk_size)
+    gains = 10.0 ** (rng.uniform(*db_range, size=(n_users, n)) / 10.0)
+    if special is not None:
+        gains[rng.integers(n_users), rng.integers(n)] = special
+    rows = rng.integers(0, n_users, size=(6, grid.n_chunks))
+    total_power = float(n)
+    bounds = power._uniform_bound(grid, gains, total_power, rows)
+    assert bounds.shape == (6,)
+    for row, bound in zip(rows, bounds.tolist()):
+        assignment = Assignment(grid=grid, owners=tuple(row.tolist()), n_users=n_users)
+        owned = gains[assignment.subcarrier_owners, np.arange(n)]
+        assert math.isnan(bound) == bool((np.isnan(owned) | (owned < 0)).any())
+        with np.errstate(all="ignore"):
+            total = float(user_rates(uniform_pa(assignment, total_power).powers, gains).sum())
+        if not (math.isnan(bound) or math.isnan(total)):
+            assert total <= bound <= total * (1.0 + 1e-12), (total, bound)
 
 
 def test_weighted_sum_rate_bound_is_tight_where_the_unweighted_one_is_not():
